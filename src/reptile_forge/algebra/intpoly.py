@@ -105,8 +105,21 @@ def eval_at(p: Poly, x: Fraction | int) -> Fraction | int:
 
 
 def sign_at(p: Poly, x: Fraction | int) -> int:
-    v = eval_at(p, x)
-    return (v > 0) - (v < 0)
+    return sign_at_ratio(p, x.numerator, x.denominator)
+
+
+def sign_at_ratio(p: Poly, a: int, b: int) -> int:
+    """Sign of p(a/b) for b > 0, without building a Fraction.
+
+    b^n * p(a/b) = sum of p_i a^i b^(n-i) is an integer with the sign of
+    p(a/b); Horner from the top computes it with one power of b per step.
+    """
+    acc = 0
+    bk = 1
+    for c in reversed(p):
+        acc = acc * a + c * bk
+        bk *= b
+    return (acc > 0) - (acc < 0)
 
 
 def content(p: Poly) -> int:

@@ -8,6 +8,7 @@ Sturm's theorem relies on is untouched).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import intpoly as ip
 from .intpoly import Poly
@@ -49,7 +50,8 @@ def _variations(values: list[int]) -> int:
 
 
 def variations_at(seq: list[Poly], x: Fraction) -> int:
-    return _variations([ip.sign_at(q, x) for q in seq])
+    a, b = x.numerator, x.denominator
+    return _variations([ip.sign_at_ratio(q, a, b) for q in seq])
 
 
 def count_roots(seq: list[Poly], lo: Fraction, hi: Fraction) -> int:
@@ -119,23 +121,35 @@ def isolate_roots(
 
 
 def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect an isolating interval of p below the requested width."""
+    """Bisect an isolating interval of p below the requested width.
+
+    The endpoints are kept as integer numerators a < b over one shared
+    denominator d, which doubles at each step, so the midpoint is a + b over
+    2d and its gap b - a never changes; signs come from sign_at_ratio.
+    """
     if lo == hi:
         return lo, hi
-    slo = ip.sign_at(p, lo)
-    shi = ip.sign_at(p, hi)
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    slo = ip.sign_at_ratio(p, a, d)
+    shi = ip.sign_at_ratio(p, b, d)
     if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("not a sign-isolating interval")
-    while hi - lo >= width:
-        m = (lo + hi) / 2
-        sm = ip.sign_at(p, m)
+    # (b - a) / d >= width, with the gap b - a fixed as d doubles
+    gap = (b - a) * width.denominator
+    while gap >= width.numerator * d:
+        m = a + b
+        d *= 2
+        sm = ip.sign_at_ratio(p, m, d)
         if sm == 0:
-            return m, m
+            mid = Fraction(m, d)
+            return mid, mid
         if sm == slo:
-            lo = m
+            a, b = m, 2 * b
         else:
-            hi = m
-    return lo, hi
+            a, b = 2 * a, m
+    return Fraction(a, d), Fraction(b, d)
 
 
 def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:

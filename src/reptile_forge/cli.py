@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -264,8 +265,21 @@ def cmd_export(args) -> int:
 # -- wiring ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads values such as -5/13 and -sqrt(2)/2 as arguments, not options.
+
+    argparse takes a token for an option when it starts with "-" and is not
+    a plain negative number; no option of this CLI starts with a digit or
+    "sqrt(", so those tokens are values.  Subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|sqrt\()")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="reptile-forge",
         description="Exact tools for reptile simplices: realizability, angle catalogs, "
         "Hill subdivisions, and the nonexistence audit.",

@@ -348,7 +348,8 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
         b, q = descaled
         neg = [[-x for x in row] for row in b]
         analysis = _congruence_analysis(neg)
-        char = _char_poly_rational(b)
+        # A = D B D with D = diag(q)^(-1/2) is similar to B diag(q)^(-1)
+        char = _char_poly_rational([[b[i][j] / q[j] for j in range(n)] for i in range(n)])
         if not analysis["psd"]:
             x = analysis["negative_direction"]
             # map the direction back through the implicit scaling: the
@@ -577,10 +578,14 @@ def reconstruct_simplex(a: CosMatrix, tol: float = FLOAT_TOL) -> Simplex:
     chol = np.linalg.cholesky(gram)
     normals = chol  # row i is u_i
     v = np.linalg.solve(normals, np.diag(1.0 / z[:d]))
-    verts = [tuple(v[:, j]) for j in range(d)] + [tuple([0.0] * d)]
-    s = Simplex.floating(verts, tol)
-    longest = math.sqrt(max(float(x) for x in s.squared_lengths().values()))
-    s = s.scaled(1.0 / longest)
+    verts = [tuple(float(x) for x in v[:, j]) for j in range(d)] + [(0.0,) * d]
+    # scale to a unit longest edge before building the simplex: the kernel
+    # is unnormalised and the degeneracy test is absolute
+    longest = math.sqrt(
+        max(sum((x - y) * (x - y) for x, y in zip(p, q)) for p, q in combinations(verts, 2))
+    )
+    r = 1.0 / longest
+    s = Simplex.floating([tuple(r * x for x in p) for p in verts], tol)
     dd = dihedral_data(s)
     for (i, j), c in dd.facet_cos.items():
         want = float(as_algebraic(a.entries[i][j]))

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .algebra import AlgebraicReal, euler_totient, totient_inverse
 from .algebra import intpoly as ip
-from .algebra import sturm
+from .algebra.algebraic import _root_intervals
 from .algebra.enclosure import acos_fraction_bounds, pi_bounds
 from .algebra.intpoly import Poly
 
@@ -148,7 +148,7 @@ def cosine_of(angle: RationalAngle) -> AlgebraicReal:
     if ip.degree(mp) == 1:
         return AlgebraicReal.from_rational(Fraction(-mp[0], mp[1]))
     residues = _coprime_residues_half(n)
-    roots = sturm.isolate_roots(mp)
+    roots = _root_intervals(mp)
     if len(roots) != len(residues):
         raise AssertionError("cosine minimal polynomial root count mismatch")
     # ascending residues are descending cosines

@@ -144,6 +144,13 @@ class TestHillCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["parent"]["mode"] == "exact"
 
+    def test_negative_cos_as_separate_argument(self, capsys):
+        assert main(["hill", "subdivide", "--dim", "2", "--cos", "-5/13", "--m", "2"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["hill", "subdivide", "--dim", "2", "--cos=-5/13", "--m", "2"]) == 0
+        assert capsys.readouterr().out == spaced
+        assert json.loads(spaced)["parent"]["mode"] == "exact"
+
 
 class TestAnglesCommands:
     def test_classify_half(self, capsys):
@@ -169,6 +176,22 @@ class TestAnglesCommands:
 
     def test_bad_value_exit_two(self, capsys):
         assert main(["angles", "classify", "one half"]) == 2
+
+    @pytest.mark.parametrize(
+        "value,want",
+        [("-3/7", None), ("-1/2", 120.0), ("-1", 180.0), ("-sqrt(2)/2", 135.0)],
+    )
+    def test_classify_negative_value(self, value, want, capsys):
+        assert main(["angles", "classify", value]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out[0]["angle_deg"] if out else None) == want
+        assert main(["angles", "classify", "--", value]) == 0
+        assert json.loads(capsys.readouterr().out) == out
+
+    def test_unknown_option_still_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["angles", "classify", "-x"])
+        assert exc.value.code == 2
 
 
 class TestAuditCommands:

@@ -1,9 +1,11 @@
 """Realizability decisions, row-space certificates, reconstruction."""
 
+import json
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from reptile_forge.algebra import AlgebraicReal, Golden, MPoly, PHI, as_algebraic, determinant
@@ -22,6 +24,7 @@ from reptile_forge.fiedler import (
     reconstruct_simplex,
     tripod_matrix_symbolic,
 )
+from reptile_forge.jsonio import load_matrix
 from reptile_forge.simplex import (
     Simplex,
     congruent,
@@ -33,6 +36,19 @@ from reptile_forge.simplex import (
 from helpers import random_rational_tetrahedron
 
 PHI_M1 = AlgebraicReal.from_root([-1, 1, 1], 0, 1)  # phi - 1
+
+# draw 14 of the acceptance suite's soundness set: its Fiedler kernel has
+# entries near 10^3, so the unscaled reconstruction is tiny
+DRAW_14 = [(0, -4, 7), (0, Fraction(7, 3), Fraction(-7, 3)), (Fraction(9, 4), 2, -2), (-2, -2, -3)]
+ORTHO_235 = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5)]
+
+
+def matrix_of(verts) -> CosMatrix:
+    return CosMatrix.from_dihedral(dihedral_data(Simplex.exact(verts)))
+
+
+def via_json(a: CosMatrix) -> CosMatrix:
+    return load_matrix(json.loads(json.dumps(a.to_json())))
 
 
 def tripod_rows(t, s):
@@ -282,6 +298,14 @@ class TestReconstruction:
             reconstruct_simplex(a)
         assert exc.value.verdict.failure_witness is not None
 
+    @pytest.mark.parametrize("route", [lambda a: a, via_json], ids=["gram", "json"])
+    def test_unnormalised_kernel(self, route):
+        a = route(matrix_of(DRAW_14))
+        rec = reconstruct_simplex(a)
+        assert similar(Simplex.exact(DRAW_14).as_float(), rec) is not None
+        longest = max(rec.squared_lengths().values())
+        assert longest == pytest.approx(1.0, abs=1e-12)
+
     def test_round_trip_on_random_tetrahedra(self):
         rng = random.Random(31337)
         for _ in range(10):
@@ -295,6 +319,20 @@ class TestReconstruction:
 
 
 class TestCharPoly:
+    @pytest.mark.parametrize("route", [lambda a: a, via_json], ids=["gram", "json"])
+    def test_verdict_holds_char_poly_of_a(self, route):
+        a = route(matrix_of(ORTHO_235))
+        assert realizability_check(a).char_poly == (0, 2, 5, 4, 1)
+        assert [c.as_fraction() for c in char_poly(a)] == [0, 2, 5, 4, 1]
+
+    def test_verdict_char_poly_matches_eigenvalues(self):
+        rng = random.Random(4242)
+        for _ in range(10):
+            a = CosMatrix.from_dihedral(dihedral_data(random_rational_tetrahedron(rng)))
+            cp = realizability_check(a).char_poly
+            want = np.poly(np.array([[float(x) for x in row] for row in a.entries]))
+            assert [float(c) for c in reversed(cp)] == pytest.approx(list(want), abs=1e-9)
+
     def test_negative_identity(self):
         a = CosMatrix.from_rows(
             [[-1 if i == j else Fraction(0) for j in range(4)] for i in range(4)]

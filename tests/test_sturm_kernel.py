@@ -1,0 +1,139 @@
+"""The integer Sturm kernel: sign evaluation, bisection, and one isolation
+per minimal polynomial in the cosine catalogs."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reptile_forge.algebra import algebraic, sturm
+from reptile_forge.algebra import intpoly as ip
+from reptile_forge.trig import RationalAngle, catalog, cos_two_pi_minpoly, cosine_of
+
+polys = st.lists(st.integers(-10**6, 10**6), min_size=0, max_size=12).map(ip.poly)
+fractions = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9))
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def _fraction_bisection(p, lo, hi, width):
+    """refine_root as plain Fraction bisection with eval_at signs."""
+    if lo == hi:
+        return lo, hi
+    slo = _sign(ip.eval_at(p, lo))
+    while hi - lo >= width:
+        m = (lo + hi) / 2
+        sm = _sign(ip.eval_at(p, m))
+        if sm == 0:
+            return m, m
+        if sm == slo:
+            lo = m
+        else:
+            hi = m
+    return lo, hi
+
+
+class TestSignAt:
+    @settings(max_examples=300, deadline=None)
+    @given(polys, fractions)
+    def test_matches_fraction_horner(self, p, x):
+        assert ip.sign_at(p, x) == _sign(ip.eval_at(p, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(polys, fractions, st.integers(1, 50))
+    def test_unreduced_ratio(self, p, x, k):
+        # b^n p(a/b) keeps the sign of p(a/b) for any positive b
+        assert ip.sign_at_ratio(p, k * x.numerator, k * x.denominator) == _sign(ip.eval_at(p, x))
+
+    def test_integer_argument(self):
+        p = (-6, 11, -6, 1)  # (x - 1)(x - 2)(x - 3)
+        assert [ip.sign_at(p, x) for x in range(5)] == [-1, 0, 0, 0, 1]
+
+    def test_exact_rational_root(self):
+        p = (1, -5, 6)  # (2x - 1)(3x - 1)
+        assert ip.sign_at(p, Fraction(1, 3)) == 0
+        assert ip.sign_at(p, Fraction(1, 2)) == 0
+        assert ip.sign_at(p, Fraction(2, 5)) == -1
+
+
+class TestRefineRoot:
+    CASES = [
+        ((-2, 0, 1), Fraction(1), Fraction(2)),  # sqrt 2
+        ((-1, 0, 2), Fraction(2, 3), Fraction(5, 7)),  # sqrt(1/2), odd denominators
+        ((-1, 4), Fraction(0), Fraction(1)),  # 1/4 is hit by a midpoint
+        ((-3, 0, 0, 7), Fraction(-1, 3), Fraction(11, 5)),  # (3/7)^(1/3)
+        ((1, -1, -1), Fraction(-2), Fraction(-1)),  # -phi
+    ]
+
+    @pytest.mark.parametrize("p,lo,hi", CASES)
+    @pytest.mark.parametrize("width", [Fraction(1), Fraction(1, 3), Fraction(1, 2**20), Fraction(7, 10**30)])
+    def test_same_endpoints_as_fraction_bisection(self, p, lo, hi, width):
+        assert sturm.refine_root(p, lo, hi, width) == _fraction_bisection(p, lo, hi, width)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 10**6), st.integers(1, 10**3), st.integers(1, 80))
+    def test_square_roots(self, n, q, bits):
+        p = (-n, 0, q)  # root sqrt(n / q)
+        lo, hi = Fraction(0), Fraction(n + q, q)
+        width = Fraction(1, 2**bits)
+        assert sturm.refine_root(p, lo, hi, width) == _fraction_bisection(p, lo, hi, width)
+
+    def test_catalog_intervals(self):
+        for n in (45, 59):
+            mp = cos_two_pi_minpoly(n)
+            for lo, hi in sturm.isolate_roots(mp):
+                w = Fraction(1, 10**25)
+                assert sturm.refine_root(mp, lo, hi, w) == _fraction_bisection(mp, lo, hi, w)
+
+    def test_rejects_non_isolating_interval(self):
+        with pytest.raises(ValueError):
+            sturm.refine_root((-2, 0, 1), Fraction(2), Fraction(3), Fraction(1, 8))
+
+
+def _angles_over(q: int) -> list[RationalAngle]:
+    return [RationalAngle.of(p, q) for p in range(1, q) if math.gcd(p, q) == 1]
+
+
+class TestCosineIntervals:
+    def _check(self, angle: RationalAngle, isolated: dict) -> None:
+        c = cosine_of(angle)
+        if c.is_rational:
+            return
+        if c.minpoly not in isolated:
+            isolated[c.minpoly] = sturm.isolate_roots(c.minpoly)
+        roots = isolated[c.minpoly]
+        want = math.cos(math.pi * angle.p / angle.q)
+        (home,) = [iv for iv in roots if float(iv[0]) < want < float(iv[1])]
+        assert (c.interval().lo, c.interval().hi) == home
+
+    def test_catalogs_one_to_eight(self):
+        isolated = {}
+        for d in range(1, 9):
+            for angle, _ in catalog(d).entries:
+                self._check(angle, isolated)
+
+    def test_sweep_over_59(self):
+        isolated = {}
+        for angle in _angles_over(59):
+            self._check(angle, isolated)
+
+    def test_one_isolation_per_minimal_polynomial(self, monkeypatch):
+        calls = []
+        real = sturm.isolate_roots
+
+        def counting(p, *args, **kwargs):
+            calls.append(p)
+            return real(p, *args, **kwargs)
+
+        monkeypatch.setattr(sturm, "isolate_roots", counting)
+        algebraic._root_intervals.cache_clear()
+        try:
+            for angle in _angles_over(59):
+                cosine_of(angle)
+        finally:
+            algebraic._root_intervals.cache_clear()
+        assert sorted(calls) == sorted({cos_two_pi_minpoly(59), cos_two_pi_minpoly(118)})
