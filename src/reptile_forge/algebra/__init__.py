@@ -29,6 +29,7 @@ from .algebraic import (
 from .factor import FactorError, irreducible_factors, is_irreducible
 from .golden import INV_PHI, INV_PHI2, PHI, Golden
 from .intpoly import Poly
+from .linalg import det_int
 from .multipoly import MPoly, determinant
 
 __all__ = [
@@ -155,25 +156,9 @@ def eliminate(coeffs_in_t: list, t_minpoly) -> Poly:
             for j in range(len(c)):
                 h[j] += c[j] * power
             power *= s0
-        rows = _fixed_sylvester(tp, h)
-        return intpoly._bareiss_det(rows)
+        return det_int(intpoly.sylvester_matrix(tp, h))
 
     res = _interp_resultant(bound, res_at)
     if intpoly.is_zero(res):
         raise ValueError("inconsistent coefficient field: identically zero eliminant")
     return intpoly.primitive(res)
-
-
-def _fixed_sylvester(f: Poly, g_coeffs: list[int]) -> list[list[int]]:
-    """Sylvester matrix with the formal (possibly deficient) degree of g."""
-    m = intpoly.degree(f)
-    n = len(g_coeffs) - 1
-    size = m + n
-    pc = list(reversed(f))
-    qc = list(reversed(g_coeffs))
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + pc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qc + [0] * (size - n - 1 - i))
-    return rows

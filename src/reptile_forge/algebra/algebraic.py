@@ -20,6 +20,7 @@ from . import intpoly as ip
 from . import sturm
 from .factor import minimal_polynomial_on
 from .intpoly import Poly
+from .linalg import interpolate, rational_sqrt
 
 DEGREE_CAP = 8
 
@@ -131,9 +132,9 @@ class AlgebraicReal:
             raise ValueError("square root of a negative rational")
         if q == 0:
             return AlgebraicReal.from_rational(0)
-        ns, ds = math.isqrt(q.numerator), math.isqrt(q.denominator)
-        if ns * ns == q.numerator and ds * ds == q.denominator:
-            return AlgebraicReal.from_rational(Fraction(ns, ds))
+        root = rational_sqrt(q)
+        if root is not None:
+            return AlgebraicReal.from_rational(root)
         mp = ip.primitive(ip.poly([-q.numerator, 0, q.denominator]))
         lo, hi = _sqrt_bounds(q, Fraction(1, 16))
         return AlgebraicReal(mp, (lo, hi), _trusted=True)
@@ -400,35 +401,13 @@ def _interp_resultant(deg_bound: int, res_at) -> Poly:
         pts.append(x0)
         vals.append(res_at(x0))
         x0 = -x0 + (1 if x0 <= 0 else 0)
-    coeffs = _lagrange(pts, vals)
+    coeffs = interpolate(pts, vals)
     out = []
     for c in coeffs:
         if c.denominator != 1:
             raise AssertionError("resultant interpolation produced a non-integer")
         out.append(int(c))
     return ip.poly(out)
-
-
-def _lagrange(xs: list[int], ys: list[int]) -> list[Fraction]:
-    """Coefficients (low first) of the interpolating polynomial."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                nxt[k + 1] += c
-                nxt[k] -= c * xs[j]
-            num = nxt
-            den *= xs[i] - xs[j]
-        w = Fraction(ys[i]) / den
-        for k, c in enumerate(num):
-            coeffs[k] += w * c
-    return coeffs
 
 
 def _iv_combine(op: str, a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):

@@ -19,6 +19,7 @@ from itertools import combinations
 from . import intpoly as ip
 from . import sturm
 from .intpoly import Poly
+from .linalg import rational_sqrt
 
 
 class FactorError(ValueError):
@@ -97,16 +98,6 @@ def _subset_factor(g: Poly) -> Poly | None:
     return None
 
 
-def _sqrt_rational(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    ns = math.isqrt(x.numerator)
-    ds = math.isqrt(x.denominator)
-    if ns * ns == x.numerator and ds * ds == x.denominator:
-        return Fraction(ns, ds)
-    return None
-
-
 def _clear_denominators(coeffs: list[Fraction]) -> Poly:
     den = math.lcm(*(c.denominator for c in coeffs))
     return ip.poly(int(c * den) for c in coeffs)
@@ -126,14 +117,14 @@ def _quartic_quadratic_split(g: Poly) -> tuple[Poly, Poly] | None:
 
     found: tuple[Fraction, Fraction, Fraction] | None = None
     if q == 0:
-        root = _sqrt_rational(p * p - 4 * r)
+        root = rational_sqrt(p * p - 4 * r)
         if root is not None:
             found = (Fraction(0), (p + root) / 2, (p - root) / 2)
         else:
-            rr = _sqrt_rational(r)
+            rr = rational_sqrt(r)
             if rr is not None:
                 for v in (rr, -rr):
-                    u = _sqrt_rational(2 * v - p)
+                    u = rational_sqrt(2 * v - p)
                     if u is not None:
                         found = (u, v, v)
                         break
@@ -143,7 +134,7 @@ def _quartic_quadratic_split(g: Poly) -> tuple[Poly, Poly] | None:
         for u2 in sturm.rational_roots(res):
             if u2 <= 0:
                 continue
-            u = _sqrt_rational(u2)
+            u = rational_sqrt(u2)
             if u is None:
                 continue
             found = (u, (p + u2 - q / u) / 2, (p + u2 + q / u) / 2)

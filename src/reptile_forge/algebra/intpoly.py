@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .linalg import det_int
+
 Poly = tuple[int, ...]
 
 ZERO: Poly = ()
@@ -260,6 +262,18 @@ def monicize(p: Poly) -> tuple[Poly, int]:
     return poly(q), lc
 
 
+def sylvester_matrix(p, q) -> list[list[int]]:
+    """Sylvester matrix of two coefficient lists (low first).  Each formal
+    degree is the list's length minus one, so a zero leading coefficient
+    keeps the matrix size fixed."""
+    m, n = len(p) - 1, len(q) - 1
+    size = m + n
+    pc, qc = list(reversed(p)), list(reversed(q))
+    return [[0] * i + pc + [0] * (size - m - 1 - i) for i in range(n)] + [
+        [0] * i + qc + [0] * (size - n - 1 - i) for i in range(m)
+    ]
+
+
 def sylvester_resultant(p: Poly, q: Poly) -> int:
     """Resultant of two integer polynomials via fraction-free Bareiss."""
     m, n = degree(p), degree(q)
@@ -269,38 +283,7 @@ def sylvester_resultant(p: Poly, q: Poly) -> int:
         return p[0] ** n
     if n == 0:
         return q[0] ** m
-    size = m + n
-    rows: list[list[int]] = []
-    pc = list(reversed(p))
-    qc = list(reversed(q))
-    for i in range(n):
-        rows.append([0] * i + pc + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qc + [0] * (size - n - 1 - i))
-    return _bareiss_det(rows)
-
-
-def _bareiss_det(a: list[list[int]]) -> int:
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return det_int(sylvester_matrix(p, q))
 
 
 def root_bound(p: Poly) -> Fraction:

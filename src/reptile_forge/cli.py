@@ -3,7 +3,9 @@
 Subcommands: fiedler check|reconstruct, hill generate|subdivide|verify|grow,
 angles classify|catalog, audit run|step, export.  JSON results go to stdout
 or --out; human-readable summaries go to stderr.  "-" means stdin/stdout.
-Exit codes: 0 success, 1 verification failure, 2 usage or input errors.
+Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
+3 an exact computation beyond a supported bound (the algebraic degree cap
+or the refinement cap), so no verdict was reached.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from . import audit as audit_mod
 from . import hill as hill_mod
-from .algebra import AlgebraicReal
+from .algebra import AlgebraicReal, DegreeOverflowError
 from .fiedler import ReconstructionError, realizability_check, reconstruct_simplex
 from .jsonio import (
     InputFormatError,
@@ -28,11 +30,13 @@ from .jsonio import (
     parse_real,
     read_json_document,
 )
+from .simplex import InconclusiveComparison
 from .trig import catalog, match_rational_angle
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+EXIT_UNDECIDED = 3
 
 
 def _precision_digits() -> int:
@@ -375,6 +379,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         _log(f"error: {e}")
         return EXIT_USAGE
+    except (DegreeOverflowError, InconclusiveComparison) as e:
+        _log(f"undecided: {e}")
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import AlgebraicReal, Golden, MPoly, as_algebraic, determinant
+from .algebra.linalg import cholesky, det, interpolate, nullspace, rational_sqrt, solve
 from .simplex import FLOAT_TOL, DihedralData, Simplex, dihedral_data
 
 SYM_VARS = ("s", "t")
@@ -128,130 +129,23 @@ def _congruence_analysis(m: list[list]) -> dict:
                 # t = -(c + 1) / (2 b) gives quadratic form value -1
                 b = a[k][bad]
                 c = a[bad][bad]
-                t = _field_div(_field_neg(_field_add(c, Fraction(1))), _field_mul(b, Fraction(2)))
-                x = [
-                    _field_add(_field_mul(t, basis[k][i]), basis[bad][i]) for i in range(n)
-                ]
+                t = -(c + 1) / (b * 2)
+                x = [t * basis[k][i] + basis[bad][i] for i in range(n)]
                 return {"psd": False, "rank": None, "negative_direction": tuple(x)}
             continue
         rank += 1
         for i in range(k + 1, n):
             if sgn(a[i][k]) == 0:
                 continue
-            f = _field_div(a[i][k], a[k][k])
+            f = a[i][k] / a[k][k]
             # congruence: row_i -= f * row_k, then col_i -= f * col_k
             for j in range(n):
-                a[i][j] = _field_sub(a[i][j], _field_mul(f, a[k][j]))
-            for j in range(n):
-                a[j][i] = _field_sub(a[j][i], _field_mul(f, a[j][k]))
-            for j in range(n):
-                basis[i][j] = _field_sub(basis[i][j], _field_mul(f, basis[k][j]))
-    return {"psd": True, "rank": rank, "negative_direction": None}
-
-
-def _field_add(x, y):
-    return x + y
-
-
-def _field_sub(x, y):
-    return x - y
-
-
-def _field_mul(x, y):
-    return x * y
-
-
-def _field_neg(x):
-    return -x
-
-
-def _field_div(x, y):
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x / y
-    return as_algebraic(x) / as_algebraic(y)
-
-
-def _nullspace_field(m: list[list]) -> list:
-    """One kernel vector of a singular square matrix over an exact field."""
-    n = len(m)
-    a = [list(r) for r in m]
-
-    def is_zero(x) -> bool:
-        return not x if not isinstance(x, AlgebraicReal) else not bool(x)
-
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if not is_zero(a[i][c])), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [_field_div(x, inv) for x in a[r]]
-        for i in range(n):
-            if i != r and not is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [_field_sub(x, _field_mul(f, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        raise ValueError("matrix is nonsingular")
-    fc = free[0]
-    v = [Fraction(0)] * n
-    v[fc] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        v[pc] = _field_neg(a[i][fc])
-    return v
-
-
-def _char_poly_rational(m: list[list[Fraction]]) -> list[Fraction]:
-    """det(lambda I - M) for rational M, low coefficients first, monic."""
-    n = len(m)
-    pts = list(range(n + 1))
-    vals = []
-    for x0 in pts:
-        rows = [[(Fraction(x0) if i == j else Fraction(0)) - m[i][j] for j in range(n)] for i in range(n)]
-        vals.append(_det_fraction(rows))
-    # Lagrange interpolation
-    coeffs = [Fraction(0)] * (n + 1)
-    for i, xi in enumerate(pts):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(pts):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                nxt[k + 1] += c
-                nxt[k] -= c * xj
-            num = nxt
-            den *= xi - xj
-        w = vals[i] / den
-        for k, c in enumerate(num):
-            coeffs[k] += w * c
-    return coeffs
-
-
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
                 a[i][j] -= f * a[k][j]
-    out = Fraction(sign)
-    for k in range(n):
-        out *= a[k][k]
-    return out
+            for j in range(n):
+                a[j][i] -= f * a[j][k]
+            for j in range(n):
+                basis[i][j] -= f * basis[k][j]
+    return {"psd": True, "rank": rank, "negative_direction": None}
 
 
 def _squarefree_int(n: int) -> int | None:
@@ -324,12 +218,10 @@ def _descale(a: CosMatrix) -> tuple[list[list[Fraction]], list[Fraction]] | None
         b[i][i] = -q[i]
         for j in range(i + 1, n):
             key = (i, j)
-            c2 = sq[key] * q[i] * q[j]
-            num = math.isqrt(c2.numerator)
-            den = math.isqrt(c2.denominator)
-            if num * num != c2.numerator or den * den != c2.denominator:
+            root = rational_sqrt(sq[key] * q[i] * q[j])
+            if root is None:
                 return None
-            b[i][j] = b[j][i] = sign[key] * Fraction(num, den)
+            b[i][j] = b[j][i] = sign[key] * root
     return b, q
 
 
@@ -349,7 +241,7 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
         neg = [[-x for x in row] for row in b]
         analysis = _congruence_analysis(neg)
         # A = D B D with D = diag(q)^(-1/2) is similar to B diag(q)^(-1)
-        char = _char_poly_rational([[b[i][j] / q[j] for j in range(n)] for i in range(n)])
+        char = _char_poly([[b[i][j] / q[j] for j in range(n)] for i in range(n)])
         if not analysis["psd"]:
             x = analysis["negative_direction"]
             # map the direction back through the implicit scaling: the
@@ -360,13 +252,13 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
             )
         if analysis["rank"] == n:
             return RealizabilityVerdict(
-                False, None, {"kind": "nonsingular", "det": _det_fraction(b)}, tuple(char)
+                False, None, {"kind": "nonsingular", "det": det(b)}, tuple(char)
             )
         if analysis["rank"] < d:
             return RealizabilityVerdict(
                 False, None, {"kind": "rank_defect", "rank": analysis["rank"]}, tuple(char)
             )
-        w = _nullspace_field([[Fraction(x) for x in row] for row in b])
+        w = nullspace(b)
         if all(x < 0 for x in w):
             w = [-x for x in w]
         if not all(x > 0 for x in w):
@@ -392,7 +284,7 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
         return RealizabilityVerdict(
             False, None, {"kind": "rank_defect", "rank": analysis["rank"]}, None
         )
-    z = _nullspace_field([[as_algebraic(x) for x in r] for r in a.entries])
+    z = nullspace(a.entries)
     signs = [as_algebraic(x).sign() for x in z]
     if all(s < 0 for s in signs):
         z = [-as_algebraic(x) for x in z]
@@ -413,16 +305,12 @@ def nonneg_rowspace_certificate(a: CosMatrix):
     entrywise signs of c^T A and c'^T B agree under c = diag(sqrt(q)) c'.
     """
     n = a.dim + 1
-    rational = all(x.is_rational for row in a.entries for x in row)
+    rows = [[x.as_fraction() if x.is_rational else x for x in r] for r in a.entries]
     scaling = None
-    if rational:
-        rows = [[x.as_fraction() for x in r] for r in a.entries]
-    else:
+    if not all(isinstance(x, Fraction) for r in rows for x in r):
         descaled = _descale(a)
         if descaled is not None:
             rows, scaling = descaled
-        else:
-            rows = [list(r) for r in a.entries]
     for flip in (1, -1):
         for size in range(0, n):
             for tight in combinations(range(n), size):
@@ -447,7 +335,7 @@ def _solve_certificate(rows, tight, flip):
         rhs.append(Fraction(0))
     eqs.append([flip * sum(rows[j][i] for i in range(n)) for j in range(n)])
     rhs.append(Fraction(1))
-    sol = _solve_underdetermined(eqs, rhs)
+    sol = solve(eqs, rhs)
     if sol is None:
         return None
     y = [sum(sol[j] * rows[j][i] for j in range(n)) for i in range(n)]
@@ -457,103 +345,19 @@ def _solve_certificate(rows, tight, flip):
     return None
 
 
-def _solve_underdetermined(eqs, rhs):
-    m = len(eqs)
-    n = len(eqs[0])
-    a = [list(map(_lift, eq)) + [_lift(r)] for eq, r in zip(eqs, rhs)]
-
-    def is_zero(x) -> bool:
-        return not bool(x)
-
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if not is_zero(a[i][c])), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [_field_div(x, inv) for x in a[r]]
-        for i in range(m):
-            if i != r and not is_zero(a[i][c]):
-                f = a[i][c]
-                a[i] = [_field_sub(x, _field_mul(f, y)) for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if not is_zero(a[i][n]):
-            return None  # inconsistent
-    sol = [Fraction(0)] * n
-    for i, pc in enumerate(pivots):
-        sol[pc] = a[i][n]
-    return sol
-
-
-def _lift(x):
-    if isinstance(x, AlgebraicReal) and x.is_rational:
-        return x.as_fraction()
-    return x
-
-
 def char_poly(a: CosMatrix) -> list:
     """Exact characteristic polynomial det(lambda I - A), low-first, monic."""
-    if all(x.is_rational for row in a.entries for x in row):
-        return [
-            AlgebraicReal.from_rational(c)
-            for c in _char_poly_rational([[x.as_fraction() for x in r] for r in a.entries])
-        ]
-    n = a.dim + 1
+    rows = [[x.as_fraction() if x.is_rational else x for x in r] for r in a.entries]
+    return [as_algebraic(c) for c in _char_poly(rows)]
+
+
+def _char_poly(m: list[list]) -> list:
+    """det(lambda I - M) over the entries' field, low coefficients first:
+    determinants at lambda = 0..n, interpolated."""
+    n = len(m)
     pts = list(range(n + 1))
-    vals = []
-    for x0 in pts:
-        rows = [
-            [
-                (as_algebraic(Fraction(x0)) if i == j else as_algebraic(0)) - as_algebraic(a.entries[i][j])
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        vals.append(_det_field(rows))
-    coeffs = [as_algebraic(0)] * (n + 1)
-    for i, xi in enumerate(pts):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j, xj in enumerate(pts):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                nxt[k + 1] += c
-                nxt[k] -= c * xj
-            num = nxt
-            den *= xi - xj
-        for k, c in enumerate(num):
-            coeffs[k] = coeffs[k] + vals[i] * (c / den)
-    return coeffs
-
-
-def _det_field(rows: list[list]) -> AlgebraicReal:
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if bool(a[i][k])), None)
-        if piv is None:
-            return as_algebraic(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            if bool(a[i][k]):
-                f = a[i][k] / a[k][k]
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-    out = as_algebraic(sign)
-    for k in range(n):
-        out = out * a[k][k]
-    return out
+    vals = [det([[(x0 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]) for x0 in pts]
+    return interpolate(pts, vals)
 
 
 def reconstruct_simplex(a: CosMatrix, tol: float = FLOAT_TOL) -> Simplex:
@@ -563,29 +367,17 @@ def reconstruct_simplex(a: CosMatrix, tol: float = FLOAT_TOL) -> Simplex:
     The accept decision is exact; coordinates come from a floating Cholesky
     factor and are verified against A within the tolerance.
     """
-    import numpy as np
-
     verdict = realizability_check(a)
     if not verdict.valid:
         raise ReconstructionError(verdict)
     d = a.dim
-    n = d + 1
-    af = np.array(
-        [[-float(as_algebraic(x)) for x in row] for row in a.entries], dtype=float
-    )
-    z = np.array([float(x) for x in verdict.kernel], dtype=float)
-    gram = af[:d, :d]
-    chol = np.linalg.cholesky(gram)
-    normals = chol  # row i is u_i
-    v = np.linalg.solve(normals, np.diag(1.0 / z[:d]))
-    verts = [tuple(float(x) for x in v[:, j]) for j in range(d)] + [(0.0,) * d]
-    # scale to a unit longest edge before building the simplex: the kernel
-    # is unnormalised and the degeneracy test is absolute
-    longest = math.sqrt(
-        max(sum((x - y) * (x - y) for x, y in zip(p, q)) for p, q in combinations(verts, 2))
-    )
-    r = 1.0 / longest
-    s = Simplex.floating([tuple(r * x for x in p) for p in verts], tol)
+    z = [float(x) for x in verdict.kernel]
+    # row i of the Cholesky factor of -A's leading block is the unit normal u_i
+    normals = cholesky([[-float(x) for x in row[:d]] for row in a.entries[:d]])
+    # vertex j solves u_i . v_j = [i == j] / z_j; vertex d is the origin
+    verts = [solve(normals, [1.0 / z[j] if i == j else 0.0 for i in range(d)]) for j in range(d)]
+    s = Simplex.floating(verts + [[0.0] * d], tol)
+    s = s.scaled(1 / math.sqrt(max(s.squared_lengths().values())))
     dd = dihedral_data(s)
     for (i, j), c in dd.facet_cos.items():
         want = float(as_algebraic(a.entries[i][j]))

@@ -12,13 +12,13 @@ rational feasibility program per pair), and containment are all certified.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .simplex import FLOAT_TOL, Simplex, congruent, similar, volume
+from .algebra.linalg import cholesky, rational_sqrt, rref
+from .simplex import FLOAT_TOL, Simplex, _orientation_sign, congruent, similar, volume
 
 
 @dataclass(frozen=True)
@@ -100,26 +100,17 @@ class HillSpec:
         return HillSpec(dim, _float_gram_basis(dim, float(c)), "float")
 
 
-def _rational_square_root(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
-    a, b = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if a * a == x.numerator and b * b == x.denominator:
-        return Fraction(a, b)
-    return None
-
-
 def _rational_cyclic_basis(dim: int, c: Fraction):
     """Cyclic shifts of a short pattern vector, when a rational one exists."""
     if dim == 2:
         # (a, b), (b, a): cos = 2ab / (a^2 + b^2); a/b = (1 +- sqrt(1-c^2))/c
-        r = _rational_square_root(1 - c * c)
+        r = rational_sqrt(1 - c * c)
         if r is None:
             return None
         x = (1 + r) / c
     else:
         # (a, b, 0) cyclic: cos = ab / (a^2 + b^2); a/b = (1 +- sqrt(1-4c^2))/(2c)
-        r = _rational_square_root(1 - 4 * c * c)
+        r = rational_sqrt(1 - 4 * c * c)
         if r is None:
             return None
         x = (1 + r) / (2 * c)
@@ -134,12 +125,8 @@ def _rational_cyclic_basis(dim: int, c: Fraction):
 
 
 def _float_gram_basis(dim: int, c: float):
-    import numpy as np
-
-    g = np.full((dim, dim), c, dtype=float)
-    np.fill_diagonal(g, 1.0)
-    chol = np.linalg.cholesky(g)
-    return tuple(tuple(float(x) for x in row) for row in chol)
+    g = [[1.0 if i == j else c for j in range(dim)] for i in range(dim)]
+    return tuple(tuple(row) for row in cholesky(g))
 
 
 def hill_simplex(spec: HillSpec) -> Simplex:
@@ -283,13 +270,14 @@ def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int, exact: 
     """
     nvar = dim + 1
     rows = [list(n) + [-1, b] for n, b in constraints]
+    if not exact:
+        rows = [[float(x) for x in r] for r in rows]
     best = None
     for subset in combinations(range(len(rows)), nvar):
-        mat = [rows[i][:nvar] for i in subset]
-        rhs = [rows[i][nvar] for i in subset]
-        sol = _solve_square(mat, rhs, exact)
-        if sol is None:
-            continue
+        a, pivots = rref([rows[i] for i in subset])
+        if pivots != list(range(nvar)):
+            continue  # singular: not a basic solution
+        sol = [r[nvar] for r in a]
         feasible = True
         for r in rows:
             lhs = sum(c * v for c, v in zip(r[:nvar], sol))
@@ -308,31 +296,6 @@ def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int, exact: 
     if best is None:
         raise AssertionError("margin program has no basic feasible point")
     return best
-
-
-def _solve_square(mat, rhs, exact: bool):
-    n = len(mat)
-    a = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(mat)] if exact else [
-        [float(x) for x in row] + [float(rhs[i])] for i, row in enumerate(mat)
-    ]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if (a[i][k] != 0) if exact else abs(a[i][k]) > 1e-12:
-                piv = i
-                break
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k] / a[k][k]
-                for j in range(k, n + 1):
-                    a[i][j] -= f * a[k][j]
-    try:
-        return [a[i][n] / a[i][i] for i in range(n)]
-    except ZeroDivisionError:
-        return None
 
 
 def interiors_disjoint(s1: Simplex, s2: Simplex) -> tuple[bool, tuple | None]:
@@ -475,8 +438,9 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
 
     union_ok = volume_ok and disjointness_ok and containment_ok
 
-    base_sign = _det_sign(parent)
-    proper = sum(1 for p in pieces if _det_sign(p) == base_sign)
+    order = tuple(range(parent.dim + 1))
+    base_sign = _orientation_sign(parent, order)
+    proper = sum(1 for p in pieces if _orientation_sign(p, order) == base_sign)
     chirality = {"orientation_preserving": proper, "mirrored": len(pieces) - proper}
 
     return ReptileReport(
@@ -493,13 +457,6 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
         witnesses=witnesses,
         mode="exact" if exact else "float",
     )
-
-
-def _det_sign(s: Simplex) -> int:
-    from .simplex import _det
-
-    d = _det(s.edge_matrix())
-    return (d > 0) - (d < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from itertools import combinations, permutations
 from .algebra import AlgebraicReal, as_algebraic
 from .algebra import intpoly as ip
 from .algebra.enclosure import pi_bounds
+from .algebra.linalg import det, nullspace, unit_normal
 from .trig import RationalAngle, acos_enclosure, cosine_of, match_rational_angle
 
 FLOAT_TOL = 1e-10
@@ -24,72 +25,6 @@ FLOAT_TOL = 1e-10
 
 class InconclusiveComparison(ArithmeticError):
     """A certified comparison hit the refinement cap without deciding."""
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra helpers (lists of Fractions)
-# ---------------------------------------------------------------------------
-
-
-def _det(rows: list[list]) -> Fraction | float:
-    n = len(rows)
-    exact = isinstance(rows[0][0], (Fraction, int))
-    a = [[Fraction(x) for x in r] for r in rows] if exact else [list(r) for r in rows]
-    if n == 1:
-        return a[0][0]
-    sign = 1
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0) if exact else 0.0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    out = Fraction(1) if exact else 1.0
-    for k in range(n):
-        out *= a[k][k]
-    return out * sign
-
-
-def _nullspace_vector(rows: list[list[Fraction]], width: int) -> list[Fraction]:
-    """A nonzero rational vector orthogonal to all rows (nullity must be 1)."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError("nullity is not 1 (degenerate facet)")
-    fc = free[0]
-    v = [Fraction(0)] * width
-    v[fc] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        v[pc] = -a[i][fc]
-    return v
 
 
 def _dot(u, v):
@@ -119,13 +54,14 @@ class Simplex:
             raise ValueError("vertex arity mismatch")
         if self.mode not in ("exact", "float"):
             raise ValueError("mode must be 'exact' or 'float'")
-        det = _det(self.edge_matrix())
+        d = det(self.edge_matrix())
         if self.mode == "exact":
-            if det == 0:
+            if d == 0:
                 raise ValueError("degenerate simplex (coplanar vertices)")
         else:
-            scale = max((abs(float(x)) for v in self.vertices for x in v), default=1.0) + 1.0
-            if abs(det) <= self.tol * scale**self.dim:
+            # |det| of a well-shaped simplex scales as (longest edge)^dim
+            longest = math.sqrt(max(self.squared_lengths().values()))
+            if abs(d) <= self.tol * longest**self.dim:
                 raise ValueError("degenerate simplex (determinant below tolerance)")
 
     @staticmethod
@@ -179,10 +115,7 @@ class Simplex:
         rows = [
             [x - y for x, y in zip(self.vertices[j], base)] for j in others[1:]
         ]
-        if self.mode == "exact":
-            n = _nullspace_vector(rows, self.dim)
-        else:
-            n = _float_nullspace(rows, self.dim)
+        n = nullspace(rows) if self.mode == "exact" else unit_normal(rows)
         orient = _dot(n, [x - y for x, y in zip(self.vertices[i], base)])
         if orient == 0:
             raise ValueError("degenerate facet")
@@ -216,14 +149,6 @@ class Simplex:
         if mode == "exact":
             return Simplex.exact([[Fraction(str(x)) for x in v] for v in obj["vertices"]])
         return Simplex.floating(obj["vertices"])
-
-
-def _float_nullspace(rows: list[list[float]], width: int) -> list[float]:
-    import numpy as np
-
-    a = np.array([[float(x) for x in r] for r in rows], dtype=float)
-    _, _, vh = np.linalg.svd(a) if a.size else (None, None, np.eye(width))
-    return list(vh[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +268,7 @@ def dihedral_data(s: Simplex) -> DihedralData:
 
 def volume(s: Simplex) -> Fraction | float:
     """|det| / d! of the edge matrix; exact in exact mode."""
-    d = _det(s.edge_matrix())
-    return abs(d) / math.factorial(s.dim)
+    return abs(det(s.edge_matrix())) / math.factorial(s.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +315,7 @@ def _match_permutation(s1: Simplex, s2: Simplex, ratio2, tol: float | None):
 def _orientation_sign(s: Simplex, order: tuple[int, ...]) -> int:
     v = [s.vertices[i] for i in order]
     rows = [[x - y for x, y in zip(u, v[0])] for u in v[1:]]
-    d = _det(rows)
+    d = det(rows)
     return (d > 0) - (d < 0)
 
 

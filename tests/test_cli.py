@@ -1,10 +1,14 @@
 """The command-line surface: exit codes, JSON round trips, OBJ export."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import reptile_forge
 from reptile_forge.cli import main
 from reptile_forge.hill import Subdivision
 from reptile_forge.simplex import Simplex
@@ -93,6 +97,27 @@ class TestFiedlerCommands:
         assert main(["fiedler", "check", str(p)]) == 2
         err = capsys.readouterr().err
         assert "line 1" in err
+
+    def test_degree_cap_exit_three(self, tmp_path, capsys):
+        # cos 7pi/8 (degree 4) beside cos 7pi/9 (degree 3): the generic path
+        # needs a resultant beyond the degree cap, so no verdict is reached
+        a = {"minpoly": [1, 0, -8, 0, 8], "interval": ["-1", "-9/10"]}
+        b = {"minpoly": [-1, -6, 0, 8], "interval": ["-4/5", "-3/4"]}
+        third = "1/3"
+        m = {
+            "dim": 3,
+            "cos": [
+                ["-1", a, b, third],
+                [a, "-1", third, third],
+                [b, third, "-1", third],
+                [third, third, third, "-1"],
+            ],
+        }
+        assert main(["fiedler", "check", write(tmp_path, "m.json", m)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and "degree" in lines[0]
 
 
 class TestHillCommands:
@@ -293,3 +318,36 @@ class TestPrecisionEnv:
     def test_bad_value_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("REPTILE_FORGE_PRECISION", "huge")
         assert main(["angles", "classify", "1/2"]) == 2
+
+
+# Runs the CLI in a fresh interpreter in which `import numpy` fails.
+NO_NUMPY = "import sys; sys.modules['numpy'] = None; from reptile_forge.cli import main; sys.exit(main())"
+
+
+def run_without_numpy(args, stdin=None):
+    src = os.path.dirname(os.path.dirname(reptile_forge.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+class TestRuntimeWithoutNumpy:
+    def test_reconstruct(self, tmp_path):
+        done = run_without_numpy(["fiedler", "reconstruct", write(tmp_path, "m.json", REGULAR)])
+        assert done.returncode == 0, done.stderr
+        s = Simplex.from_json(json.loads(done.stdout))
+        assert s.mode == "float" and s.dim == 3
+
+    def test_float_hill_subdivide_and_verify(self):
+        sub = run_without_numpy(["hill", "subdivide", "--dim", "3", "--cos", "1/4", "--m", "2"])
+        assert sub.returncode == 0, sub.stderr
+        done = run_without_numpy(["hill", "verify", "-"], stdin=sub.stdout)
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["mode"] == "float" and report["all_ok"] is True

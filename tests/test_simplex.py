@@ -66,6 +66,21 @@ class TestConstruction:
         g = Simplex.from_json(f.to_json())
         assert g.mode == "float"
 
+    def test_small_float_simplex_accepted(self):
+        s = Simplex.floating([(0, 0), (1e-5, 0), (0, 1e-5)])
+        assert volume(s) == pytest.approx(5e-11)
+
+    def test_far_translated_float_simplex_accepted(self):
+        s = Simplex.floating([(1e6, 1e6), (1e6 + 1, 1e6), (1e6, 1e6 + 1)])
+        assert volume(s) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e6])
+    def test_collinear_float_points_refused(self, scale):
+        with pytest.raises(ValueError, match="degenerate"):
+            Simplex.floating([(0, 0), (scale, scale), (3 * scale, 3 * scale)])
+        with pytest.raises(ValueError, match="degenerate"):
+            Simplex.floating([(0, 0, 0), (scale, 0, 0), (0, scale, 0), (scale, scale, 0)])
+
 
 class TestDihedralData:
     def test_regular_tetrahedron_all_one_third(self):
