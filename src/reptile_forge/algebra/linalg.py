@@ -5,9 +5,10 @@ The exact routines work over any field whose elements support the plain
 operators: Fraction, AlgebraicReal (which mixes with Fraction), or float.
 Integers are promoted to Fraction first, because int / int is a float.
 Zero tests use ``not x``, which is O(1) on AlgebraicReal where ``x != 0``
-would refine an enclosure.  In ``rref`` a float pivot must exceed
-FLOAT_PIVOT in magnitude.  ``det_int`` is fraction-free Bareiss
-elimination (Math. Comp. 22, 1968) on integer matrices.  The float
+would refine an enclosure; ``rref`` leaves zero entries as they are rather
+than spend an AlgebraicReal operation on each.  In ``rref`` a float pivot
+must exceed FLOAT_PIVOT in magnitude.  ``det_int`` is fraction-free
+Bareiss elimination (Math. Comp. 22, 1968) on integer matrices.  The float
 routines (``cholesky``, ``unit_normal``) serve reconstructed and
 irrational-basis simplices of dimension at most 4.
 
@@ -97,11 +98,11 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
             continue
         a[r], a[piv] = a[piv], a[r]
         p = a[r][c]
-        a[r] = [x / p for x in a[r]]
+        a[r] = [x / p if x else x for x in a[r]]
         for i in range(m):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
     return a, pivots

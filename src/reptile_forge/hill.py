@@ -234,16 +234,6 @@ def subdivide(spec: HillSpec, m: int) -> Subdivision:
 # ---------------------------------------------------------------------------
 
 
-def _facet_inequalities(s: Simplex) -> list[tuple[tuple, object]]:
-    """(inward normal, offset) pairs: interior points satisfy n.x > b."""
-    out = []
-    for i in range(s.dim + 1):
-        n = s.facet_normal(i)
-        base = s.vertices[(i + 1) % (s.dim + 1)]
-        out.append((tuple(n), sum(a * b for a, b in zip(n, base))))
-    return out
-
-
 def _plane_separates(facets, other: Simplex, tol) -> bool:
     for n, b in facets:
         if all(
@@ -254,12 +244,33 @@ def _plane_separates(facets, other: Simplex, tol) -> bool:
 
 
 def _bbox_disjoint(s1: Simplex, s2: Simplex) -> bool:
-    for k in range(s1.dim):
-        a1 = [v[k] for v in s1.vertices]
-        a2 = [v[k] for v in s2.vertices]
-        if max(a1) <= min(a2) or max(a2) <= min(a1):
-            return True
-    return False
+    return any(
+        hi1 <= lo2 or hi2 <= lo1
+        for (lo1, hi1), (lo2, hi2) in zip(s1.bounds, s2.bounds)
+    )
+
+
+def _sweep_candidates(pieces):
+    """Yield the index pairs i < j, in lexicographic order, whose extents on
+    axis 0 overlap.
+
+    Sweep-and-prune on one axis (Cohen et al., I-COLLIDE, 1995): pieces are
+    visited by their lower bound, and a piece leaves the active list once
+    its upper bound is at most the current lower bound.  Every pair left out
+    is one that ``_bbox_disjoint`` separates.
+    """
+    order = sorted(range(len(pieces)), key=lambda i: pieces[i].bounds[0][0])
+    later: list[list[int]] = [[] for _ in pieces]  # later[i]: partners j > i
+    active: list[int] = []
+    for j in order:
+        lo = pieces[j].bounds[0][0]
+        active = [i for i in active if pieces[i].bounds[0][1] > lo]
+        for i in active:
+            later[min(i, j)].append(max(i, j))
+        active.append(j)
+    for i, partners in enumerate(later):
+        for j in sorted(partners):
+            yield i, j
 
 
 def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int, exact: bool):
@@ -308,7 +319,7 @@ def interiors_disjoint(s1: Simplex, s2: Simplex) -> tuple[bool, tuple | None]:
     tol = None if exact else max(s1.tol, s2.tol)
     if _bbox_disjoint(s1, s2):
         return True, None
-    f1, f2 = _facet_inequalities(s1), _facet_inequalities(s2)
+    f1, f2 = s1.facets, s2.facets
     if _plane_separates(f1, s2, tol) or _plane_separates(f2, s1, tol):
         return True, None
     tau, x = _max_margin_point(f1 + f2, s1.dim, exact)
@@ -413,10 +424,9 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
             break
 
     containment_ok = True
-    parent_facets = _facet_inequalities(parent)
     for idx, p in enumerate(pieces):
         for v in p.vertices:
-            for n, b in parent_facets:
+            for n, b in parent.facets:
                 s = sum(a * c for a, c in zip(n, v))
                 bad = (s < b) if exact else (float(s) < float(b) - FLOAT_TOL)
                 if bad:
@@ -428,8 +438,10 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
         if not containment_ok:
             break
 
+    # the sweep drops only box-disjoint pairs and keeps combinations order,
+    # so the first overlap found, and its witness, is the all-pairs loop's
     disjointness_ok = True
-    for i, j in combinations(range(len(pieces)), 2):
+    for i, j in _sweep_candidates(pieces):
         ok, point = interiors_disjoint(pieces[i], pieces[j])
         if not ok:
             disjointness_ok = False
@@ -535,8 +547,7 @@ def grow_space_tiling(
         cells.append(
             Simplex.exact(verts) if spec.mode == "exact" else Simplex.floating(verts)
         )
-    vol_cell = volume(cells[0])
-    vol_emitted = vol_cell * len(cells)
+    vol_emitted = sum(volume(c) for c in cells)
     parent = hill_simplex(spec)
     vol_expected = volume(parent) * (scale**d)
 
@@ -556,11 +567,7 @@ def grow_space_tiling(
                 adjacency["separated"] += 1
                 continue
             exact = spec.mode == "exact"
-            tau, _ = _max_margin_point(
-                _facet_inequalities(cells[i]) + _facet_inequalities(cells[j]),
-                d,
-                exact,
-            )
+            tau, _ = _max_margin_point(cells[i].facets + cells[j].facets, d, exact)
             touching = (tau == 0) if exact else abs(float(tau)) <= FLOAT_TOL
             adjacency["touching" if touching else "separated"] += 1
     report = GrowthReport(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 from .algebra import AlgebraicReal, as_algebraic
@@ -38,7 +38,11 @@ def _dot(u, v):
 
 @dataclass(frozen=True)
 class Simplex:
-    """d+1 affinely independent vertices in d-space (2 <= d <= 4)."""
+    """d+1 affinely independent vertices in d-space (2 <= d <= 4).
+
+    Facets, per-axis bounds and squared edge lengths are computed once per
+    instance; equality and hashing use the fields only.
+    """
 
     dim: int
     vertices: tuple[tuple, ...]
@@ -79,6 +83,11 @@ class Simplex:
         return [[x - y for x, y in zip(v, v0)] for v in self.vertices[1:]]
 
     def squared_lengths(self) -> dict[tuple[int, int], Fraction | float]:
+        """Squared edge lengths keyed by vertex pair (i < j); a fresh dict."""
+        return dict(self._squared_lengths)
+
+    @cached_property
+    def _squared_lengths(self) -> dict[tuple[int, int], Fraction | float]:
         out = {}
         for i, j in combinations(range(self.dim + 1), 2):
             d = [a - b for a, b in zip(self.vertices[i], self.vertices[j])]
@@ -123,10 +132,25 @@ class Simplex:
             n = [-x for x in n]
         return n
 
+    @cached_property
+    def facets(self) -> tuple[tuple[tuple, Fraction | float], ...]:
+        """(inward normal, offset) per facet, opposite vertex i in order:
+        interior points satisfy n.x > b."""
+        out = []
+        for i in range(self.dim + 1):
+            n = tuple(self.facet_normal(i))
+            base = self.vertices[(i + 1) % (self.dim + 1)]
+            out.append((n, _dot(n, base)))
+        return tuple(out)
+
+    @cached_property
+    def bounds(self) -> tuple[tuple, ...]:
+        """(min, max) of the vertex coordinates on each axis."""
+        return tuple((min(c), max(c)) for c in zip(*self.vertices))
+
     def contains_point(self, p, strict: bool = False) -> bool:
         """Point membership via the facet inequalities."""
-        for i in range(self.dim + 1):
-            n = self.facet_normal(i)
+        for i, (n, _) in enumerate(self.facets):
             base = self.vertices[(i + 1) % (self.dim + 1)]
             s = _dot(n, [x - y for x, y in zip(p, base)])
             if strict:

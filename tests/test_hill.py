@@ -2,13 +2,19 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reptile_forge.algebra.linalg import det
 from reptile_forge.hill import (
     GrowthReport,
     HillSpec,
     Subdivision,
+    _bbox_disjoint,
+    _sweep_candidates,
     grow_space_tiling,
     hill_simplex,
     interiors_disjoint,
@@ -193,3 +199,128 @@ class TestGrow:
         assert rep.cell_total == 4096
         assert rep.truncated and rep.cells_emitted == 500
         assert rep.sampled_disjoint_ok
+
+
+# half-integer coordinates make touching extents (hi == lo) common
+_coords = st.builds(Fraction, st.integers(-4, 4), st.just(2))
+
+
+@st.composite
+def exact_simplices(draw, dim):
+    verts = draw(
+        st.lists(st.tuples(*[_coords] * dim), min_size=dim + 1, max_size=dim + 1).filter(
+            lambda vs: det([[x - y for x, y in zip(v, vs[0])] for v in vs[1:]]) != 0
+        )
+    )
+    return Simplex.exact(verts)
+
+
+@st.composite
+def piece_lists(draw):
+    dim = draw(st.sampled_from((2, 3, 4)))
+    return draw(st.lists(exact_simplices(dim), min_size=0, max_size=12))
+
+
+def _all_pairs_disjointness(pieces):
+    """The verifier's disjointness check as a plain loop over every pair."""
+    for i, j in combinations(range(len(pieces)), 2):
+        ok, point = interiors_disjoint(pieces[i], pieces[j])
+        if not ok:
+            return False, {"pieces": (i, j), "point": point}
+    return True, None
+
+
+class TestSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(piece_lists())
+    def test_candidates_cover_every_box_overlap(self, pieces):
+        pairs = list(_sweep_candidates(pieces))
+        assert pairs == sorted(set(pairs))
+        assert all(i < j for i, j in pairs)
+        kept = set(pairs)
+        for i, j in combinations(range(len(pieces)), 2):
+            if (i, j) not in kept:
+                assert _bbox_disjoint(pieces[i], pieces[j])
+
+    def test_touching_extents_are_pruned(self):
+        a = orthoscheme(2)
+        b = a.translated((1, 0))
+        assert list(_sweep_candidates([a, b])) == []
+        assert list(_sweep_candidates([b, a.translated((Fraction(1, 2), 0))])) == [(0, 1)]
+
+    @pytest.mark.parametrize(
+        "dim,cos,m",
+        [(2, Fraction(3, 5), 3), (3, Fraction(2, 5), 2), (3, Fraction(0), 3), (4, Fraction(0), 2)],
+    )
+    def test_corrupted_reports_match_all_pairs(self, dim, cos, m):
+        sub = subdivide(HillSpec.from_pair_cos(dim, cos), m)
+        n = len(sub.pieces)
+        rng = random.Random(dim * 100 + m)
+        overlaps = 0
+        for how in ("neighbour", "translate", "scale"):
+            for _ in range(3):
+                pieces = list(sub.pieces)
+                i = rng.randrange(n)
+                if how == "neighbour":
+                    shared = [
+                        j for j in range(n)
+                        if j != i and len(set(pieces[i].vertices) & set(pieces[j].vertices)) == dim
+                    ]
+                    pieces[i] = pieces[rng.choice(shared)]
+                elif how == "translate":
+                    pieces[i] = pieces[i].translated(
+                        [Fraction(rng.randint(-3, 3), 7 * m) for _ in range(dim)]
+                    )
+                else:
+                    pieces[i] = pieces[i].scaled(Fraction(rng.choice((2, 3, 5)), rng.choice((2, 3, 4))))
+                rep = verify_reptile(Subdivision(sub.parent, tuple(pieces), m))
+                ok, witness = _all_pairs_disjointness(pieces)
+                assert rep.disjointness_ok == ok
+                assert rep.witnesses.get("interior_disjointness") == witness
+                overlaps += not ok
+        assert overlaps >= 3  # every "neighbour" corruption overlaps
+
+    def test_facet_normals_computed_once_per_simplex(self, monkeypatch):
+        sub = subdivide(HillSpec.from_pair_cos(4, Fraction(0)), 4)
+        calls = 0
+        original = Simplex.facet_normal
+
+        def counting(self, i):
+            nonlocal calls
+            calls += 1
+            return original(self, i)
+
+        monkeypatch.setattr(Simplex, "facet_normal", counting)
+        rep = verify_reptile(sub)
+        assert rep.all_ok
+        assert calls <= (256 + 1) * 5
+
+
+class TestCachedGeometry:
+    def test_squared_lengths_returns_a_copy(self):
+        s = orthoscheme(3)
+        first = s.squared_lengths()
+        expected = dict(first)
+        first[(0, 1)] = Fraction(99)
+        del first[(2, 3)]
+        assert s.squared_lengths() == expected
+
+    def test_cache_leaves_equality_and_hash_alone(self):
+        a = orthoscheme(3)
+        _ = a.facets, a.bounds, a.squared_lengths()
+        b = orthoscheme(3)
+        assert a == b and hash(a) == hash(b)
+
+    def test_facets_and_bounds(self):
+        s = orthoscheme(3)
+        assert s.bounds == ((0, 1), (0, 1), (0, 1))
+        for i, (n, b) in enumerate(s.facets):
+            assert list(n) == s.facet_normal(i)
+            # the vertex opposite the facet is strictly inside its half-space
+            assert sum(x * y for x, y in zip(n, s.vertices[i])) > b
+
+    @pytest.mark.parametrize("cos", [Fraction(0), Fraction(1, 3)])
+    def test_grow_volume_is_the_sum_of_cells(self, cos):
+        spec = HillSpec.from_pair_cos(3, cos)
+        cells, rep = grow_space_tiling(spec, 2, m=2, budget=10, sample_pairs=5)
+        assert rep.volume_emitted == sum(volume(c) for c in cells)
