@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -212,40 +213,64 @@ def two_length_step(k: int, bound: int = TWO_LENGTH_DEFAULT_BOUND) -> AuditStep:
 def _two_length_scan(k: int, bound: int, rho_lo: Fraction, rho_hi: Fraction) -> dict:
     """Interval-evaluate the quadratic residual over all coefficient systems.
 
-    Works in integers over the common denominator 2^(2*_RHO_BITS)."""
+    Works in integers over the common denominator 2^(2*_RHO_BITS).  The
+    system (n11, n12, n21, n22) enters only through p = n11 n22, b = n11 + n22
+    and r = n12 n21, so each residual class (p, b, r) is evaluated once; the
+    counts and the first failing system are those of the loop over n11, n22,
+    n12, n21 in that order."""
     q = 2**_RHO_BITS
     plo, phi_ = rho_lo.numerator * (q // rho_lo.denominator), rho_hi.numerator * (
         q // rho_hi.denominator
     )
     q2 = q * q
     r2lo, r2hi = plo * plo, phi_ * phi_  # rho in (0,1): squares keep order
+    span = range(bound + 1)
+    products = [n12 * n21 for n12 in span for n21 in span]  # in (n12, n21) order
+    multiplicity = Counter(products)
+
+    def residual_class(p: int, b: int) -> tuple:
+        """(magnitude per product: None if degenerate, 0 if the residual
+        interval holds 0; systems checked; degenerate; least magnitude)."""
+        mags = {}
+        for r in multiplicity:
+            a = p - r
+            if a == 0 and b == 0:
+                mags[r] = None  # residual is identically 1
+                continue
+            # residual * q2 bounds: a*rho^2*q2 - b*rho*q2 + q2
+            t_lo = (a * r2lo if a >= 0 else a * r2hi) - b * phi_ * q + q2
+            t_hi = (a * r2hi if a >= 0 else a * r2lo) - b * plo * q + q2
+            mags[r] = 0 if t_lo <= 0 <= t_hi else (t_lo if t_lo > 0 else -t_hi)
+        live = [r for r, m in mags.items() if m is not None]
+        n_checked = sum(multiplicity[r] for r in live)
+        least = min((mags[r] for r in live), default=None)
+        return mags, n_checked, len(products) - n_checked, least
+
+    classes = {}
     checked = 0
     degenerate = 0
     min_abs_num = None
-    for n11 in range(bound + 1):
-        for n22 in range(bound + 1):
-            b = n11 + n22
-            for n12 in range(bound + 1):
-                for n21 in range(bound + 1):
-                    a = n11 * n22 - n12 * n21
-                    if a == 0 and b == 0:
-                        degenerate += 1  # residual is identically 1
-                        continue
-                    # residual * q2 bounds: a*rho^2*q2 - b*rho*q2 + q2
-                    t_lo = (a * r2lo if a >= 0 else a * r2hi) - b * phi_ * q + q2
-                    t_hi = (a * r2hi if a >= 0 else a * r2lo) - b * plo * q + q2
-                    if t_lo <= 0 <= t_hi:
-                        return {
-                            "checked": checked,
-                            "degenerate": degenerate,
-                            "min_abs_residual_num": 0,
-                            "residual_den": q2,
-                            "failing_system": (n11, n12, n21, n22),
-                        }
-                    mag = t_lo if t_lo > 0 else -t_hi
-                    if min_abs_num is None or mag < min_abs_num:
-                        min_abs_num = mag
-                    checked += 1
+    for n11 in span:
+        for n22 in span:
+            key = (n11 * n22, n11 + n22)
+            if key not in classes:
+                classes[key] = residual_class(*key)
+            mags, n_checked, n_degenerate, least = classes[key]
+            if least == 0:
+                first = next(i for i, r in enumerate(products) if mags[r] == 0)
+                before = [mags[r] for r in products[:first]]
+                n12, n21 = divmod(first, bound + 1)
+                return {
+                    "checked": checked + sum(m is not None for m in before),
+                    "degenerate": degenerate + sum(m is None for m in before),
+                    "min_abs_residual_num": 0,
+                    "residual_den": q2,
+                    "failing_system": (n11, n12, n21, n22),
+                }
+            checked += n_checked
+            degenerate += n_degenerate
+            if least is not None and (min_abs_num is None or least < min_abs_num):
+                min_abs_num = least
     return {
         "checked": checked,
         "degenerate": degenerate,
@@ -901,16 +926,28 @@ def verify_step(step: AuditStep) -> bool:
         return (not boundary) and slope.sign() < 0 and cert["boundary_is_zero"]
     if sid == "final-cases":
         table = _path_det_in_t_coeffs()
+        coeffs_in_t = [ip.poly(row) for row in table]
         for case in cert["cases"]:
             t_val = _final_case_t_value(case["t"])
             if list(t_val.minpoly) != case["t_minpoly"]:
                 return False
             if not case["root_count_ok"] or len(case["roots"]) != 2:
                 return False
-            for rec in case["roots"]:
+            # completeness: the listed and filtered roots are every real
+            # root of the eliminant in (-1, 1), counted by a Sturm chain
+            eliminant = algebra_eliminate(coeffs_in_t, t_val.minpoly)
+            if list(eliminant) != case["eliminant"]:
+                return False
+            if ip.sign_at(eliminant, -1) == 0 or ip.sign_at(eliminant, 1) == 0:
+                return False
+            count = sturm.count_roots(sturm.sturm_sequence(eliminant), Fraction(-1), Fraction(1))
+            listed = len(case["roots"]) + case["spurious_filtered"]
+            if not count == case["isolated_in_(-1,1)"] == listed:
+                return False
+            for rec, target in zip(case["roots"], _FINAL_CASE_TARGETS[case["t"]]):
                 mp = tuple(rec["minpoly"])
                 lo, hi = (Fraction(x) for x in rec["interval"])
-                if ip.sign_at(mp, lo) == ip.sign_at(mp, hi):
+                if not -1 < lo <= hi < 1 or ip.sign_at(mp, lo) == ip.sign_at(mp, hi):
                     return False
                 root = AlgebraicReal.from_root(mp, lo, hi)
                 if not _det_vanishes_at(table, root, t_val):
@@ -919,7 +956,9 @@ def verify_step(step: AuditStep) -> bool:
                     return False
                 if match_rational_angle(root) is not None:
                     return False
-                if not rec["within_0.001"] or Fraction(rec["min_catalog_gap"]) <= 0:
+                target = Fraction(target)
+                within = target - Fraction(1, 1000) <= lo and hi <= target + Fraction(1, 1000)
+                if not (within and rec["within_0.001"]) or Fraction(rec["min_catalog_gap"]) <= 0:
                     return False
         return True
     if sid == "hill-construction":
@@ -929,8 +968,22 @@ def verify_step(step: AuditStep) -> bool:
     raise ValueError(f"unknown step id {sid!r}")
 
 
-def verify_report(report: AuditReport) -> bool:
-    return all(verify_step(s) for s in report.steps)
+def verify_report(report: AuditReport, verdicts: dict | None = None) -> bool:
+    """Re-validate each step of a report, in order, stopping at the first
+    failure.
+
+    Reports of one run share their k-independent step objects; pass the
+    same ``verdicts`` dict for all of them and each distinct step object is
+    checked once.  It maps ``id(step)`` to ``(step, verdict)``, and holding
+    the step keeps its id from being reused while the dict lives."""
+    if verdicts is None:
+        verdicts = {}
+    for step in report.steps:
+        if id(step) not in verdicts:
+            verdicts[id(step)] = (step, verify_step(step))
+        if not verdicts[id(step)][1]:
+            return False
+    return True
 
 
 def run_step(step_id: str, k: int | None = None) -> AuditStep:

@@ -230,8 +230,9 @@ def cmd_audit_run(args) -> int:
             continue
         ok = ok and r.conclusion == "excluded"
     if args.verify:
+        verdicts = {}  # one check per distinct step object across the reports
         for r in reports:
-            if not audit_mod.verify_report(r):
+            if not audit_mod.verify_report(r, verdicts):
                 _log(f"certificate re-verification FAILED for k = {r.k}")
                 ok = False
     return EXIT_OK if ok else EXIT_VERIFICATION

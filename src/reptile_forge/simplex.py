@@ -40,8 +40,9 @@ def _dot(u, v):
 class Simplex:
     """d+1 affinely independent vertices in d-space (2 <= d <= 4).
 
-    Facets, per-axis bounds and squared edge lengths are computed once per
-    instance; equality and hashing use the fields only.
+    The edge-matrix determinant, facets, per-axis bounds and squared edge
+    lengths are computed once per instance; equality and hashing use the
+    fields only.
     """
 
     dim: int
@@ -58,7 +59,7 @@ class Simplex:
             raise ValueError("vertex arity mismatch")
         if self.mode not in ("exact", "float"):
             raise ValueError("mode must be 'exact' or 'float'")
-        d = det(self.edge_matrix())
+        d = self.signed_det
         if self.mode == "exact":
             if d == 0:
                 raise ValueError("degenerate simplex (coplanar vertices)")
@@ -81,6 +82,11 @@ class Simplex:
     def edge_matrix(self) -> list[list]:
         v0 = self.vertices[0]
         return [[x - y for x, y in zip(v, v0)] for v in self.vertices[1:]]
+
+    @cached_property
+    def signed_det(self) -> Fraction | float:
+        """Determinant of the edge matrix: d! times the signed volume."""
+        return det(self.edge_matrix())
 
     def squared_lengths(self) -> dict[tuple[int, int], Fraction | float]:
         """Squared edge lengths keyed by vertex pair (i < j); a fresh dict."""
@@ -292,7 +298,7 @@ def dihedral_data(s: Simplex) -> DihedralData:
 
 def volume(s: Simplex) -> Fraction | float:
     """|det| / d! of the edge matrix; exact in exact mode."""
-    return abs(det(s.edge_matrix())) / math.factorial(s.dim)
+    return abs(s.signed_det) / math.factorial(s.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +343,11 @@ def _match_permutation(s1: Simplex, s2: Simplex, ratio2, tol: float | None):
 
 
 def _orientation_sign(s: Simplex, order: tuple[int, ...]) -> int:
-    v = [s.vertices[i] for i in order]
-    rows = [[x - y for x, y in zip(u, v[0])] for u in v[1:]]
-    d = det(rows)
-    return (d > 0) - (d < 0)
+    """Sign of the determinant with the vertices taken in ``order``: the
+    permutation's parity times the sign of ``s.signed_det``."""
+    d = s.signed_det
+    inversions = sum(a > b for a, b in combinations(order, 2))
+    return ((d > 0) - (d < 0)) * (-1) ** inversions
 
 
 def congruent(s1: Simplex, s2: Simplex, allow_reflection: bool = True) -> bool:

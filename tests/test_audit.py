@@ -1,12 +1,19 @@
 """The machine-checked case analysis: steps, certificates, replay."""
 
+import copy
+import hashlib
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from reptile_forge import audit
 from reptile_forge.algebra import Golden, MPoly, PHI
 from reptile_forge.audit import (
     AuditStep,
+    _rho_enclosure,
+    _two_length_scan,
     beta_constraints_step,
     bound_chain_step,
     canonical_json,
@@ -25,7 +32,10 @@ from reptile_forge.audit import (
     verify_report,
     verify_step,
 )
+from reptile_forge.cli import main as cli_main
 from reptile_forge.fiedler import multiples_matrix_symbolic, tripod_matrix_symbolic
+
+NON_CUBE_K = [k for k in range(2, 65) if not is_perfect_cube(k)]
 
 
 class TestRhoDegree:
@@ -311,3 +321,153 @@ class TestIdentitiesAtRandomPoints:
             # the eigenvalue is a characteristic-polynomial root
             lam_val = lam1.evaluate(at)
             assert not cp.evaluate({"s": s0, "t": t0, "L": lam_val})
+
+
+def _reference_scan(bound, rho_lo, rho_hi):
+    """The residual scan as one plain loop over every coefficient system."""
+    q = 2**audit._RHO_BITS
+    plo = rho_lo.numerator * (q // rho_lo.denominator)
+    phi_ = rho_hi.numerator * (q // rho_hi.denominator)
+    q2 = q * q
+    r2lo, r2hi = plo * plo, phi_ * phi_
+    checked = degenerate = 0
+    min_abs_num = None
+    for n11 in range(bound + 1):
+        for n22 in range(bound + 1):
+            b = n11 + n22
+            for n12 in range(bound + 1):
+                for n21 in range(bound + 1):
+                    a = n11 * n22 - n12 * n21
+                    if a == 0 and b == 0:
+                        degenerate += 1
+                        continue
+                    t_lo = (a * r2lo if a >= 0 else a * r2hi) - b * phi_ * q + q2
+                    t_hi = (a * r2hi if a >= 0 else a * r2lo) - b * plo * q + q2
+                    if t_lo <= 0 <= t_hi:
+                        return {
+                            "checked": checked,
+                            "degenerate": degenerate,
+                            "min_abs_residual_num": 0,
+                            "residual_den": q2,
+                            "failing_system": (n11, n12, n21, n22),
+                        }
+                    mag = t_lo if t_lo > 0 else -t_hi
+                    if min_abs_num is None or mag < min_abs_num:
+                        min_abs_num = mag
+                    checked += 1
+    return {
+        "checked": checked,
+        "degenerate": degenerate,
+        "min_abs_residual_num": min_abs_num,
+        "residual_den": q2,
+    }
+
+
+class TestTwoLengthScan:
+    def test_matches_reference_for_every_non_cube_k(self):
+        for k in NON_CUBE_K:
+            lo, hi = _rho_enclosure(k)
+            for bound in (10, 0, 1, 2, 3, 4):
+                assert _two_length_scan(k, bound, lo, hi) == _reference_scan(bound, lo, hi), (k, bound)
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (Fraction(1, 4), Fraction(3, 4)),
+            (Fraction(1, 2) - Fraction(1, 2**10), Fraction(1, 2) + Fraction(1, 2**10)),
+            (Fraction(1, 8), Fraction(1, 8) + Fraction(1, 2**20)),
+            (Fraction(7, 8), Fraction(7, 8) + Fraction(1, 2**20)),
+        ],
+    )
+    @pytest.mark.parametrize("bound", [10, 6, 3])
+    def test_forced_failure_matches_reference(self, lo, hi, bound):
+        scan = _two_length_scan(2, bound, lo, hi)
+        ref = _reference_scan(bound, lo, hi)
+        assert scan == ref
+        if (lo, hi) == (Fraction(1, 4), Fraction(3, 4)):
+            assert scan["min_abs_residual_num"] == 0 and "failing_system" in scan
+
+
+@pytest.fixture(scope="module")
+def full_audit():
+    return run_full_audit(64)
+
+
+def _run_cli_verify(reports, tmp_path, monkeypatch, capsys):
+    """`audit run --kmax 64 --verify` on prebuilt reports: (exit code, stderr)."""
+    monkeypatch.setattr(audit, "run_full_audit", lambda kmax: reports)
+    rc = cli_main(["audit", "run", "--kmax", "64", "--verify", "--json", str(tmp_path / "a.json")])
+    return rc, capsys.readouterr().err
+
+
+class TestVerifyOncePerRun:
+    def test_each_distinct_step_checked_once(self, full_audit, tmp_path, monkeypatch, capsys):
+        calls = Counter()
+        real = audit.verify_step
+
+        def counting(step):
+            calls[step.id] += 1
+            return real(step)
+
+        monkeypatch.setattr(audit, "verify_step", counting)
+        rc, err = _run_cli_verify(full_audit, tmp_path, monkeypatch, capsys)
+        assert rc == 0
+        assert "FAILED" not in err
+        assert sum(calls.values()) == 134
+        assert calls["rho-degree"] == 63
+        assert calls["two-length"] == 60
+        assert calls["hill-construction"] == 3
+        shared = {id(s): s.id for r in full_audit for s in r.steps if s.id not in audit.K_DEPENDENT_STEPS}
+        assert len(shared) == len(set(shared.values())) == 8
+        assert all(calls[sid] == 1 for sid in shared.values())
+
+    @pytest.mark.parametrize(
+        "mutation",
+        ["drop-root", "eliminant-coefficient", "shift-interval", "conjugate-interval", "spurious-count"],
+    )
+    def test_corrupted_final_cases_fails_every_non_cube_k(
+        self, full_audit, mutation, tmp_path, monkeypatch, capsys
+    ):
+        reports = copy.deepcopy(full_audit)  # keeps the shared steps shared
+        step = next(s for s in reports[0].steps if s.id == "final-cases")
+        assert all(step in r.steps for r in reports if r.k in NON_CUBE_K)
+        cases = step.certificate["cases"]
+        if mutation == "drop-root":
+            cases[0]["roots"].pop()
+        elif mutation == "eliminant-coefficient":
+            cases[1]["eliminant"][0] += 1
+        elif mutation == "shift-interval":
+            rec = cases[2]["roots"][0]
+            rec["interval"] = [str(Fraction(x) + Fraction(1, 100)) for x in rec["interval"]]
+        elif mutation == "conjugate-interval":
+            # 0.618 and -1.618 share x^2 + x - 1, and both are roots of det(s, 0)
+            rec = cases[0]["roots"][1]
+            assert rec["minpoly"] == [-1, 1, 1]
+            rec["interval"] = ["-162/100", "-161/100"]
+        else:
+            cases[0]["spurious_filtered"] += 1
+        assert not verify_step(step)
+        rc, err = _run_cli_verify(reports, tmp_path, monkeypatch, capsys)
+        assert rc == 1
+        failed = [int(line.rsplit("= ", 1)[1]) for line in err.splitlines() if "FAILED" in line]
+        assert failed == NON_CUBE_K
+
+
+def _clear_package_caches():
+    """Empty every lru_cache the package holds, as in a fresh interpreter:
+    catalog cosines keep the refinement earlier callers gave them, and the
+    recorded catalog gaps are read from their enclosures."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reptile_forge") and module is not None:
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_audit_report_bytes_pinned(tmp_path, capsys):
+    out = tmp_path / "audit.json"
+    _clear_package_caches()
+    assert cli_main(["audit", "run", "--kmax", "64", "--verify", "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "061ca200671c6c36bc7b544e511a2bb8f62b17431382f55be70e6b3e0c023429"
+    )

@@ -150,6 +150,29 @@ class TestVolume:
         for p in permutations(range(4)):
             assert volume(Simplex(3, tuple(s.vertices[i] for i in p), "exact")) == volume(s)
 
+    def test_determinant_computed_once(self, monkeypatch):
+        import reptile_forge.simplex as simplex_mod
+        from reptile_forge.simplex import _orientation_sign
+
+        vertices = random_rational_tetrahedron(random.Random(5)).vertices
+        calls = []
+        real = simplex_mod.det
+        monkeypatch.setattr(simplex_mod, "det", lambda rows: calls.append(1) or real(rows))
+        s = Simplex.exact(vertices)
+        assert volume(s) == volume(s) == abs(s.signed_det) / 6
+        assert _orientation_sign(s, (0, 1, 2, 3)) == (1 if s.signed_det > 0 else -1)
+        assert len(calls) == 1
+
+    def test_orientation_sign_matches_reordered_determinant(self):
+        from itertools import permutations
+
+        from reptile_forge.simplex import _orientation_sign
+
+        s = random_rational_tetrahedron(random.Random(8))
+        for p in permutations(range(4)):
+            d = Simplex(3, tuple(s.vertices[i] for i in p), "exact").signed_det
+            assert _orientation_sign(s, p) == (1 if d > 0 else -1)
+
 
 class TestCongruence:
     def test_mirror_image(self):
