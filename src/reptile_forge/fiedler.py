@@ -148,12 +148,13 @@ def _congruence_analysis(m: list[list]) -> dict:
     return {"psd": True, "rank": rank, "negative_direction": None}
 
 
-def _squarefree_int(n: int) -> int | None:
-    """Squarefree part of a positive integer (None if too large to factor)."""
+def _squarefree_int(n: int) -> int:
+    """A divisor s of n > 0 with n / s a square: the squarefree part of n, or
+    n itself above 10^14, where trial division would be slow."""
     if n <= 0:
         raise ValueError("positive integer required")
     if n > 10**14:
-        return None
+        return n
     out = 1
     p = 2
     while p * p <= n:
@@ -208,10 +209,9 @@ def _descale(a: CosMatrix) -> tuple[list[list[Fraction]], list[Fraction]] | None
                 if sq.get(key, Fraction(0)) == 0 or q[j] is not None:
                     continue
                 r = q[i] * sq[key]
-                sf = _squarefree_int((r.numerator * r.denominator))
-                if sf is None:
-                    return None
-                q[j] = Fraction(sf)
+                # with r = num / den and num den = s * square, q_j = s makes
+                # q_i q_j a_ij^2 = num den s / den^2 a rational square
+                q[j] = Fraction(_squarefree_int(r.numerator * r.denominator))
                 stack.append(j)
     b = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):

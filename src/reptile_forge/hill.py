@@ -12,6 +12,7 @@ rational feasibility program per pair), and containment are all certified.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -131,16 +132,7 @@ def _float_gram_basis(dim: int, c: float):
 
 def hill_simplex(spec: HillSpec) -> Simplex:
     """conv{0, b1, b1+b2, ..., b1+...+bd}."""
-    d = spec.dim
-    zero = [Fraction(0)] * d if spec.mode == "exact" else [0.0] * d
-    verts = [tuple(zero)]
-    acc = list(zero)
-    for b in spec.basis:
-        acc = [x + y for x, y in zip(acc, b)]
-        verts.append(tuple(acc))
-    if spec.mode == "exact":
-        return Simplex.exact(verts)
-    return Simplex.floating(verts)
+    return _cell_map(spec, 1)([[int(i < j) for i in range(spec.dim)] for j in range(spec.dim + 1)])
 
 
 @dataclass(frozen=True)
@@ -164,10 +156,13 @@ class Subdivision:
 
     @staticmethod
     def from_json(obj: dict) -> "Subdivision":
+        m = int(obj["m"])
+        if m < 2:
+            raise ValueError("m must be at least 2")
         return Subdivision(
             Simplex.from_json(obj["parent"]),
             tuple(Simplex.from_json(p) for p in obj["pieces"]),
-            int(obj["m"]),
+            m,
         )
 
 
@@ -176,29 +171,41 @@ def _staircase_cells(dim: int, m: int):
     staircase cells inside the order region.
 
     Each cell is (a, sigma): start at a, step by unit vectors in the order
-    sigma; it belongs to the parent iff every vertex y satisfies
-    m >= y_1 >= ... >= y_d >= 0.
+    sigma.  Every vertex y satisfies m >= y_1 >= ... >= y_d >= 0 iff
+    a_k >= a_{k+1} for each k and, where a_k == a_{k+1}, sigma steps k
+    before k + 1.
     """
-
-    def admissible(y) -> bool:
-        prev = m
-        for v in y:
-            if v > prev:
-                return False
-            prev = v
-        return y[-1] >= 0
-
     for a in product(range(m), repeat=dim):
+        if any(a[k] < a[k + 1] for k in range(dim - 1)):
+            continue
         for sigma in permutations(range(dim)):
-            verts = [tuple(a)]
+            if any(
+                a[k] == a[k + 1] and sigma.index(k) > sigma.index(k + 1)
+                for k in range(dim - 1)
+            ):
+                continue
+            verts = [a]
             cur = list(a)
-            ok = admissible(tuple(cur))
             for k in sigma:
                 cur[k] += 1
                 verts.append(tuple(cur))
-                ok = ok and admissible(tuple(cur))
-            if ok:
-                yield verts
+            yield verts
+
+
+def _cell_map(spec: HillSpec, den: int):
+    """Integer basis coordinates ys -> the simplex with vertices
+    (sum_i y_i b_i) / den, an exact basis taken as integers over one lcm."""
+    d, basis, fden = spec.dim, spec.basis, float(den)
+    if spec.mode == "float":
+        return lambda ys: Simplex.floating(
+            [[sum(yi * b[k] / fden for yi, b in zip(y, basis)) for k in range(d)] for y in ys]
+        )
+    q = math.lcm(*(x.denominator for b in basis for x in b))
+    rows = [[x.numerator * (q // x.denominator) for x in b] for b in basis]
+    return lambda ys: Simplex.exact(
+        [[Fraction(sum(yi * b[k] for yi, b in zip(y, rows)), q * den) for k in range(d)]
+         for y in ys]
+    )
 
 
 def subdivide(spec: HillSpec, m: int) -> Subdivision:
@@ -207,23 +214,8 @@ def subdivide(spec: HillSpec, m: int) -> Subdivision:
         raise ValueError("m must be at least 2")
     d = spec.dim
     parent = hill_simplex(spec)
-    basis = spec.basis
-    mf = Fraction(m) if spec.mode == "exact" else float(m)
-
-    def to_space(y):
-        # x = sum (y_i / m) * b_i
-        out = [Fraction(0) if spec.mode == "exact" else 0.0] * d
-        for yi, b in zip(y, basis):
-            for k in range(d):
-                out[k] += yi * b[k] / mf
-        return tuple(out)
-
-    pieces = []
-    for cell in _staircase_cells(d, m):
-        verts = [to_space(y) for y in cell]
-        pieces.append(
-            Simplex.exact(verts) if spec.mode == "exact" else Simplex.floating(verts)
-        )
+    cell = _cell_map(spec, m)
+    pieces = [cell(ys) for ys in _staircase_cells(d, m)]
     if len(pieces) != m**d:
         raise AssertionError(f"staircase cell count {len(pieces)} != m^d = {m**d}")
     return Subdivision(parent, tuple(pieces), m)
@@ -234,16 +226,29 @@ def subdivide(spec: HillSpec, m: int) -> Subdivision:
 # ---------------------------------------------------------------------------
 
 
-def _plane_separates(facets, other: Simplex, tol) -> bool:
-    for n, b in facets:
-        if all(
-            sum(x * y for x, y in zip(n, v)) <= b + (tol or 0) for v in other.vertices
-        ):
-            return True
-    return False
+def _plane_separates(s1: Simplex, s2: Simplex, tol) -> bool:
+    """Whether some facet plane of s1 has every vertex of s2 on its closed
+    outer side; in integers, vertex V2 / D2 is outside (n, b1) when
+    D1 (n.V2) <= D2 b1."""
+    if tol is None:
+        d1, (d2, verts) = s1.lattice[0], s2.lattice
+        return any(
+            all(d1 * sum(x * y for x, y in zip(n, v)) <= d2 * b for v in verts)
+            for n, b in s1.lattice_facets
+        )
+    return any(
+        all(sum(x * y for x, y in zip(n, v)) <= b + tol for v in s2.vertices)
+        for n, b in s1.facets
+    )
 
 
 def _bbox_disjoint(s1: Simplex, s2: Simplex) -> bool:
+    if s1.mode == s2.mode == "exact":
+        d1, d2 = s1.lattice[0], s2.lattice[0]
+        return any(
+            hi1 * d2 <= lo2 * d1 or hi2 * d1 <= lo1 * d2
+            for (lo1, hi1), (lo2, hi2) in zip(s1.lattice_bounds, s2.lattice_bounds)
+        )
     return any(
         hi1 <= lo2 or hi2 <= lo1
         for (lo1, hi1), (lo2, hi2) in zip(s1.bounds, s2.bounds)
@@ -251,22 +256,28 @@ def _bbox_disjoint(s1: Simplex, s2: Simplex) -> bool:
 
 
 def _sweep_candidates(pieces):
-    """Yield the index pairs i < j, in lexicographic order, whose extents on
-    axis 0 overlap.
+    """Yield the index pairs i < j, in lexicographic order, whose bounding
+    boxes overlap.
 
-    Sweep-and-prune on one axis (Cohen et al., I-COLLIDE, 1995): pieces are
-    visited by their lower bound, and a piece leaves the active list once
-    its upper bound is at most the current lower bound.  Every pair left out
-    is one that ``_bbox_disjoint`` separates.
+    Sweep-and-prune on axis 0 (Cohen et al., I-COLLIDE, 1995), in integers
+    over the lcm of the denominators for exact pieces: pieces are visited by
+    their lower bound, a piece leaves the active list once its upper bound
+    is at most the current lower bound, and each pair met is box-tested.
     """
-    order = sorted(range(len(pieces)), key=lambda i: pieces[i].bounds[0][0])
+    if all(p.mode == "exact" for p in pieces):
+        big = math.lcm(*(p.lattice[0] for p in pieces))
+        extent = [[x * (big // p.lattice[0]) for x in p.lattice_bounds[0]] for p in pieces]
+    else:
+        extent = [p.bounds[0] for p in pieces]
+    order = sorted(range(len(pieces)), key=lambda i: extent[i][0])
     later: list[list[int]] = [[] for _ in pieces]  # later[i]: partners j > i
     active: list[int] = []
     for j in order:
-        lo = pieces[j].bounds[0][0]
-        active = [i for i in active if pieces[i].bounds[0][1] > lo]
+        lo = extent[j][0]
+        active = [i for i in active if extent[i][1] > lo]
         for i in active:
-            later[min(i, j)].append(max(i, j))
+            if not _bbox_disjoint(pieces[i], pieces[j]):
+                later[min(i, j)].append(max(i, j))
         active.append(j)
     for i, partners in enumerate(later):
         for j in sorted(partners):
@@ -309,6 +320,25 @@ def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int, exact: 
     return best
 
 
+def _vertex_outside(parent: Simplex, piece: Simplex, exact: bool):
+    """The first vertex of piece outside parent, or None; in integers,
+    vertex V / D is outside (n, b) when Dp (n.V) < D b."""
+    if exact:
+        dp, (d, verts) = parent.lattice[0], piece.lattice
+        for v, big_v in zip(piece.vertices, verts):
+            if any(
+                dp * sum(x * y for x, y in zip(n, big_v)) < d * b
+                for n, b in parent.lattice_facets
+            ):
+                return v
+        return None
+    for v in piece.vertices:
+        for n, b in parent.facets:
+            if float(sum(a * c for a, c in zip(n, v))) < float(b) - FLOAT_TOL:
+                return v
+    return None
+
+
 def interiors_disjoint(s1: Simplex, s2: Simplex) -> tuple[bool, tuple | None]:
     """Exact decision whether two simplices have disjoint interiors.
 
@@ -319,10 +349,9 @@ def interiors_disjoint(s1: Simplex, s2: Simplex) -> tuple[bool, tuple | None]:
     tol = None if exact else max(s1.tol, s2.tol)
     if _bbox_disjoint(s1, s2):
         return True, None
-    f1, f2 = s1.facets, s2.facets
-    if _plane_separates(f1, s2, tol) or _plane_separates(f2, s1, tol):
+    if _plane_separates(s1, s2, tol) or _plane_separates(s2, s1, tol):
         return True, None
-    tau, x = _max_margin_point(f1 + f2, s1.dim, exact)
+    tau, x = _max_margin_point(s1.facets + s2.facets, s1.dim, exact)
     if exact:
         return (tau <= 0), (x if tau > 0 else None)
     scale = max(abs(float(v)) for s in (s1, s2) for vert in s.vertices for v in vert) + 1
@@ -391,14 +420,17 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
     """
     parent, pieces, m = sub.parent, sub.pieces, sub.m
     exact = parent.mode == "exact" and all(p.mode == "exact" for p in pieces)
-    tol = None if exact else FLOAT_TOL
     witnesses: dict = {}
 
     vol_parent = volume(parent)
-    vol_sum = sum(volume(p) for p in pieces)
-    if exact:
+    if exact:  # |signed_det| numerators summed in integers per denominator
+        totals: dict[int, int] = {}
+        for v in (p.signed_det for p in pieces):
+            totals[v.denominator] = totals.get(v.denominator, 0) + abs(v.numerator)
+        vol_sum = sum(Fraction(t, den * math.factorial(parent.dim)) for den, t in totals.items())
         volume_ok = vol_sum == vol_parent
     else:
+        vol_sum = sum(volume(p) for p in pieces)
         volume_ok = abs(vol_sum - vol_parent) <= FLOAT_TOL * max(abs(vol_parent), 1.0)
     if not volume_ok:
         witnesses["volume"] = (vol_sum, vol_parent)
@@ -425,17 +457,10 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
 
     containment_ok = True
     for idx, p in enumerate(pieces):
-        for v in p.vertices:
-            for n, b in parent.facets:
-                s = sum(a * c for a, c in zip(n, v))
-                bad = (s < b) if exact else (float(s) < float(b) - FLOAT_TOL)
-                if bad:
-                    containment_ok = False
-                    witnesses["containment"] = {"piece": idx, "vertex": v}
-                    break
-            if not containment_ok:
-                break
-        if not containment_ok:
+        v = _vertex_outside(parent, p, exact)
+        if v is not None:
+            containment_ok = False
+            witnesses["containment"] = {"piece": idx, "vertex": v}
             break
 
     # the sweep drops only box-disjoint pairs and keeps combinations order,
@@ -528,25 +553,15 @@ def grow_space_tiling(
     big = m**generations
     total = big**d
     scale = Fraction(big) if spec.mode == "exact" else float(big)
-    basis = spec.basis
-
-    def to_space(y):
-        out = [Fraction(0) if spec.mode == "exact" else 0.0] * d
-        for yi, b in zip(y, basis):
-            for k in range(d):
-                out[k] += yi * b[k]
-        return tuple(out)
+    cell = _cell_map(spec, 1)
 
     cells = []
     truncated = False
-    for cell in _staircase_cells(d, big):
+    for ys in _staircase_cells(d, big):
         if len(cells) >= budget:
             truncated = True
             break
-        verts = [to_space(y) for y in cell]
-        cells.append(
-            Simplex.exact(verts) if spec.mode == "exact" else Simplex.floating(verts)
-        )
+        cells.append(cell(ys))
     vol_emitted = sum(volume(c) for c in cells)
     parent = hill_simplex(spec)
     vol_expected = volume(parent) * (scale**d)

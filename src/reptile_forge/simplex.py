@@ -2,8 +2,11 @@
 
 Exact mode keeps every coordinate a Fraction: facet normals, Gram data,
 squared edge lengths, and dihedral cosines (one square root per facet
-pair, held as an exact algebraic number).  Float mode carries a declared
-tolerance and is used for reconstructed or irrational-basis simplices.
+pair, held as an exact algebraic number), and an integer form: one
+denominator D and integer vertices D * x, which give the determinant,
+cofactor facet normals, bounds and squared edge lengths in integers.  Float
+mode carries a declared tolerance and is used for reconstructed or
+irrational-basis simplices.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import combinations, permutations
 from .algebra import AlgebraicReal, as_algebraic
 from .algebra import intpoly as ip
 from .algebra.enclosure import pi_bounds
-from .algebra.linalg import det, nullspace, unit_normal
+from .algebra.linalg import det, det_int, nullspace, unit_normal
 from .trig import RationalAngle, acos_enclosure, cosine_of, match_rational_angle
 
 FLOAT_TOL = 1e-10
@@ -31,6 +34,19 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
+def _edges(base, verts) -> list[list]:
+    return [[x - y for x, y in zip(v, base)] for v in verts]
+
+
+def _pair_lengths(verts) -> dict:
+    """Squared distances keyed by vertex pair (i < j)."""
+    out = {}
+    for i, j in combinations(range(len(verts)), 2):
+        d = [a - b for a, b in zip(verts[i], verts[j])]
+        out[(i, j)] = _dot(d, d)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the simplex itself
 # ---------------------------------------------------------------------------
@@ -40,9 +56,9 @@ def _dot(u, v):
 class Simplex:
     """d+1 affinely independent vertices in d-space (2 <= d <= 4).
 
-    The edge-matrix determinant, facets, per-axis bounds and squared edge
-    lengths are computed once per instance; equality and hashing use the
-    fields only.
+    The edge-matrix determinant, facets, per-axis bounds, squared edge
+    lengths and integer form are computed once per instance; equality and
+    hashing use the fields only.
     """
 
     dim: int
@@ -79,14 +95,48 @@ class Simplex:
         vs = tuple(tuple(float(x) for x in v) for v in vertices)
         return Simplex(len(vs) - 1, vs, "float", tol)
 
-    def edge_matrix(self) -> list[list]:
-        v0 = self.vertices[0]
-        return [[x - y for x, y in zip(v, v0)] for v in self.vertices[1:]]
-
     @cached_property
     def signed_det(self) -> Fraction | float:
         """Determinant of the edge matrix: d! times the signed volume."""
-        return det(self.edge_matrix())
+        if self.mode == "float":
+            return det(_edges(self.vertices[0], self.vertices[1:]))
+        den, (v0, *rest) = self.lattice
+        return Fraction(det_int(_edges(v0, rest)), den**self.dim)
+
+    @cached_property
+    def lattice(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(D, D * vertices) of an exact simplex: D > 0 is the lcm of the
+        coordinate denominators, so the scaled vertices are integers."""
+        den = math.lcm(*(x.denominator for v in self.vertices for x in v))
+        return den, tuple(
+            tuple(x.numerator * (den // x.denominator) for x in v) for v in self.vertices
+        )
+
+    @cached_property
+    def lattice_facets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Integer (inward normal, offset) per facet, opposite vertex i in
+        order: the normal is the cofactor vector of the facet's edges, and
+        interior points x satisfy n.(D x) > offset."""
+        verts = self.lattice[1]
+        out = []
+        for i in range(self.dim + 1):
+            base, *rest = [verts[j] for j in range(self.dim + 1) if j != i]
+            rows = _edges(base, rest)
+            n = [(-1) ** k * det_int([r[:k] + r[k + 1 :] for r in rows]) for k in range(self.dim)]
+            if _dot(n, verts[i]) < _dot(n, base):
+                n = [-x for x in n]
+            out.append((tuple(n), _dot(n, base)))
+        return tuple(out)
+
+    @cached_property
+    def lattice_bounds(self) -> tuple[tuple[int, int], ...]:
+        """(min, max) of the integer vertex coordinates on each axis."""
+        return tuple((min(c), max(c)) for c in zip(*self.lattice[1]))
+
+    @cached_property
+    def lattice_lengths(self) -> dict[tuple[int, int], int]:
+        """D^2 times the squared edge lengths, keyed by (i, j); read only."""
+        return _pair_lengths(self.lattice[1])
 
     def squared_lengths(self) -> dict[tuple[int, int], Fraction | float]:
         """Squared edge lengths keyed by vertex pair (i < j); a fresh dict."""
@@ -94,11 +144,7 @@ class Simplex:
 
     @cached_property
     def _squared_lengths(self) -> dict[tuple[int, int], Fraction | float]:
-        out = {}
-        for i, j in combinations(range(self.dim + 1), 2):
-            d = [a - b for a, b in zip(self.vertices[i], self.vertices[j])]
-            out[(i, j)] = _dot(d, d)
-        return out
+        return _pair_lengths(self.vertices)
 
     def scaled(self, r) -> "Simplex":
         if self.mode == "exact":
@@ -125,11 +171,8 @@ class Simplex:
     def facet_normal(self, i: int) -> list:
         """Inward normal (unnormalized; rational in exact mode) of the facet
         opposite vertex i."""
-        others = [j for j in range(self.dim + 1) if j != i]
-        base = self.vertices[others[0]]
-        rows = [
-            [x - y for x, y in zip(self.vertices[j], base)] for j in others[1:]
-        ]
+        base, *rest = [v for j, v in enumerate(self.vertices) if j != i]
+        rows = _edges(base, rest)
         n = nullspace(rows) if self.mode == "exact" else unit_normal(rows)
         orient = _dot(n, [x - y for x, y in zip(self.vertices[i], base)])
         if orient == 0:
@@ -306,20 +349,34 @@ def volume(s: Simplex) -> Fraction | float:
 # ---------------------------------------------------------------------------
 
 
+def _scaled_lengths(s1: Simplex, s2: Simplex, ratio2) -> tuple[dict, dict]:
+    """s1's squared lengths times ratio2, and s2's: for exact simplices as
+    integers, cross-multiplied by ratio2 and both denominators squared."""
+    if s1.mode == "float":
+        return {k: v * ratio2 for k, v in s1._squared_lengths.items()}, s2._squared_lengths
+    r = Fraction(ratio2)
+    w1, w2 = r.numerator * s2.lattice[0] ** 2, r.denominator * s1.lattice[0] ** 2
+    l1, l2 = s1.lattice_lengths, s2.lattice_lengths
+    return {k: v * w1 for k, v in l1.items()}, {k: v * w2 for k, v in l2.items()}
+
+
+def _perm_matches(target: dict, sq2: dict, perm, tol: float | None) -> bool:
+    """Whether relabeling vertex i as perm[i] carries target onto sq2."""
+    for (i, j), a in target.items():
+        p, q = perm[i], perm[j]
+        b = sq2[(p, q) if p < q else (q, p)]
+        if tol is None:
+            if a != b:
+                return False
+        elif abs(float(a) - float(b)) > tol * max(abs(float(a)), abs(float(b)), 1.0):
+            return False
+    return True
+
+
 def _match_permutation(s1: Simplex, s2: Simplex, ratio2, tol: float | None):
     """A vertex relabeling carrying s1's squared lengths (times ratio2) to
     s2's, or None."""
-    n = s1.dim + 1
-    sq1 = s1.squared_lengths()
-    sq2 = s2.squared_lengths()
-
-    def eq(a, b) -> bool:
-        if tol is None:
-            return a == b
-        scale = max(abs(float(a)), abs(float(b)), 1.0)
-        return abs(float(a) - float(b)) <= tol * scale
-
-    target = {k: v * ratio2 for k, v in sq1.items()}
+    target, sq2 = _scaled_lengths(s1, s2, ratio2)
     if tol is None:
         if sorted(target.values()) != sorted(sq2.values()):
             return None
@@ -329,17 +386,8 @@ def _match_permutation(s1: Simplex, s2: Simplex, ratio2, tol: float | None):
         scale = max(abs(m1[-1]), abs(m2[-1]), 1.0)
         if any(abs(a - b) > tol * scale for a, b in zip(m1, m2)):
             return None
-    for perm in permutations(range(n)):
-        ok = True
-        for i, j in combinations(range(n), 2):
-            a, b = perm[i], perm[j]
-            key = (min(a, b), max(a, b))
-            if not eq(target[(i, j)], sq2[key]):
-                ok = False
-                break
-        if ok:
-            return perm
-    return None
+    perms = permutations(range(s1.dim + 1))
+    return next((p for p in perms if _perm_matches(target, sq2, p, tol)), None)
 
 
 def _orientation_sign(s: Simplex, order: tuple[int, ...]) -> int:
@@ -361,8 +409,7 @@ def congruent(s1: Simplex, s2: Simplex, allow_reflection: bool = True) -> bool:
     if s1.mode != s2.mode:
         s1, s2 = s1.as_float(), s2.as_float()
     tol = None if s1.mode == "exact" else max(s1.tol, s2.tol)
-    one = Fraction(1) if s1.mode == "exact" else 1.0
-    perm = _match_permutation(s1, s2, one, tol)
+    perm = _match_permutation(s1, s2, 1, tol)
     if perm is None:
         return False
     if allow_reflection:
@@ -370,24 +417,11 @@ def congruent(s1: Simplex, s2: Simplex, allow_reflection: bool = True) -> bool:
     # an orientation-preserving matching may differ from the first one found
     n = s1.dim + 1
     base_sign = _orientation_sign(s1, tuple(range(n)))
-    for p in permutations(range(n)):
-        if _orientation_sign(s2, p) == base_sign and _match_permutation_fixed(s1, s2, p, tol):
-            return True
-    return False
-
-
-def _match_permutation_fixed(s1: Simplex, s2: Simplex, perm, tol) -> bool:
-    sq1, sq2 = s1.squared_lengths(), s2.squared_lengths()
-    for i, j in combinations(range(s1.dim + 1), 2):
-        a, b = perm[i], perm[j]
-        key = (min(a, b), max(a, b))
-        v1, v2 = sq1[(i, j)], sq2[key]
-        if tol is None:
-            if v1 != v2:
-                return False
-        elif abs(float(v1) - float(v2)) > tol * max(abs(float(v1)), abs(float(v2)), 1.0):
-            return False
-    return True
+    target, sq2 = _scaled_lengths(s1, s2, 1)
+    return any(
+        _orientation_sign(s2, p) == base_sign and _perm_matches(target, sq2, p, tol)
+        for p in permutations(range(n))
+    )
 
 
 def similar(s1: Simplex, s2: Simplex):
@@ -400,16 +434,16 @@ def similar(s1: Simplex, s2: Simplex):
         raise ValueError("dimension mismatch")
     if s1.mode != s2.mode:
         s1, s2 = s1.as_float(), s2.as_float()
-    sq1 = sorted(s1.squared_lengths().values())
-    sq2 = sorted(s2.squared_lengths().values())
-    ratio2 = sq2[0] / sq1[0]
     if s1.mode == "exact":
-        if any(b != a * ratio2 for a, b in zip(sq1, sq2)):
-            return None
+        l1, l2 = s1.lattice_lengths.values(), s2.lattice_lengths.values()
+        ratio2 = Fraction(min(l2) * s1.lattice[0] ** 2, min(l1) * s2.lattice[0] ** 2)
         if _match_permutation(s1, s2, ratio2, None) is None:
             return None
         r = AlgebraicReal.sqrt_rational(ratio2)
         return r.as_fraction() if r.is_rational else r
+    sq1 = sorted(s1.squared_lengths().values())
+    sq2 = sorted(s2.squared_lengths().values())
+    ratio2 = sq2[0] / sq1[0]
     tol = max(s1.tol, s2.tol)
     if any(abs(b - a * ratio2) > tol * max(abs(b), 1.0) for a, b in zip(sq1, sq2)):
         return None

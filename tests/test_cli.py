@@ -1,5 +1,6 @@
 """The command-line surface: exit codes, JSON round trips, OBJ export."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -30,8 +31,12 @@ REGULAR = {
 
 
 def write(tmp_path, name, payload):
+    return write_text(tmp_path, name, json.dumps(payload))
+
+
+def write_text(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(json.dumps(payload), encoding="utf-8")
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -144,6 +149,16 @@ class TestHillCommands:
         bad_path.write_text(json.dumps(doc))
         assert main(["hill", "verify", str(bad_path)]) == 1
 
+    @pytest.mark.parametrize("m", [0, 1, -2])
+    def test_verify_refuses_m_below_two(self, m, tmp_path, capsys):
+        assert main(["hill", "subdivide", "--dim", "2", "--m", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["m"] = m
+        assert main(["hill", "verify", write(tmp_path, "sub.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: m must be at least 2\n"
+
     def test_grow_with_obj(self, tmp_path, capsys):
         obj_path = tmp_path / "grow.obj"
         rc = main(
@@ -175,6 +190,53 @@ class TestHillCommands:
         assert main(["hill", "subdivide", "--dim", "2", "--cos=-5/13", "--m", "2"]) == 0
         assert capsys.readouterr().out == spaced
         assert json.loads(spaced)["parent"]["mode"] == "exact"
+
+
+# sha256 of `hill subdivide` stdout and of `hill verify` stdout on it
+HILL_PINS = {
+    (4, "0", 4): (
+        "010af1f851c153e3945b7f9ea1d0aa2bddc32152ccde5f7b4d6cbe351645b0e8",
+        "c406fa8908a522485f99ec8b6ccac170d39cb19ebcb4f1a0d39593d7f704742f",
+    ),
+    (3, "2/5", 3): (
+        "8f8ffcce22f82dd933e852f9868a5c77716b2eca6562022d3dbbe9ea1137a6f8",
+        "e2820cbc7d535f30e8c1d64f93ab93bf72d06b2725f0db332332c1fc49f1f691",
+    ),
+    (3, "-2/5", 3): (
+        "6a31a877794827f834fd4bf055ecf93d2e4881e90611a6287ae6cfaeb8903925",
+        "e2820cbc7d535f30e8c1d64f93ab93bf72d06b2725f0db332332c1fc49f1f691",
+    ),
+    (2, "-5/13", 4): (
+        "30c5d422f99669e012b1a917a6d26df12aa4d365082deaef80528195bdfdcd15",
+        "4acbe4b200cee1ea3c22fae6d48aa62076479f23a76b6dee2f72338ea67f6afb",
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestHillOutputsPinned:
+    @pytest.mark.parametrize("spec", sorted(HILL_PINS))
+    def test_subdivide_and_verify_bytes(self, spec, tmp_path, capsys):
+        dim, cos, m = spec
+        assert main(["hill", "subdivide", "--dim", str(dim), f"--cos={cos}", "--m", str(m)]) == 0
+        sub = capsys.readouterr().out
+        path = write_text(tmp_path, "sub.json", sub)
+        assert main(["hill", "verify", path]) == 0
+        assert (sha256(sub), sha256(capsys.readouterr().out)) == HILL_PINS[spec]
+
+    def test_overlap_report_with_its_witness_point(self, tmp_path, capsys):
+        # piece 0 moved onto piece 2, the first piece sharing an edge with it
+        assert main(["hill", "subdivide", "--dim", "2", "--cos=3/5", "--m", "3"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["pieces"][0] = doc["pieces"][2]
+        assert main(["hill", "verify", write(tmp_path, "bad.json", doc)]) == 1
+        out = capsys.readouterr().out
+        witness = json.loads(out)["witnesses"]["interior_disjointness"]
+        assert witness == "{'pieces': (0, 2), 'point': (Fraction(4, 3), Fraction(1, 1))}"
+        assert sha256(out) == "b6a056b1be2149f8332e4865125cafee00de75edfc29e0f7d59a0c77d18dbc7b"
 
 
 class TestAnglesCommands:

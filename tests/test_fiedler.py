@@ -13,6 +13,7 @@ from reptile_forge.fiedler import (
     CosMatrix,
     MalformedMatrixError,
     ReconstructionError,
+    _descale,
     char_poly,
     char_poly_symbolic,
     complement_matrix_symbolic,
@@ -41,6 +42,9 @@ PHI_M1 = AlgebraicReal.from_root([-1, 1, 1], 0, 1)  # phi - 1
 # entries near 10^3, so the unscaled reconstruction is tiny
 DRAW_14 = [(0, -4, 7), (0, Fraction(7, 3), Fraction(-7, 3)), (Fraction(9, 4), 2, -2), (-2, -2, -3)]
 ORTHO_235 = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5)]
+# draw 1 of the same set: descaling its matrix JSON meets a num * den above
+# 10^14, past the squarefree factoring cap
+DRAW_1 = [(8, 1, Fraction(-9, 2)), (3, -2, -5), (2, -2, Fraction(5, 4)), (0, 4, -6)]
 
 
 def matrix_of(verts) -> CosMatrix:
@@ -129,6 +133,20 @@ class TestRealizability:
         for s in (regular_tetrahedron(), orthoscheme(3)):
             a = CosMatrix.from_dihedral(dihedral_data(s))
             assert realizability_check(a).valid
+
+    def test_matrix_json_past_the_factoring_cap_takes_the_rational_path(self, monkeypatch):
+        import reptile_forge.algebra.algebraic as algebraic_mod
+
+        def no_resultant(*args):
+            raise AssertionError("generic AlgebraicReal path")
+
+        a = via_json(matrix_of(DRAW_1))
+        assert any(not e.is_rational for row in a.entries for e in row)
+        assert _descale(a) is not None
+        monkeypatch.setattr(algebraic_mod, "_interp_resultant", no_resultant)
+        v = realizability_check(a)
+        assert v.valid
+        assert all(as_algebraic(k).sign() > 0 for k in v.kernel)
 
     def test_soundness_on_random_tetrahedra(self):
         rng = random.Random(2024)

@@ -1,20 +1,25 @@
 """Hill simplices, subdivisions, the exact reptile verifier, growth."""
 
+import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reptile_forge.algebra import as_algebraic
 from reptile_forge.algebra.linalg import det
 from reptile_forge.hill import (
     GrowthReport,
     HillSpec,
     Subdivision,
     _bbox_disjoint,
+    _plane_separates,
+    _staircase_cells,
     _sweep_candidates,
+    _vertex_outside,
     grow_space_tiling,
     hill_simplex,
     interiors_disjoint,
@@ -82,6 +87,37 @@ class TestSubdivide:
     def test_m_guard(self):
         with pytest.raises(ValueError):
             subdivide(HillSpec.from_pair_cos(3, Fraction(0)), 1)
+
+    @pytest.mark.parametrize("den", [1, 7])
+    def test_vertices_are_the_rational_basis_map(self, den):
+        rng = random.Random(den)
+        for _ in range(3):
+            base = random_rational_hill_spec(rng).basis
+            spec = HillSpec.from_basis([[x / den for x in b] for b in base])
+            sub = subdivide(spec, 3)
+            # the Fraction map x = sum_i (y_i / m) b_i over each cell corner y
+            for cell, piece in zip(_staircase_cells(3, 3), sub.pieces, strict=True):
+                assert piece.vertices == tuple(
+                    tuple(sum(Fraction(yi, 3) * b[k] for yi, b in zip(y, spec.basis)) for k in range(3))
+                    for y in cell
+                )
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_staircase_cells_are_the_admissible_ones(self, dim):
+        def admissible(y, m):
+            return all(a >= b for a, b in zip((m,) + y, y + (0,)))
+
+        for m in (1, 2, 3, 4):
+            brute = []
+            for a in product(range(m), repeat=dim):
+                for sigma in permutations(range(dim)):
+                    verts = [a]
+                    for k in sigma:
+                        verts.append(tuple(x + (i == k) for i, x in enumerate(verts[-1])))
+                    if all(admissible(y, m) for y in verts):
+                        brute.append(verts)
+            assert list(_staircase_cells(dim, m)) == brute
+            assert len(brute) == m**dim
 
     def test_json_round_trip(self):
         sub = subdivide(HillSpec.from_pair_cos(3, Fraction(0)), 2)
@@ -239,8 +275,7 @@ class TestSweep:
         assert all(i < j for i, j in pairs)
         kept = set(pairs)
         for i, j in combinations(range(len(pieces)), 2):
-            if (i, j) not in kept:
-                assert _bbox_disjoint(pieces[i], pieces[j])
+            assert ((i, j) in kept) != _bbox_disjoint(pieces[i], pieces[j])
 
     def test_touching_extents_are_pruned(self):
         a = orthoscheme(2)
@@ -324,3 +359,148 @@ class TestCachedGeometry:
         spec = HillSpec.from_pair_cos(3, cos)
         cells, rep = grow_space_tiling(spec, 2, m=2, budget=10, sample_pairs=5)
         assert rep.volume_emitted == sum(volume(c) for c in cells)
+
+
+# -- the integer screens against a plain Fraction reference ------------------
+
+_rational = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+def _edges(verts):
+    return [[x - y for x, y in zip(v, verts[0])] for v in verts[1:]]
+
+
+@st.composite
+def rational_simplices(draw, dim):
+    verts = draw(
+        st.lists(st.tuples(*[_rational] * dim), min_size=dim + 1, max_size=dim + 1).filter(
+            lambda vs: det(_edges(vs)) != 0
+        )
+    )
+    return Simplex.exact(verts)
+
+
+@st.composite
+def simplex_pairs(draw):
+    """Two exact simplices, mostly with unequal denominators: unrelated,
+    sharing a facet (touching, or overlapping when the apex lies on the
+    near side), sharing one vertex, or one shrunk inside the other."""
+    dim = draw(st.sampled_from((2, 3, 4)))
+    s1 = draw(rational_simplices(dim))
+    how = draw(st.sampled_from(("free", "facet", "vertex", "shrunk")))
+    if how == "free":
+        return s1, draw(rational_simplices(dim))
+    i = draw(st.integers(0, dim))
+    vi = s1.vertices[i]
+    if how == "facet":
+        facet = [v for j, v in enumerate(s1.vertices) if j != i]
+        c = [sum(xs) / dim for xs in zip(*facet)]
+        t = draw(st.sampled_from([Fraction(p, q) for p, q in ((1, 7), (2, 3), (-1, 3), (-5, 7), (-9, 7))]))
+        return s1, Simplex.exact(facet + [[ck + t * (ck - x) for ck, x in zip(c, vi)]])
+    r = draw(st.sampled_from((Fraction(1, 3), Fraction(2, 7), Fraction(3, 5))))
+    sign = -1 if how == "vertex" else 1  # point reflection through v_i, or not
+    return s1, Simplex.exact([[a + sign * r * (x - a) for a, x in zip(vi, v)] for v in s1.vertices])
+
+
+def _ref_facets(s):
+    """(inward normal, offset) per facet: Fraction cofactors by linalg.det."""
+    out = []
+    for i in range(s.dim + 1):
+        base, *rest = [v for j, v in enumerate(s.vertices) if j != i]
+        rows = [[x - y for x, y in zip(v, base)] for v in rest]
+        n = [(-1) ** k * det([r[:k] + r[k + 1 :] for r in rows]) for k in range(s.dim)]
+        if sum(a * (x - y) for a, x, y in zip(n, s.vertices[i], base)) < 0:
+            n = [-a for a in n]
+        out.append((n, sum(a * x for a, x in zip(n, base))))
+    return out
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _ref_box_disjoint(s1, s2):
+    for c1, c2 in zip(zip(*s1.vertices), zip(*s2.vertices)):
+        if max(c1) <= min(c2) or max(c2) <= min(c1):
+            return True
+    return False
+
+
+def _ref_plane_separates(s1, s2):
+    return any(all(_dot(n, v) <= b for v in s2.vertices) for n, b in _ref_facets(s1))
+
+
+def _ref_vertex_outside(parent, piece):
+    for v in piece.vertices:
+        if any(_dot(n, v) < b for n, b in _ref_facets(parent)):
+            return v
+    return None
+
+
+def _ref_similarity_ratio2(s1, s2):
+    """r^2 with s2 congruent to r * s1, by Fraction lengths, or None."""
+    sq1, sq2 = s1.squared_lengths(), s2.squared_lengths()
+    ratio2 = min(sq2.values()) / min(sq1.values())
+    for perm in permutations(range(s1.dim + 1)):
+        if all(
+            sq1[(i, j)] * ratio2 == sq2[tuple(sorted((perm[i], perm[j])))]
+            for i, j in combinations(range(s1.dim + 1), 2)
+        ):
+            return ratio2
+    return None
+
+
+class TestIntegerScreens:
+    @settings(max_examples=300, deadline=None)
+    @given(simplex_pairs())
+    def test_screens_match_the_fraction_reference(self, pair):
+        s1, s2 = pair
+        assert _bbox_disjoint(s1, s2) == _ref_box_disjoint(s1, s2)
+        for a, b in ((s1, s2), (s2, s1)):
+            assert _plane_separates(a, b, None) == _ref_plane_separates(a, b)
+            assert _vertex_outside(a, b, True) == _ref_vertex_outside(a, b)
+        ratio2 = _ref_similarity_ratio2(s1, s2)
+        r = similar(s1, s2)
+        assert (r is None) == (ratio2 is None)
+        if r is not None:
+            assert as_algebraic(r * r).compare(as_algebraic(ratio2)) == 0
+        assert congruent(s1, s2) == (ratio2 == 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from((2, 3, 4)).flatmap(rational_simplices))
+    def test_integer_form(self, s):
+        den, verts = s.lattice
+        assert den == math.lcm(*(x.denominator for v in s.vertices for x in v))
+        assert [[Fraction(x, den) for x in v] for v in verts] == [list(v) for v in s.vertices]
+        assert s.signed_det == det(_edges(s.vertices))
+        assert s.signed_det * den**s.dim == det(_edges(verts))
+        assert {k: Fraction(v, den * den) for k, v in s.lattice_lengths.items()} == s.squared_lengths()
+        assert s.lattice_bounds == tuple((min(c), max(c)) for c in zip(*verts))
+
+    def test_touching_pair_with_unequal_denominators(self):
+        a = Simplex.exact([(0, 0), (1, 0), (0, 1)])
+        b = Simplex.exact([(1, 0), (0, 1), (Fraction(4, 7), Fraction(5, 3))])  # across the hypotenuse
+        assert a.lattice[0] == 1 and b.lattice[0] == 21
+        assert not _bbox_disjoint(a, b)
+        assert _plane_separates(a, b, None) and _plane_separates(b, a, None)
+        assert interiors_disjoint(a, b) == (True, None)
+        assert _vertex_outside(a, b, True) == (Fraction(4, 7), Fraction(5, 3))
+
+    def test_d4_m4_verification_makes_no_fraction_determinant(self, monkeypatch):
+        import reptile_forge.algebra.linalg as linalg_mod
+        import reptile_forge.simplex as simplex_mod
+
+        doc = subdivide(HillSpec.from_pair_cos(4, Fraction(0)), 4).to_json()
+        calls = []
+        real = linalg_mod.det
+
+        def counting(rows):
+            calls.append(1)
+            return real(rows)
+
+        monkeypatch.setattr(linalg_mod, "det", counting)
+        monkeypatch.setattr(simplex_mod, "det", counting)
+        rep = verify_reptile(Subdivision.from_json(doc))
+        assert rep.all_ok
+        assert rep.chirality == {"orientation_preserving": 136, "mirrored": 120}
+        assert calls == []

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptile_forge.algebra import AlgebraicReal
+from reptile_forge.algebra.linalg import det
 from reptile_forge.simplex import (
     AngleMultiset,
     Simplex,
@@ -155,13 +156,16 @@ class TestVolume:
         from reptile_forge.simplex import _orientation_sign
 
         vertices = random_rational_tetrahedron(random.Random(5)).vertices
-        calls = []
-        real = simplex_mod.det
-        monkeypatch.setattr(simplex_mod, "det", lambda rows: calls.append(1) or real(rows))
+        calls, rational_calls = [], []
+        real = simplex_mod.det_int
+        monkeypatch.setattr(simplex_mod, "det_int", lambda rows: calls.append(1) or real(rows))
+        monkeypatch.setattr(simplex_mod, "det", lambda rows: rational_calls.append(1))
         s = Simplex.exact(vertices)
         assert volume(s) == volume(s) == abs(s.signed_det) / 6
         assert _orientation_sign(s, (0, 1, 2, 3)) == (1 if s.signed_det > 0 else -1)
-        assert len(calls) == 1
+        # one integer determinant of the scaled edge matrix, no Fraction one
+        assert len(calls) == 1 and not rational_calls
+        assert s.signed_det == det([[x - y for x, y in zip(v, vertices[0])] for v in vertices[1:]])
 
     def test_orientation_sign_matches_reordered_determinant(self):
         from itertools import permutations
