@@ -89,11 +89,13 @@ class AlgebraicReal:
         return AlgebraicReal(mp, (r, r), _trusted=True)
 
     @staticmethod
-    def from_root(defining, lo, hi) -> "AlgebraicReal":
+    def from_root(defining, lo, hi, factors=None) -> "AlgebraicReal":
         """Normalize (defining polynomial, isolating interval) to an exact value.
 
         The interval must contain exactly one real root of the polynomial;
         the minimal polynomial is the irreducible factor owning that root.
+        ``factors`` may pass ``factor.irreducible_factors(defining)`` in, so
+        several roots of one polynomial share one factorization.
         """
         lo, hi = Fraction(lo), Fraction(hi)
         p = ip.squarefree_part(ip.poly(defining))
@@ -118,7 +120,7 @@ class AlgebraicReal:
                 lo = m
             else:
                 hi = m
-        mp = minimal_polynomial_on(p, lo, hi)
+        mp = minimal_polynomial_on(p, lo, hi, factors)
         if ip.degree(mp) == 1:
             return AlgebraicReal.from_rational(Fraction(-mp[0], mp[1]))
         lo, hi = _shrink_to(mp, lo, hi)

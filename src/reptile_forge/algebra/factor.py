@@ -210,12 +210,16 @@ def irreducible_factors(p: Poly) -> list[Poly]:
     return factor_squarefree(ip.squarefree_part(p))
 
 
-def minimal_polynomial_on(p: Poly, lo: Fraction, hi: Fraction) -> Poly:
+def minimal_polynomial_on(
+    p: Poly, lo: Fraction, hi: Fraction, factors: list[Poly] | None = None
+) -> Poly:
     """The irreducible factor of p having a root in the isolating interval.
 
     The interval must isolate exactly one root of p's squarefree part.
+    ``factors``, when given, must be ``irreducible_factors(p)``; a caller
+    that places several roots of one polynomial then factors it once.
     """
-    for fac in irreducible_factors(p):
+    for fac in irreducible_factors(p) if factors is None else factors:
         if lo == hi:
             if ip.eval_at(fac, lo) == 0:
                 return fac

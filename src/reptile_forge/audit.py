@@ -17,9 +17,9 @@ re-derived; everything downstream of it is checked exactly.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +29,7 @@ from .algebra import intpoly as ip
 from .algebra import numberfield as nf
 from .algebra import sturm
 from .algebra.enclosure import pi_bounds
+from .algebra.factor import irreducible_factors
 from .fiedler import (
     SYM_VARS,
     SYM_VARS_L,
@@ -91,6 +92,35 @@ class AuditReport:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def dumps_reports(reports: list[AuditReport]) -> str:
+    """``json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True)``
+    with each distinct step object encoded once.
+
+    Reports of one run share their k-independent steps, which make up most
+    of the text.  A step's text is spliced in at its depth by indenting
+    every line after the first: JSON strings hold no raw newline, so this
+    is exact."""
+    encoded = {}  # id(step) -> its text at depth 0; the reports keep every step alive
+
+    def dump(obj, pad: str) -> str:
+        if isinstance(obj, AuditStep):
+            if id(obj) not in encoded:
+                encoded[id(obj)] = json.dumps(obj.to_json(), indent=2, sort_keys=True)
+            return encoded[id(obj)].replace("\n", "\n" + pad)
+        if not obj or not isinstance(obj, (dict, list, tuple)):
+            return json.dumps(obj)
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            opener, closer = "{", "}"
+            items = [f"{json.dumps(key)}: {dump(value, inner)}" for key, value in sorted(obj.items())]
+        else:
+            opener, closer = "[", "]"
+            items = [dump(value, inner) for value in obj]
+        return f"{opener}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closer}"
+
+    return dump([{**r.to_json(), "steps": list(r.steps)} for r in reports], "")
 
 
 def _frac(f) -> str:
@@ -215,9 +245,14 @@ def _two_length_scan(k: int, bound: int, rho_lo: Fraction, rho_hi: Fraction) -> 
 
     Works in integers over the common denominator 2^(2*_RHO_BITS).  The
     system (n11, n12, n21, n22) enters only through p = n11 n22, b = n11 + n22
-    and r = n12 n21, so each residual class (p, b, r) is evaluated once; the
+    and r = n12 n21, so each residual class (p, b) is scanned once; the
     counts and the first failing system are those of the loop over n11, n22,
-    n12, n21 in that order."""
+    n12, n21 in that order.
+
+    Within a class both residual bounds are nondecreasing in a = p - r, so
+    they fall as r grows and the magnitude is unimodal in r: its least value
+    sits at the first r whose upper bound is <= 0, or at the r before it.
+    Only r = 0 with p = b = 0 is degenerate (the residual is identically 1)."""
     q = 2**_RHO_BITS
     plo, phi_ = rho_lo.numerator * (q // rho_lo.denominator), rho_hi.numerator * (
         q // rho_hi.denominator
@@ -226,25 +261,30 @@ def _two_length_scan(k: int, bound: int, rho_lo: Fraction, rho_hi: Fraction) -> 
     r2lo, r2hi = plo * plo, phi_ * phi_  # rho in (0,1): squares keep order
     span = range(bound + 1)
     products = [n12 * n21 for n12 in span for n21 in span]  # in (n12, n21) order
-    multiplicity = Counter(products)
+    n_zero = products.count(0)
+    distinct = sorted(set(products))
+
+    def upper(a: int, b: int) -> int:
+        # residual * q2 bounds: a*rho^2*q2 - b*rho*q2 + q2
+        return (a * r2hi if a >= 0 else a * r2lo) - b * plo * q + q2
+
+    def magnitude(p: int, b: int, r: int):
+        """None if degenerate, 0 if the residual interval holds 0, else its
+        distance from 0."""
+        a = p - r
+        if a == 0 and b == 0:
+            return None
+        t_lo = (a * r2lo if a >= 0 else a * r2hi) - b * phi_ * q + q2
+        t_hi = upper(a, b)
+        return 0 if t_lo <= 0 <= t_hi else (t_lo if t_lo > 0 else -t_hi)
 
     def residual_class(p: int, b: int) -> tuple:
-        """(magnitude per product: None if degenerate, 0 if the residual
-        interval holds 0; systems checked; degenerate; least magnitude)."""
-        mags = {}
-        for r in multiplicity:
-            a = p - r
-            if a == 0 and b == 0:
-                mags[r] = None  # residual is identically 1
-                continue
-            # residual * q2 bounds: a*rho^2*q2 - b*rho*q2 + q2
-            t_lo = (a * r2lo if a >= 0 else a * r2hi) - b * phi_ * q + q2
-            t_hi = (a * r2hi if a >= 0 else a * r2lo) - b * plo * q + q2
-            mags[r] = 0 if t_lo <= 0 <= t_hi else (t_lo if t_lo > 0 else -t_hi)
-        live = [r for r, m in mags.items() if m is not None]
-        n_checked = sum(multiplicity[r] for r in live)
-        least = min((mags[r] for r in live), default=None)
-        return mags, n_checked, len(products) - n_checked, least
+        """(systems checked, degenerate, least magnitude)."""
+        live = distinct[1:] if p == b == 0 else distinct
+        n_degenerate = n_zero if p == b == 0 else 0
+        i = bisect.bisect_left(live, True, key=lambda r: upper(p - r, b) <= 0)
+        least = min((magnitude(p, b, r) for r in live[max(i - 1, 0) : i + 1]), default=None)
+        return len(products) - n_degenerate, n_degenerate, least
 
     classes = {}
     checked = 0
@@ -255,8 +295,9 @@ def _two_length_scan(k: int, bound: int, rho_lo: Fraction, rho_hi: Fraction) -> 
             key = (n11 * n22, n11 + n22)
             if key not in classes:
                 classes[key] = residual_class(*key)
-            mags, n_checked, n_degenerate, least = classes[key]
+            n_checked, n_degenerate, least = classes[key]
             if least == 0:
+                mags = {r: magnitude(*key, r) for r in distinct}
                 first = next(i for i, r in enumerate(products) if mags[r] == 0)
                 before = [mags[r] for r in products[:first]]
                 n12, n21 = divmod(first, bound + 1)
@@ -656,10 +697,11 @@ def final_cases_step() -> AuditStep:
         coeffs_in_t = [ip.poly(row) for row in table]
         eliminant = algebra_eliminate(coeffs_in_t, t_val.minpoly)
         root_ivs = sturm.isolate_roots(eliminant, Fraction(-1), Fraction(1))
+        factors = irreducible_factors(eliminant)
         true_roots = []
         spurious = 0
         for lo, hi in root_ivs:
-            cand = AlgebraicReal.from_root(eliminant, lo, hi)
+            cand = AlgebraicReal.from_root(eliminant, lo, hi, factors)
             if _det_vanishes_at(table, cand, t_val):
                 true_roots.append(cand)
             else:

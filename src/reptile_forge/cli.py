@@ -63,8 +63,12 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _emit(payload, out: str | None, dumps=_dumps) -> None:
+    text = dumps(payload)
     if out and out != "-":
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -220,9 +224,7 @@ def cmd_angles_catalog(args) -> int:
 
 def cmd_audit_run(args) -> int:
     reports = audit_mod.run_full_audit(args.kmax)
-    payload = [r.to_json() for r in reports]
-    out = args.json or args.out
-    _emit(payload, out)
+    _emit(reports, args.json or args.out, audit_mod.dumps_reports)
     ok = True
     for r in reports:
         _log(f"k = {r.k}: {r.conclusion}")

@@ -156,7 +156,9 @@ class Subdivision:
 
     @staticmethod
     def from_json(obj: dict) -> "Subdivision":
-        m = int(obj["m"])
+        m = obj["m"]
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise ValueError(f"m must be a JSON integer, got {m!r}")
         if m < 2:
             raise ValueError("m must be at least 2")
         return Subdivision(

@@ -220,7 +220,9 @@ class Simplex:
     def from_json(obj: dict) -> "Simplex":
         mode = obj.get("mode", "exact")
         if mode == "exact":
-            return Simplex.exact([[Fraction(str(x)) for x in v] for v in obj["vertices"]])
+            # one Fraction per coordinate; str() reads a float by its repr
+            vs = tuple(tuple(Fraction(str(x)) for x in v) for v in obj["vertices"])
+            return Simplex(len(vs) - 1, vs, "exact")
         return Simplex.floating(obj["vertices"])
 
 

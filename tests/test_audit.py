@@ -2,11 +2,15 @@
 
 import copy
 import hashlib
+import json
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reptile_forge import audit
 from reptile_forge.algebra import Golden, MPoly, PHI
@@ -17,6 +21,7 @@ from reptile_forge.audit import (
     beta_constraints_step,
     bound_chain_step,
     canonical_json,
+    dumps_reports,
     exclude_pi_over_5_step,
     final_cases_step,
     hill_construction_step,
@@ -203,6 +208,22 @@ class TestFinalCases:
     def test_verifier(self):
         assert verify_step(final_cases_step())
 
+    def test_each_eliminant_factored_once(self, monkeypatch):
+        from reptile_forge.algebra import factor
+
+        degrees = Counter()
+        real = factor.factor_squarefree
+
+        def counting(f):
+            degrees[len(f) - 1] += 1
+            return real(f)
+
+        monkeypatch.setattr(factor, "factor_squarefree", counting)
+        step = final_cases_step()
+        case = next(c for c in step.certificate["cases"] if c["t"] == "1/sqrt2")
+        assert len(case["eliminant"]) == 9 and case["isolated_in_(-1,1)"] == 5
+        assert degrees[8] == 1  # the t = 1/sqrt2 eliminant, shared by its 5 roots
+
 
 class TestHillConstruction:
     def test_k8(self):
@@ -323,6 +344,9 @@ class TestIdentitiesAtRandomPoints:
             assert not cp.evaluate({"s": s0, "t": t0, "L": lam_val})
 
 
+_Q = 2**audit._RHO_BITS
+
+
 def _reference_scan(bound, rho_lo, rho_hi):
     """The residual scan as one plain loop over every coefficient system."""
     q = 2**audit._RHO_BITS
@@ -386,6 +410,29 @@ class TestTwoLengthScan:
         assert scan == ref
         if (lo, hi) == (Fraction(1, 4), Fraction(3, 4)):
             assert scan["min_abs_residual_num"] == 0 and "failing_system" in scan
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bound=st.integers(0, 10),
+        lo=st.integers(1, _Q - 2),
+        width=st.one_of(st.integers(1, 2**24), st.integers(2**24, _Q // 2)),
+    )
+    def test_random_dyadic_intervals_match_reference(self, bound, lo, width):
+        lo, hi = Fraction(lo, _Q), Fraction(min(lo + width, _Q - 1), _Q)
+        assert _two_length_scan(2, bound, lo, hi) == _reference_scan(bound, lo, hi)
+
+    def test_seeded_draws_cover_both_outcomes(self):
+        rng = random.Random(8)
+        outcomes = Counter()
+        for i in range(120):
+            bound = rng.randint(0, 10)
+            width = rng.randint(1, 2**24) if i % 2 else rng.randint(2**24, _Q // 2)
+            lo = rng.randint(1, _Q - 1 - width)
+            lo, hi = Fraction(lo, _Q), Fraction(lo + width, _Q)
+            scan = _two_length_scan(2, bound, lo, hi)
+            assert scan == _reference_scan(bound, lo, hi), (bound, lo, hi)
+            outcomes["failing_system" in scan] += 1
+        assert outcomes[True] >= 10 and outcomes[False] >= 10
 
 
 @pytest.fixture(scope="module")
@@ -451,6 +498,40 @@ class TestVerifyOncePerRun:
         assert rc == 1
         failed = [int(line.rsplit("= ", 1)[1]) for line in err.splitlines() if "FAILED" in line]
         assert failed == NON_CUBE_K
+
+
+class TestReportText:
+    @pytest.mark.parametrize("kmax", [2, 7, 8, 9, 27])
+    def test_equals_plain_dump(self, kmax):
+        reports = run_full_audit(kmax)
+        assert dumps_reports(reports) == json.dumps(
+            [r.to_json() for r in reports], indent=2, sort_keys=True
+        )
+
+    def test_each_distinct_step_encoded_once(self, monkeypatch):
+        reports = run_full_audit(9)
+        steps_encoded = []
+        real = json.dumps
+
+        def counting(obj, **kwargs):
+            if isinstance(obj, dict) and "certificate" in obj:
+                steps_encoded.append(obj["id"])
+            return real(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting)
+        dumps_reports(reports)
+        distinct = {id(s): s.id for r in reports for s in r.steps}
+        assert sum(len(r.steps) for r in reports) == 72
+        assert sorted(steps_encoded) == sorted(distinct.values())
+
+    def test_stdout_equals_json_file(self, tmp_path, capsys):
+        out = tmp_path / "audit.json"
+        assert cli_main(["audit", "run", "--kmax", "9", "--json", str(out)]) == 0
+        file_err = capsys.readouterr().err
+        assert cli_main(["audit", "run", "--kmax", "9"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text(encoding="utf-8")
+        assert captured.err == file_err
 
 
 def _clear_package_caches():

@@ -159,6 +159,17 @@ class TestHillCommands:
         assert captured.out == ""
         assert captured.err == "error: m must be at least 2\n"
 
+    @pytest.mark.parametrize("m", [4.9, "4", True])
+    def test_verify_refuses_m_not_an_integer(self, m, tmp_path, capsys):
+        # m counts cuts per side: a float is not truncated, a string or boolean not read as one
+        assert main(["hill", "subdivide", "--dim", "2", "--m", "4"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["m"] = m
+        assert main(["hill", "verify", write(tmp_path, "sub.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: m must be a JSON integer, got {m!r}\n"
+
     def test_grow_with_obj(self, tmp_path, capsys):
         obj_path = tmp_path / "grow.obj"
         rc = main(
