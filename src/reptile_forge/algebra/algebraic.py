@@ -217,7 +217,10 @@ class AlgebraicReal:
         if self.is_rational and other.is_rational:
             a, b = self.as_fraction(), other.as_fraction()
             return (a > b) - (a < b)
-        if self.minpoly == other.minpoly and self._root_index() == other._root_index():
+        if self.minpoly == other.minpoly and (
+            # an enclosure isolates one root of the minimal polynomial
+            self._iv == other._iv or self._root_index() == other._root_index()
+        ):
             return 0
         # distinct values: refine until the enclosures separate
         while True:

@@ -285,14 +285,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d|sqrt\()")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="reptile-forge",
-        description="Exact tools for reptile simplices: realizability, angle catalogs, "
-        "Hill subdivisions, and the nonexistence audit.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
+def _add_fiedler(sub) -> None:
     fied = sub.add_parser("fiedler", help="dihedral-angle realizability").add_subparsers(
         dest="sub", required=True
     )
@@ -305,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--out", help="write simplex JSON here")
     fr.set_defaults(fn=cmd_fiedler_reconstruct)
 
+
+def _add_hill(sub) -> None:
     hill = sub.add_parser("hill", help="Hill simplices and reptile subdivisions").add_subparsers(
         dest="sub", required=True
     )
@@ -330,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     hw.add_argument("--obj", help="write an OBJ mesh of the cells here")
     hw.set_defaults(fn=cmd_hill_grow)
 
+
+def _add_angles(sub) -> None:
     ang = sub.add_parser("angles", help="rational angles and cosine catalogs").add_subparsers(
         dest="sub", required=True
     )
@@ -342,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--out")
     at.set_defaults(fn=cmd_angles_catalog)
 
+
+def _add_audit(sub) -> None:
     aud = sub.add_parser("audit", help="the nonexistence case analysis").add_subparsers(
         dest="sub", required=True
     )
@@ -361,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     ast.add_argument("--out")
     ast.set_defaults(fn=cmd_audit_step)
 
+
+def _add_export(sub) -> None:
     ex = sub.add_parser("export", help="write OBJ meshes from simplex/subdivision JSON")
     ex.add_argument("input", help="simplex or subdivision JSON path or '-'")
     ex.add_argument("--obj", required=True, help="output OBJ path")
@@ -368,12 +369,54 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--out", help="write export stats JSON here")
     ex.set_defaults(fn=cmd_export)
 
+
+# top-level command -> the function adding its parser subtree, in help order
+_COMMANDS = {
+    "fiedler": _add_fiedler,
+    "hill": _add_hill,
+    "angles": _add_angles,
+    "audit": _add_audit,
+    "export": _add_export,
+}
+
+
+def _top_parser():
+    p = _Parser(
+        prog="reptile-forge",
+        description="Exact tools for reptile simplices: realizability, angle catalogs, "
+        "Hill subdivisions, and the nonexistence audit.",
+    )
+    return p, p.add_subparsers(dest="command", required=True)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command."""
+    p, sub = _top_parser()
+    for add in _COMMANDS.values():
+        add(sub)
+    return p
+
+
+def _parser_for(argv: list[str]) -> argparse.ArgumentParser:
+    """The top-level parser with only the subtree of the command argv[0]
+    names, as building all of them is most of a small command's time.
+
+    The usage line still lists every command, so a usage error reads as the
+    full parser's would.  When argv[0] names no command (help, a typo, no
+    arguments) this is the full parser.
+    """
+    add = _COMMANDS.get(argv[0]) if argv else None
+    if add is None:
+        return build_parser()
+    p, sub = _top_parser()
+    sub.metavar = "{" + ",".join(_COMMANDS) + "}"
+    add(sub)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser_for(argv).parse_args(argv)
     try:
         return args.fn(args)
     except InputFormatError as e:

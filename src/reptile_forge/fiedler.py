@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -92,13 +93,22 @@ class RealizabilityVerdict:
     On success the kernel is a strictly positive exact vector with A z = 0.
     On failure the witness names the defect: ``nonsingular`` (rank d+1),
     ``rank_defect`` (rank < d), ``indefinite`` (an explicit direction x with
-    x^T A x > 0), or ``kernel_not_positive``.
+    x^T A x > 0), or ``kernel_not_positive``.  ``similar_matrix`` is a
+    rational matrix similar to A when A descales to one, else None.
     """
 
     valid: bool
     kernel: tuple | None
     failure_witness: dict | None
-    char_poly: tuple | None
+    similar_matrix: tuple | None
+
+    @cached_property
+    def char_poly(self) -> tuple | None:
+        """det(lambda I - A), low coefficients first, computed on first read;
+        None when A does not descale."""
+        if self.similar_matrix is None:
+            return None
+        return tuple(_char_poly(self.similar_matrix))
 
 
 def _congruence_analysis(m: list[list]) -> dict:
@@ -241,36 +251,36 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
         neg = [[-x for x in row] for row in b]
         analysis = _congruence_analysis(neg)
         # A = D B D with D = diag(q)^(-1/2) is similar to B diag(q)^(-1)
-        char = _char_poly([[b[i][j] / q[j] for j in range(n)] for i in range(n)])
+        similar = tuple(tuple(b[i][j] / q[j] for j in range(n)) for i in range(n))
         if not analysis["psd"]:
             x = analysis["negative_direction"]
             # map the direction back through the implicit scaling: the
             # quadratic form x^T(-B)x < 0 certifies y^T(-A)y < 0 for
             # y_i = sqrt(q_i) x_i; report the rational B-direction
             return RealizabilityVerdict(
-                False, None, {"kind": "indefinite", "direction": x, "scaling": tuple(q)}, tuple(char)
+                False, None, {"kind": "indefinite", "direction": x, "scaling": tuple(q)}, similar
             )
         if analysis["rank"] == n:
             return RealizabilityVerdict(
-                False, None, {"kind": "nonsingular", "det": det(b)}, tuple(char)
+                False, None, {"kind": "nonsingular", "det": det(b)}, similar
             )
         if analysis["rank"] < d:
             return RealizabilityVerdict(
-                False, None, {"kind": "rank_defect", "rank": analysis["rank"]}, tuple(char)
+                False, None, {"kind": "rank_defect", "rank": analysis["rank"]}, similar
             )
         w = nullspace(b)
         if all(x < 0 for x in w):
             w = [-x for x in w]
         if not all(x > 0 for x in w):
             return RealizabilityVerdict(
-                False, None, {"kind": "kernel_not_positive", "kernel": tuple(w)}, tuple(char)
+                False, None, {"kind": "kernel_not_positive", "kernel": tuple(w)}, similar
             )
         kernel = tuple(AlgebraicReal.sqrt_rational(qi) * wi for qi, wi in zip(q, w))
         # re-verify B w = 0 exactly; this is A z = 0 under the scaling
         for i in range(n):
             if sum(b[i][j] * w[j] for j in range(n)) != 0:
                 raise AssertionError("kernel verification failed")
-        return RealizabilityVerdict(True, kernel, None, tuple(char))
+        return RealizabilityVerdict(True, kernel, None, similar)
     # generic exact path
     rows = [[-as_algebraic(x) for x in r] for r in a.entries]
     analysis = _congruence_analysis(rows)

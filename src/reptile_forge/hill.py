@@ -156,6 +156,9 @@ class Subdivision:
 
     @staticmethod
     def from_json(obj: dict) -> "Subdivision":
+        for key in ("m", "parent", "pieces"):
+            if key not in obj:
+                raise ValueError(f"subdivision JSON has no {key!r} key")
         m = obj["m"]
         if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError(f"m must be a JSON integer, got {m!r}")

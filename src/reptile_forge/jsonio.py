@@ -43,16 +43,18 @@ def parse_real(spec):
         )
     s = str(spec).strip()
     m = _SQRT_RE.match(s)
-    if m:
-        sign = -1 if m.group("sign") == "-" else 1
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        if m.group("den"):
-            coef /= int(m.group("den"))
-        root = AlgebraicReal.sqrt_rational(Fraction(m.group("rad")))
-        return root * (sign * coef)
     try:
+        if m:
+            # no resultant: a sign is an exact negation, and c sqrt(r) keeps
+            # the enclosure c [lo, hi] of sqrt(r), which sqrt(c^2 r) would
+            # not; reconstruction and the generic path read enclosures
+            root = AlgebraicReal.sqrt_rational(Fraction(m.group("rad")))
+            coef = Fraction(m.group("coef") or 1) / int(m.group("den") or 1)
+            if coef != 1:
+                root = root * coef
+            return -root if m.group("sign") == "-" else root
         return Fraction(s)
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise InputFormatError(f"cannot parse exact value {s!r}") from e
 
 
@@ -68,10 +70,14 @@ def format_real(x, digits: int = 12) -> dict:
 
 def load_matrix(obj: dict) -> CosMatrix:
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         rows = obj["cos"]
     except (KeyError, TypeError) as e:
         raise InputFormatError(f"matrix JSON needs 'dim' and 'cos': {e}") from e
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise InputFormatError(f"dim must be a JSON integer, got {dim!r}")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputFormatError("cos must be a list of rows, each a list of entries")
     if len(rows) != dim + 1:
         raise InputFormatError(f"expected {dim + 1} rows, got {len(rows)}")
     parsed = [[parse_real(x) for x in row] for row in rows]

@@ -1,6 +1,9 @@
 """The command-line surface: exit codes, JSON round trips, OBJ export."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,9 +13,11 @@ from fractions import Fraction
 import pytest
 
 import reptile_forge
+from reptile_forge import cli
 from reptile_forge.cli import main
 from reptile_forge.hill import Subdivision
 from reptile_forge.simplex import Simplex
+from helpers import DRAW_1, DRAW_14, cos_matrix_json
 
 TRIPOD_BAD = {
     "dim": 3,
@@ -23,6 +28,8 @@ TRIPOD_BAD = {
         ["1/2", "1/3", "1/3", "-1"],
     ],
 }
+
+GOLDEN = {"minpoly": [-1, 1, 1], "interval": ["0/1", "1/1"]}  # phi - 1
 
 REGULAR = {
     "dim": 3,
@@ -82,16 +89,7 @@ class TestFiedlerCommands:
     def test_minpoly_object_entries(self, tmp_path, capsys):
         # the path matrix with t = 0 and s = the golden quadratic root,
         # entries given as minimal-polynomial objects
-        s_obj = {"minpoly": [-1, 1, 1], "interval": ["0/1", "1/1"]}
-        m = {
-            "dim": 3,
-            "cos": [
-                ["-1", "0", s_obj, s_obj],
-                ["0", "-1", "0", s_obj],
-                [s_obj, "0", "-1", "0"],
-                [s_obj, s_obj, "0", "-1"],
-            ],
-        }
+        m = FIEDLER_INPUTS["minpoly-object"]
         assert main(["fiedler", "check", write(tmp_path, "m.json", m)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["valid"] is True
@@ -123,6 +121,32 @@ class TestFiedlerCommands:
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and "degree" in lines[0]
+
+    @pytest.mark.parametrize("command", ["check", "reconstruct"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            # a float dim is not truncated to an integer, nor a string read as one
+            ({**REGULAR, "dim": 3.9}, "dim must be a JSON integer, got 3.9"),
+            ({**REGULAR, "dim": "3"}, "dim must be a JSON integer, got '3'"),
+            ({**REGULAR, "dim": True}, "dim must be a JSON integer, got True"),
+            ({"dim": 3, "cos": 5}, "cos must be a list of rows, each a list of entries"),
+            ({"dim": 3, "cos": ["-1", "0", "0", "0"]}, "cos must be a list of rows, each a list of entries"),
+            (
+                {"dim": 1, "cos": [["-1", "1/0"], ["1/0", "-1"]]},
+                "cannot parse exact value '1/0'",
+            ),
+            (
+                {"dim": 1, "cos": [["-1", "sqrt(2)/0"], ["sqrt(2)/0", "-1"]]},
+                "cannot parse exact value 'sqrt(2)/0'",
+            ),
+        ],
+    )
+    def test_malformed_matrix_exit_two(self, doc, message, command, tmp_path, capsys):
+        assert main(["fiedler", command, write(tmp_path, "m.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
 
 
 class TestHillCommands:
@@ -169,6 +193,16 @@ class TestHillCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: m must be a JSON integer, got {m!r}\n"
+
+    @pytest.mark.parametrize("key", ["m", "parent", "pieces"])
+    def test_verify_names_a_missing_key(self, key, tmp_path, capsys):
+        assert main(["hill", "subdivide", "--dim", "2", "--m", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc[key]
+        assert main(["hill", "verify", write(tmp_path, "sub.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: subdivision JSON has no {key!r} key\n"
 
     def test_grow_with_obj(self, tmp_path, capsys):
         obj_path = tmp_path / "grow.obj"
@@ -248,6 +282,150 @@ class TestHillOutputsPinned:
         witness = json.loads(out)["witnesses"]["interior_disjointness"]
         assert witness == "{'pieces': (0, 2), 'point': (Fraction(4, 3), Fraction(1, 1))}"
         assert sha256(out) == "b6a056b1be2149f8332e4865125cafee00de75edfc29e0f7d59a0c77d18dbc7b"
+
+
+# fiedler inputs whose outputs are pinned below
+INTEGER_TETRA = [(2, 1, 1), (0, -2, -1), (-1, 0, -1), (-2, 2, -2)]
+FIEDLER_INPUTS = {
+    "regular": REGULAR,
+    "integer-radicals": cos_matrix_json(INTEGER_TETRA),
+    # the same matrix with each entry written c*sqrt(r)/d
+    "coefficient-radicals": {
+        "dim": 3,
+        "cos": [
+            ["-1", "-3*sqrt(15)/25", "8*sqrt(1605)/535", "-2*sqrt(345)/69"],
+            ["-3*sqrt(15)/25", "-1", "151*sqrt(107)/1605", "-67*sqrt(23)/345"],
+            ["8*sqrt(1605)/535", "151*sqrt(107)/1605", "-1", "146*sqrt(2461)/7383"],
+            ["-2*sqrt(345)/69", "-67*sqrt(23)/345", "146*sqrt(2461)/7383", "-1"],
+        ],
+    },
+    # no rational descaling: the generic path prints the enclosures it derives
+    # from the entries' own
+    "coefficient-radicals-generic": {
+        "dim": 2,
+        "cos": [
+            ["-1", "3*sqrt(2)/7", "sqrt(2)/2"],
+            ["3*sqrt(2)/7", "-1", "sqrt(2)/2"],
+            ["sqrt(2)/2", "sqrt(2)/2", "-1"],
+        ],
+    },
+    "minpoly-object": {
+        "dim": 3,
+        "cos": [
+            ["-1", "0", GOLDEN, GOLDEN],
+            ["0", "-1", "0", GOLDEN],
+            [GOLDEN, "0", "-1", "0"],
+            [GOLDEN, GOLDEN, "0", "-1"],
+        ],
+    },
+    # a tetrahedron's matrix with entry (1, 3) raised from -2/3 to -1/3
+    "raised": {
+        "dim": 3,
+        "cos": [
+            ["-1", "sqrt(2/5)", "-sqrt(1/20)", "sqrt(9/10)"],
+            ["sqrt(2/5)", "-1", "sqrt(1/2)", "-1/3"],
+            ["-sqrt(1/20)", "sqrt(1/2)", "-1", "sqrt(2/9)"],
+            ["sqrt(9/10)", "-1/3", "sqrt(2/9)", "-1"],
+        ],
+    },
+    "draw-1": cos_matrix_json(DRAW_1),
+    "draw-14": cos_matrix_json(DRAW_14),
+}
+
+# (exit code, sha256 of stdout, sha256 of stderr) of `fiedler check` and
+# `fiedler reconstruct` on each input
+FIEDLER_PINS = {
+    ("coefficient-radicals", "check"): (
+        0,
+        "5d2b49e59ea038faeeffc3306b8d14e34a62517b42e8f6723ae9abfbe671c4ea",
+        "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
+    ),
+    ("coefficient-radicals", "reconstruct"): (
+        0,
+        "e7577f5e4f550f6a98ba950f506ca41121c1616f8451c55f3da933604c8df8d9",
+        "7b550c5a0aa2d169d4dddf0a3007763aeafcc09d900f6e696e81237e19de9e5b",
+    ),
+    ("coefficient-radicals-generic", "check"): (
+        1,
+        "3d56612579c514602b90cfda00ce4349806cf7578537ab0eeb54ded4a69ea034",
+        "1b5a5fbe9ae51ff714f0d2021b6068c1a52dd2cae2e6e3f836a03e207922bc29",
+    ),
+    ("coefficient-radicals-generic", "reconstruct"): (
+        1,
+        "6f3f2bf079976e05df41e867c87d56f66808e0aca7b5d65482ae6370034b6df3",
+        "36d11c31402939c1c1b6b844d56d6ca491b18a3e0976beefd90e8956bf3be92e",
+    ),
+    ("draw-1", "check"): (
+        0,
+        "960d2ef2ec339cfcc15fea2f7b9c5a1f827370c9b6bed84ff38a66792aed8cad",
+        "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
+    ),
+    ("draw-1", "reconstruct"): (
+        0,
+        "36443c5d6392762d90a717c8823dfe8544696db951cc83783b572fccc57fbfbd",
+        "7b550c5a0aa2d169d4dddf0a3007763aeafcc09d900f6e696e81237e19de9e5b",
+    ),
+    ("draw-14", "check"): (
+        0,
+        "2e4511b6868907185a9b0573e47ea6070fe6d3dab6254bad579c9e001a07bfbf",
+        "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
+    ),
+    ("draw-14", "reconstruct"): (
+        0,
+        "2e92af7059bdf39233173374420d4a4823d7d30f4bc624af1f9e7a9c03c3d0d5",
+        "7b550c5a0aa2d169d4dddf0a3007763aeafcc09d900f6e696e81237e19de9e5b",
+    ),
+    ("integer-radicals", "check"): (
+        0,
+        "5d2b49e59ea038faeeffc3306b8d14e34a62517b42e8f6723ae9abfbe671c4ea",
+        "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
+    ),
+    ("integer-radicals", "reconstruct"): (
+        0,
+        "e7bc7f1c9a5432c7bf544abc11d9a8f03d3ddfc21a807e08a33c16d1ba86ec25",
+        "7b550c5a0aa2d169d4dddf0a3007763aeafcc09d900f6e696e81237e19de9e5b",
+    ),
+    ("minpoly-object", "check"): (
+        0,
+        "25c19aa17db168532f0d46cf46d15f7076a5428b3093f3db43f27210ec323827",
+        "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
+    ),
+    ("minpoly-object", "reconstruct"): (
+        0,
+        "ab0bf3f200760887bc81d577042214871808aa9fcc9d364882c5c8597a83603b",
+        "7b550c5a0aa2d169d4dddf0a3007763aeafcc09d900f6e696e81237e19de9e5b",
+    ),
+    ("raised", "check"): (
+        1,
+        "2cb8352b564eaeb5561e4457e07159430f940f8811e1717105376bb8cfed2f94",
+        "1b5a5fbe9ae51ff714f0d2021b6068c1a52dd2cae2e6e3f836a03e207922bc29",
+    ),
+    ("raised", "reconstruct"): (
+        1,
+        "c3795059c40d242c2a393eb4f00957dc6feba013ed51a627bf6ea769d3c9db9c",
+        "3350e53b2ef10a5ee93cc84670cad3836a48c170fc56d0925a3cd599d0463c71",
+    ),
+    ("regular", "check"): (
+        0,
+        "482b63db29faf759945d16bb8c6daa3cb6abe371fe43a0f756b90a100d57fe52",
+        "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
+    ),
+    ("regular", "reconstruct"): (
+        0,
+        "ba349731118656b19f0e60fd6c715c2a39443884641912f2a063e9ab83d328ee",
+        "7b550c5a0aa2d169d4dddf0a3007763aeafcc09d900f6e696e81237e19de9e5b",
+    ),
+}
+
+
+class TestFiedlerOutputsPinned:
+    @pytest.mark.parametrize("command", ["check", "reconstruct"])
+    @pytest.mark.parametrize("name", sorted(FIEDLER_INPUTS))
+    def test_bytes(self, name, command, tmp_path, capsys):
+        rc = main(["fiedler", command, write(tmp_path, "m.json", FIEDLER_INPUTS[name])])
+        captured = capsys.readouterr()
+        got = (rc, sha256(captured.out), sha256(captured.err))
+        assert got == FIEDLER_PINS[name, command]
 
 
 class TestAnglesCommands:
@@ -343,6 +521,65 @@ class TestExport:
 
         sp = write(tmp_path, "tri.json", right_isosceles_triangle().to_json())
         assert main(["export", sp, "--obj", str(tmp_path / "t.obj")]) == 2
+
+
+def run_main(argv) -> tuple:
+    """main's exit code, as its process would end, and what it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestParserSubtrees:
+    """main builds only the parser subtree of the command it runs; what it
+    prints must be what the full parser prints."""
+
+    ARGVS = [
+        [],
+        ["--help"],
+        ["fiedler", "--help"],
+        ["fiedler", "check", "--help"],
+        ["fiedler", "reconstruct", "-h"],
+        ["hill", "--help"],
+        ["hill", "subdivide", "--help"],
+        ["angles", "classify", "--help"],
+        ["audit", "--help"],
+        ["audit", "step", "--help"],
+        ["export", "--help"],
+        ["bogus"],
+        ["fiedler", "bogus"],
+        ["fiedler"],
+        ["fiedler", "check"],
+        ["hill", "subdivide", "--dim", "2"],
+        ["fiedler", "check", "m.json", "--bogus"],
+        ["hill", "generate", "--dim", "2", "--cos", "-5/13"],
+        ["hill", "grow", "--generations", "two"],
+        ["angles", "classify", "-3/7"],
+        ["angles", "catalog", "x"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_same_text_and_exit_code_as_the_full_parser(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run_main(argv)
+        monkeypatch.setattr(cli, "_parser_for", lambda argv: cli.build_parser())
+        assert got == run_main(argv)
+
+    def test_only_the_named_subtree_is_built(self):
+        def commands(parser):
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return sorted(sub.choices)
+
+        assert commands(cli._parser_for(["fiedler", "check", "m.json"])) == ["fiedler"]
+        assert commands(cli._parser_for(["hill"])) == ["hill"]
+        full = ["angles", "audit", "export", "fiedler", "hill"]
+        assert commands(cli._parser_for(["--help"])) == full
+        assert commands(cli._parser_for([])) == full
+        assert commands(cli.build_parser()) == full
 
 
 class TestJsonRoundTrips:

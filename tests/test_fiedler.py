@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reptile_forge.algebra import AlgebraicReal, Golden, MPoly, PHI, as_algebraic, determinant
+from reptile_forge.algebra import AlgebraicReal, Golden, MPoly, PHI, as_algebraic, determinant, sturm
+from reptile_forge.cli import main
 from reptile_forge.fiedler import (
     CosMatrix,
     MalformedMatrixError,
@@ -25,7 +28,7 @@ from reptile_forge.fiedler import (
     reconstruct_simplex,
     tripod_matrix_symbolic,
 )
-from reptile_forge.jsonio import load_matrix
+from reptile_forge.jsonio import load_matrix, parse_real
 from reptile_forge.simplex import (
     Simplex,
     congruent,
@@ -34,17 +37,11 @@ from reptile_forge.simplex import (
     regular_tetrahedron,
     similar,
 )
-from helpers import random_rational_tetrahedron
+from helpers import DRAW_1, DRAW_14, cos_matrix_json, random_rational_tetrahedron
 
 PHI_M1 = AlgebraicReal.from_root([-1, 1, 1], 0, 1)  # phi - 1
 
-# draw 14 of the acceptance suite's soundness set: its Fiedler kernel has
-# entries near 10^3, so the unscaled reconstruction is tiny
-DRAW_14 = [(0, -4, 7), (0, Fraction(7, 3), Fraction(-7, 3)), (Fraction(9, 4), 2, -2), (-2, -2, -3)]
 ORTHO_235 = [(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5)]
-# draw 1 of the same set: descaling its matrix JSON meets a num * den above
-# 10^14, past the squarefree factoring cap
-DRAW_1 = [(8, 1, Fraction(-9, 2)), (3, -2, -5), (2, -2, Fraction(5, 4)), (0, 4, -6)]
 
 
 def matrix_of(verts) -> CosMatrix:
@@ -430,3 +427,86 @@ class TestSymbolicMatrices:
         s = MPoly.variable(vars, "s", Golden.of(1))
         one = MPoly.constant(vars, Golden.of(1))
         assert det != (one + s) ** 2 * (one - 2 * s - 3 * t**2)
+
+
+# a tetrahedron's matrix with +-sqrt(q) entries, as the CLI reads it
+SQRT_MATRIX = cos_matrix_json([(2, 1, 1), (0, -2, -1), (-1, 0, -1), (-2, 2, -2)])
+
+
+class TestMatrixIntake:
+    def test_sqrt_entries_read_without_isolation_or_resultant(self, monkeypatch):
+        import reptile_forge.algebra.algebraic as algebraic_mod
+        import reptile_forge.algebra.sturm as sturm_mod
+
+        def refuse(*args):
+            raise AssertionError("called")
+
+        algebraic_mod._root_intervals.cache_clear()
+        monkeypatch.setattr(sturm_mod, "isolate_roots", refuse)
+        monkeypatch.setattr(algebraic_mod, "_arith", refuse)
+        a = load_matrix(SQRT_MATRIX)
+        assert sum(not x.is_rational for row in a.entries for x in row) == 12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["", "+", "-"]),
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.fractions(min_value=0, max_value=50, max_denominator=60),
+        st.one_of(st.none(), st.integers(1, 40)),
+    )
+    def test_radical_forms_read_as_a_scaled_root(self, sign, coef, rad, den):
+        spec = (
+            sign
+            + ("" if coef is None else f"{coef}*")
+            + f"sqrt({rad.numerator}/{rad.denominator})"
+            + ("" if den is None else f"/{den}")
+        )
+        scale = Fraction(1 if coef is None else coef, den or 1) * (-1 if sign == "-" else 1)
+        want = AlgebraicReal.sqrt_rational(rad) * scale
+        got = parse_real(spec)
+        assert got.compare(want) == 0
+        # the same enclosure as the scaled root, which the generic path prints
+        assert (got.minpoly, got.interval()) == (want.minpoly, want.interval())
+
+    # the minimal polynomials of sqrt(2), cos(2 pi / 7) and 2 cos(2 pi / 9),
+    # and x^4 - 4x^2 + 2, irreducible with four real roots
+    @pytest.mark.parametrize("coeffs", [(-2, 0, 1), (-1, -4, 4, 8), (1, -3, 0, 1), (2, 0, -4, 0, 1)])
+    def test_distinct_roots_of_one_minpoly_compare_unequal(self, coeffs):
+        roots = [AlgebraicReal.from_root(coeffs, lo, hi) for lo, hi in sturm.isolate_roots(coeffs)]
+        twins = [AlgebraicReal.from_root(coeffs, lo, hi) for lo, hi in sturm.isolate_roots(coeffs)]
+        assert len(roots) >= 2
+        for i, x in enumerate(roots):
+            for j, y in enumerate(twins):
+                if j % 2:
+                    y.refine_below(y.interval().width / 3)  # a different enclosure of the same root
+                assert (x.compare(y) == 0) == (i == j)
+                assert x.compare(y) == (i > j) - (i < j)
+
+
+class TestCharPolyOnRead:
+    def test_reconstruct_computes_no_char_poly(self, monkeypatch, tmp_path, capsys):
+        import reptile_forge.fiedler as fiedler_mod
+
+        calls = []
+        real = fiedler_mod._char_poly
+        monkeypatch.setattr(fiedler_mod, "_char_poly", lambda m: calls.append(m) or real(m))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(SQRT_MATRIX), encoding="utf-8")
+        assert main(["fiedler", "reconstruct", str(path)]) == 0
+        assert calls == []
+        capsys.readouterr()
+        assert main(["fiedler", "check", str(path)]) == 0
+        assert len(calls) == 1
+        printed = json.loads(capsys.readouterr().out)["char_poly"]
+        assert printed == [str(c.as_fraction()) for c in char_poly(load_matrix(SQRT_MATRIX))]
+
+    def test_verdict_char_poly_is_read_once(self, monkeypatch):
+        import reptile_forge.fiedler as fiedler_mod
+
+        calls = []
+        real = fiedler_mod._char_poly
+        monkeypatch.setattr(fiedler_mod, "_char_poly", lambda m: calls.append(m) or real(m))
+        v = realizability_check(matrix_of(ORTHO_235))
+        assert calls == []
+        assert v.char_poly == (0, 2, 5, 4, 1) and v.char_poly == (0, 2, 5, 4, 1)
+        assert len(calls) == 1
