@@ -3,7 +3,8 @@
 Subpackages and modules:
 
 - ``algebra``: integer polynomials, Sturm isolation, exact algebraic reals,
-  the golden-ratio field, and a small multivariate symbolic ring
+  number fields Q[x]/(m) (the golden-ratio field Q(phi) among them), exact
+  linear algebra, and a small multivariate symbolic ring
 - ``trig``: rational angles, cosine minimal polynomials, degree catalogs
 - ``simplex``: simplices, dihedral data, congruence/similarity, angle lemmas
 - ``fiedler``: dihedral-angle realizability and reconstruction

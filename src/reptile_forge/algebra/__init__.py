@@ -8,7 +8,8 @@ Public surface:
 - ``arith`` / ``compare`` / ``refine``: operation-style wrappers
 - ``euler_totient(n)``
 - ``eliminate``: resultant elimination of a shared generator
-- ``Golden`` / ``MPoly``: the golden-ratio field and small symbolic ring
+- ``NumberField`` / ``FieldElement`` / ``MPoly``: number fields Q[x]/(m), the
+  golden-ratio field ``QPHI`` among them, and a small symbolic ring
 """
 
 from __future__ import annotations
@@ -27,23 +28,25 @@ from .algebraic import (
     refine,
 )
 from .factor import FactorError, irreducible_factors, is_irreducible
-from .golden import INV_PHI, INV_PHI2, PHI, Golden
 from .intpoly import Poly
 from .linalg import det_int
 from .multipoly import MPoly, determinant
+from .numberfield import INV_PHI, INV_PHI2, PHI, QPHI, FieldElement, NumberField
 
 __all__ = [
     "AlgebraicReal",
     "DegreeOverflowError",
     "DEGREE_CAP",
     "FactorError",
+    "FieldElement",
     "Fraction",
-    "Golden",
     "Interval",
     "MPoly",
+    "NumberField",
     "PHI",
     "INV_PHI",
     "INV_PHI2",
+    "QPHI",
     "Poly",
     "arith",
     "as_algebraic",

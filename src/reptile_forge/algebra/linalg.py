@@ -1,5 +1,5 @@
-"""The one elimination layer: determinants, row reduction, kernels, solves,
-interpolation and rational square roots.
+"""The one elimination layer: determinants, characteristic polynomials, row
+reduction, kernels, solves, interpolation and rational square roots.
 
 The exact routines work over any field whose elements support the plain
 operators: Fraction, AlgebraicReal (which mixes with Fraction), or float.
@@ -80,6 +80,15 @@ def det_int(a: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def char_poly(m: list[list]) -> list:
+    """det(lambda I - M) over the entries' field, low coefficients first:
+    determinants at lambda = 0..n, interpolated."""
+    n = len(m)
+    pts = list(range(n + 1))
+    vals = [det([[(x0 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]) for x0 in pts]
+    return interpolate(pts, vals)
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:

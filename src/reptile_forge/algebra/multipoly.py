@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials over an exact field.
 
-Coefficients may be Fraction or Golden (anything with field arithmetic and
-truthiness).  Terms are keyed by exponent tuples over a fixed variable
+Coefficients may be Fraction or a number-field element such as one of
+Q(phi) (anything with field arithmetic and truthiness).  Terms are keyed by exponent tuples over a fixed variable
 list.  This is deliberately small: the symbolic determinant identities
 need ring arithmetic, substitution, and nothing else.
 """

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INV_PHI, INV_PHI2, PHI, AlgebraicReal, Golden, MPoly
+from .algebra import INV_PHI, INV_PHI2, PHI, QPHI, AlgebraicReal, FieldElement, MPoly
 from .algebra import eliminate as algebra_eliminate
 from .algebra import intpoly as ip
 from .algebra import numberfield as nf
@@ -138,17 +138,14 @@ def _decimal(f, places: int = 6) -> str:
 
 
 def _golden_str(g) -> str:
-    return Golden.of(g).to_json()
+    return QPHI(g).to_json()
 
 
 def _mpoly_dump(p: MPoly) -> list:
-    out = []
-    for e, c in sorted(p.terms.items()):
-        if isinstance(c, Golden):
-            out.append([list(e), _golden_str(c)])
-        else:
-            out.append([list(e), _frac(c)])
-    return out
+    return [
+        [list(e), c.to_json() if isinstance(c, FieldElement) else _frac(c)]
+        for e, c in sorted(p.terms.items())
+    ]
 
 
 def _icbrt(n: int) -> int:
@@ -330,14 +327,14 @@ def tripod_identity_step(rows=None) -> AuditStep:
     mat = rows if rows is not None else tripod_matrix_symbolic()
     vars = mat[0][0].vars
     det = determinant(mat)
-    s = MPoly.variable(vars, "s", Golden.of(1))
-    t = MPoly.variable(vars, "t", Golden.of(1))
-    one = MPoly.constant(vars, Golden.of(1))
+    s = MPoly.variable(vars, "s", QPHI.one)
+    t = MPoly.variable(vars, "t", QPHI.one)
+    one = MPoly.constant(vars, QPHI.one)
     rhs = (one + s) ** 2 * (one - 2 * s - 3 * t**2)
     equal = det == rhs
     spot_s, spot_t = Fraction(1, 3), Fraction(1, 5)
-    lhs_spot = det.evaluate({"s": Golden.of(spot_s), "t": Golden.of(spot_t)})
-    rhs_spot = rhs.evaluate({"s": Golden.of(spot_s), "t": Golden.of(spot_t)})
+    lhs_spot = det.evaluate({"s": QPHI(spot_s), "t": QPHI(spot_t)})
+    rhs_spot = rhs.evaluate({"s": QPHI(spot_s), "t": QPHI(spot_t)})
     return AuditStep(
         "tripod-identity",
         "triangle-tripod determinant factorization",
@@ -359,9 +356,9 @@ def multiples_case_step(rows=None) -> AuditStep:
     vector (t < 1), which no realizable matrix allows."""
     mat = rows if rows is not None else multiples_matrix_symbolic()
     vars = mat[0][0].vars
-    t = MPoly.variable(vars, "t", Golden.of(1))
-    one = MPoly.constant(vars, Golden.of(1))
-    zero = MPoly.constant(vars, Golden.of(0))
+    t = MPoly.variable(vars, "t", QPHI.one)
+    one = MPoly.constant(vars, QPHI.one)
+    zero = MPoly.constant(vars, QPHI.zero)
     row_sum = [mat[0][j] + mat[3][j] for j in range(4)]
     expected = [t - one, zero, zero, t - one]
     rows_ok = all(a == b for a, b in zip(row_sum, expected))
@@ -402,16 +399,16 @@ def path_complement_step(rows=None) -> AuditStep:
     (0, t-1, t-1, 0), again a forbidden sign-definite row-space vector."""
     mat = rows if rows is not None else complement_matrix_symbolic()
     vars = mat[0][0].vars
-    t = MPoly.variable(vars, "t", Golden.of(1))
-    one = MPoly.constant(vars, Golden.of(1))
-    zero = MPoly.constant(vars, Golden.of(0))
+    t = MPoly.variable(vars, "t", QPHI.one)
+    one = MPoly.constant(vars, QPHI.one)
+    zero = MPoly.constant(vars, QPHI.zero)
     row_sum = [mat[1][j] + mat[2][j] for j in range(4)]
     expected = [zero, t - one, t - one, zero]
     rows_ok = all(a == b for a, b in zip(row_sum, expected))
     spot = {
         "t": _frac(Fraction(2, 3)),
         "row_sum": [
-            _golden_str(x.evaluate({"t": Golden.of(Fraction(2, 3))})) for x in row_sum
+            _golden_str(x.evaluate({"t": QPHI(Fraction(2, 3))})) for x in row_sum
         ],
     }
     return AuditStep(
@@ -497,9 +494,9 @@ def path_det_factorization_step() -> AuditStep:
     mat = path_matrix_symbolic(SYM_VARS_L)
     vars = SYM_VARS_L
     det = determinant(mat)
-    s = MPoly.variable(vars, "s", Golden.of(1))
-    t = MPoly.variable(vars, "t", Golden.of(1))
-    one = MPoly.constant(vars, Golden.of(1))
+    s = MPoly.variable(vars, "s", QPHI.one)
+    t = MPoly.variable(vars, "t", QPHI.one)
+    one = MPoly.constant(vars, QPHI.one)
     f1 = s**2 + t**2 + s * t + s + t - one
     f2 = s - MPoly.constant(vars, INV_PHI2) * t + MPoly.constant(vars, INV_PHI)
     f3 = t - MPoly.constant(vars, INV_PHI2) * s + MPoly.constant(vars, INV_PHI)
@@ -512,16 +509,13 @@ def path_det_factorization_step() -> AuditStep:
     remainder = charpoly.substitute({"L": lam1})
     divides = remainder.is_zero
     spot = {"s": _frac(Fraction(1, 4)), "t": _frac(Fraction(1, 2))}
-    lhs_spot = det.evaluate(
-        {"s": Golden.of(Fraction(1, 4)), "t": Golden.of(Fraction(1, 2)), "L": Golden.of(0)}
-    )
-    rhs_spot = (-(phi2 * f1 * f2 * f3)).evaluate(
-        {"s": Golden.of(Fraction(1, 4)), "t": Golden.of(Fraction(1, 2)), "L": Golden.of(0)}
-    )
+    at = {"s": QPHI(Fraction(1, 4)), "t": QPHI(Fraction(1, 2)), "L": QPHI.zero}
+    lhs_spot = det.evaluate(at)
+    rhs_spot = (-(phi2 * f1 * f2 * f3)).evaluate(at)
     # lam1 at (s, t) = (0, phi/2) equals -1/2 and is a char-poly root there
-    lam1_at = lam1.evaluate({"s": Golden.of(0), "t": PHI * Fraction(1, 2), "L": Golden.of(0)})
+    lam1_at = lam1.evaluate({"s": QPHI.zero, "t": PHI * Fraction(1, 2), "L": QPHI.zero})
     char_at = charpoly.evaluate(
-        {"s": Golden.of(0), "t": PHI * Fraction(1, 2), "L": lam1_at}
+        {"s": QPHI.zero, "t": PHI * Fraction(1, 2), "L": lam1_at}
     )
     ok = identity_cleared and identity_eigen and divides and lhs_spot == rhs_spot and not char_at
     return AuditStep(
@@ -565,8 +559,8 @@ def bound_chain_step() -> AuditStep:
     arccos_ok = ahi < Fraction(2, 3) * pi_lo
     # rearrangement lam1 <= 0  <=>  s >= t/phi^2 - 1/phi  (phi > 0)
     vars = SYM_VARS
-    t = MPoly.variable(vars, "t", Golden.of(1))
-    s = MPoly.variable(vars, "s", Golden.of(1))
+    t = MPoly.variable(vars, "t", QPHI.one)
+    s = MPoly.variable(vars, "s", QPHI.one)
     lam1 = path_eigenvalue_symbolic(vars)
     rearranged = MPoly.constant(vars, PHI) * (
         MPoly.constant(vars, INV_PHI2) * t - MPoly.constant(vars, INV_PHI) - s
@@ -616,17 +610,17 @@ def exclude_pi_over_5_step() -> AuditStep:
     phi_half = (PHI * Fraction(1, 2)).to_algebraic()
     t_is_phi_half = t_val.compare(phi_half) == 0
     s_thresh = cosine_of(RationalAngle.of(3, 5))
-    s0 = (Golden.of(Fraction(1, 2)) - PHI * Fraction(1, 2)).to_algebraic()  # (1-phi)/2
+    s0 = (QPHI(Fraction(1, 2)) - PHI * Fraction(1, 2)).to_algebraic()  # (1-phi)/2
     thresh_ok = s_thresh.compare(s0) == 0
     # lam1 at t = phi/2 is -phi*s - 1/2 (t/phi = 1/2 exactly)
     vars = SYM_VARS
     lam1 = path_eigenvalue_symbolic(vars)
     lam1_at_t = lam1.substitute({"t": PHI * Fraction(1, 2)})
-    s = MPoly.variable(vars, "s", Golden.of(1))
-    expected = -(MPoly.constant(vars, PHI) * s) - MPoly.constant(vars, Golden.of(Fraction(1, 2)))
+    s = MPoly.variable(vars, "s", QPHI.one)
+    expected = -(MPoly.constant(vars, PHI) * s) - MPoly.constant(vars, QPHI(Fraction(1, 2)))
     sub_ok = lam1_at_t == expected
     # boundary value: lam1 at s = (1-phi)/2 is exactly 0
-    boundary = lam1_at_t.evaluate({"s": Golden.of(Fraction(1, 2)) - PHI * Fraction(1, 2), "t": Golden.of(0)})
+    boundary = lam1_at_t.evaluate({"s": QPHI(Fraction(1, 2)) - PHI * Fraction(1, 2), "t": QPHI.zero})
     boundary_ok = not boundary
     slope_negative = (-PHI).sign() < 0
     ok = t_minpoly_ok and t_is_phi_half and thresh_ok and sub_ok and boundary_ok and slope_negative
@@ -663,8 +657,8 @@ def _path_det_in_t_coeffs() -> list[list[int]]:
     deg_t = det.degree_in("t")
     table = [[0] * (deg_t + 1) for _ in range(deg_s + 1)]
     for (es, et), c in det.terms.items():
-        assert isinstance(c, Golden) and c.b == 0 and c.a.denominator == 1
-        table[es][et] = int(c.a)
+        assert c.is_rational and c.c[0].denominator == 1
+        table[es][et] = int(c.c[0])
     return table
 
 
@@ -753,46 +747,27 @@ def final_cases_step() -> AuditStep:
 def _det_vanishes_at(table: list[list[int]], s_val: AlgebraicReal, t_val: AlgebraicReal) -> bool:
     """Exact zero test of the bivariate determinant at algebraic (s, t).
 
-    Rational cases reduce to divisibility via a single resultant; otherwise
-    the value is analyzed in the number field Q(s): the gcd of det(s, t)
-    (as a polynomial in t over Q(s)) with t's minimal polynomial tells
-    which conjugates of t vanish, and a degree-1 gcd pins the root exactly.
+    The determinant is a polynomial D in t over the number field Q(s).  A
+    rational t is a zero test of D(t) in Q(s).  Otherwise the gcd of D with
+    t's minimal polynomial tells which conjugates of t vanish, and a
+    degree-1 gcd pins the root exactly.
     """
-    deg_t = max(len(row) for row in table)
+    iv = s_val.interval()
+    field = nf.NumberField(s_val.minpoly, iv.lo, iv.hi)
+    d_coeffs = [
+        field.element([table[i][j] if j < len(table[i]) else 0 for i in range(len(table))])
+        for j in range(max(len(row) for row in table))
+    ]
     if t_val.is_rational:
         tv = t_val.as_fraction()
-        coeffs = [sum(Fraction(row[j]) * tv**j for j in range(len(row))) for row in table]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        poly_s = ip.poly(int(c * den) for c in coeffs)
-        if not poly_s:
-            return True
-        return not s_val.poly_image(poly_s)
-    if s_val.is_rational:
-        sv = s_val.as_fraction()
-        coeffs = [
-            sum(Fraction(table[i][j]) * sv**i for i in range(len(table)) if j < len(table[i]))
-            for j in range(deg_t)
-        ]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        poly_t = ip.poly(int(c * den) for c in coeffs)
-        if not poly_t:
-            return True
-        return not t_val.poly_image(poly_t)
-    mp_s = s_val.minpoly
-    mp_t = t_val.minpoly
-    d_coeffs = [
-        nf.element([table[i][j] if j < len(table[i]) else 0 for i in range(len(table))], mp_s)
-        for j in range(deg_t)
-    ]
-    m_t_embedded = [nf.element([c], mp_s) for c in mp_t]
-    g = nf.poly_gcd_in_t(d_coeffs, m_t_embedded, mp_s)
+        return not sum((c * tv**j for j, c in enumerate(d_coeffs)), field.zero)
+    g = nf.poly_gcd_in_t(d_coeffs, [field(c) for c in t_val.minpoly])
     if len(g) <= 1:
         return False
-    if len(g) - 1 == ip.degree(mp_t):
+    if len(g) - 1 == t_val.degree:
         return True
     # linear gcd t + g0: the vanishing conjugate is -g0, an element of Q(s)
-    root = nf.to_algebraic(tuple(-c for c in g[0]), s_val)
-    return root.compare(t_val) == 0
+    return (-g[0]).to_algebraic().compare(t_val) == 0
 
 
 def _catalog_gaps(root: AlgebraicReal) -> dict:
@@ -943,7 +918,7 @@ def verify_step(step: AuditStep) -> bool:
             and fresh.certificate["charpoly_remainder"] == cert["charpoly_remainder"]
         )
     if sid == "bound-chain":
-        bound = Golden.from_json(cert["exact_bound"])
+        bound = QPHI.from_json(cert["exact_bound"])
         if bound != INV_PHI2 * Fraction(1, 2) - INV_PHI:
             return False
         alg = bound.to_algebraic()
@@ -963,8 +938,8 @@ def verify_step(step: AuditStep) -> bool:
         t_val = cosine_of(RationalAngle.of(1, 5))
         if list(t_val.minpoly) != cert["t_minpoly"]:
             return False
-        boundary = Golden.from_json(cert["lam1_boundary_value"])
-        slope = Golden.from_json(cert["slope"])
+        boundary = QPHI.from_json(cert["lam1_boundary_value"])
+        slope = QPHI.from_json(cert["slope"])
         return (not boundary) and slope.sign() < 0 and cert["boundary_is_zero"]
     if sid == "final-cases":
         table = _path_det_in_t_coeffs()

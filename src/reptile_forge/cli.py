@@ -254,7 +254,7 @@ def cmd_audit_step(args) -> int:
 
 def cmd_export(args) -> int:
     doc = read_json_document(_read_input(args.input))
-    if "pieces" in doc:
+    if isinstance(doc, dict) and "pieces" in doc:
         sub = hill_mod.Subdivision.from_json(doc)
         items = [sub.parent] + list(sub.pieces) if args.include_parent else list(sub.pieces)
         names = (["parent"] if args.include_parent else []) + [

@@ -17,8 +17,8 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import AlgebraicReal, Golden, MPoly, as_algebraic, determinant
-from .algebra.linalg import cholesky, det, interpolate, nullspace, rational_sqrt, solve
+from .algebra import INV_PHI, PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, determinant, linalg
+from .algebra.linalg import cholesky, det, nullspace, rational_sqrt, solve
 from .simplex import FLOAT_TOL, DihedralData, Simplex, dihedral_data
 
 SYM_VARS = ("s", "t")
@@ -108,7 +108,7 @@ class RealizabilityVerdict:
         None when A does not descale."""
         if self.similar_matrix is None:
             return None
-        return tuple(_char_poly(self.similar_matrix))
+        return tuple(linalg.char_poly(self.similar_matrix))
 
 
 def _congruence_analysis(m: list[list]) -> dict:
@@ -358,16 +358,7 @@ def _solve_certificate(rows, tight, flip):
 def char_poly(a: CosMatrix) -> list:
     """Exact characteristic polynomial det(lambda I - A), low-first, monic."""
     rows = [[x.as_fraction() if x.is_rational else x for x in r] for r in a.entries]
-    return [as_algebraic(c) for c in _char_poly(rows)]
-
-
-def _char_poly(m: list[list]) -> list:
-    """det(lambda I - M) over the entries' field, low coefficients first:
-    determinants at lambda = 0..n, interpolated."""
-    n = len(m)
-    pts = list(range(n + 1))
-    vals = [det([[(x0 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]) for x0 in pts]
-    return interpolate(pts, vals)
+    return [as_algebraic(c) for c in linalg.char_poly(rows)]
 
 
 def reconstruct_simplex(a: CosMatrix, tol: float = FLOAT_TOL) -> Simplex:
@@ -404,11 +395,11 @@ def reconstruct_simplex(a: CosMatrix, tol: float = FLOAT_TOL) -> Simplex:
 
 
 def _sym(vars: tuple[str, ...], name: str) -> MPoly:
-    return MPoly.variable(vars, name, Golden.of(1))
+    return MPoly.variable(vars, name, QPHI.one)
 
 
 def _const(vars: tuple[str, ...], x) -> MPoly:
-    return MPoly.constant(vars, Golden.of(x))
+    return MPoly.constant(vars, QPHI(x))
 
 
 def tripod_matrix_symbolic(vars: tuple[str, ...] = SYM_VARS) -> list[list[MPoly]]:
@@ -462,8 +453,6 @@ def complement_matrix_symbolic(vars: tuple[str, ...] = ("t",)) -> list[list[MPol
 
 def path_eigenvalue_symbolic(vars: tuple[str, ...] = SYM_VARS) -> MPoly:
     """The distinguished eigenvalue -phi*s + t/phi - 1 of the path matrix."""
-    from .algebra import INV_PHI, PHI
-
     s, t = _sym(vars, "s"), _sym(vars, "t")
     return -(MPoly.constant(vars, PHI) * s) + MPoly.constant(vars, INV_PHI) * t - _const(vars, 1)
 
@@ -472,9 +461,9 @@ def char_poly_symbolic(rows: list[list[MPoly]], lam: str = "L") -> MPoly:
     """det(A - lambda I) over the matrix's coefficient ring."""
     n = len(rows)
     vars = rows[0][0].vars
-    lam_poly = MPoly.variable(vars, lam, Golden.of(1))
+    lam_poly = MPoly.variable(vars, lam, QPHI.one)
     shifted = [
-        [rows[i][j] - (lam_poly if i == j else MPoly.constant(vars, Golden.of(0))) for j in range(n)]
+        [rows[i][j] - (lam_poly if i == j else MPoly.constant(vars, QPHI.zero)) for j in range(n)]
         for i in range(n)
     ]
     return determinant(shifted)

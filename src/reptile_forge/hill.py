@@ -19,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from .algebra.linalg import cholesky, rational_sqrt, rref
+from .jsonio import InputFormatError, load_simplex
 from .simplex import FLOAT_TOL, Simplex, _orientation_sign, congruent, similar, volume
 
 
@@ -156,6 +157,8 @@ class Subdivision:
 
     @staticmethod
     def from_json(obj: dict) -> "Subdivision":
+        if not isinstance(obj, dict):
+            raise InputFormatError("subdivision JSON must be an object")
         for key in ("m", "parent", "pieces"):
             if key not in obj:
                 raise ValueError(f"subdivision JSON has no {key!r} key")
@@ -164,10 +167,10 @@ class Subdivision:
             raise ValueError(f"m must be a JSON integer, got {m!r}")
         if m < 2:
             raise ValueError("m must be at least 2")
+        if not isinstance(obj["pieces"], list):
+            raise InputFormatError("pieces must be a list of simplices")
         return Subdivision(
-            Simplex.from_json(obj["parent"]),
-            tuple(Simplex.from_json(p) for p in obj["pieces"]),
-            m,
+            load_simplex(obj["parent"]), tuple(load_simplex(p) for p in obj["pieces"]), m
         )
 
 

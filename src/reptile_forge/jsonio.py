@@ -35,6 +35,8 @@ def parse_real(spec):
             return AlgebraicReal.from_json(spec)
         except (KeyError, ValueError) as e:
             raise InputFormatError(f"bad algebraic-number object: {e}") from e
+    if isinstance(spec, bool):
+        raise InputFormatError(f"cannot parse exact value {json.dumps(spec)}: a boolean is not a number")
     if isinstance(spec, (int, Fraction)):
         return Fraction(spec)
     if isinstance(spec, float):
@@ -85,6 +87,8 @@ def load_matrix(obj: dict) -> CosMatrix:
 
 
 def load_simplex(obj: dict) -> Simplex:
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"bad simplex JSON: expected an object, got {json.dumps(obj)[:40]}")
     try:
         return Simplex.from_json(obj)
     except (KeyError, ValueError, TypeError) as e:

@@ -107,7 +107,7 @@ def test_criterion_3_fiedler_soundness_200():
 
 
 def test_criterion_4_symbolic_identities():
-    from reptile_forge.algebra import INV_PHI, INV_PHI2, PHI, Golden, MPoly, determinant
+    from reptile_forge.algebra import INV_PHI, INV_PHI2, PHI, QPHI, MPoly, determinant
     from reptile_forge.fiedler import (
         char_poly_symbolic,
         path_eigenvalue_symbolic,
@@ -119,9 +119,9 @@ def test_criterion_4_symbolic_identities():
     t0 = time.monotonic()
     mat = tripod_matrix_symbolic()
     vars = mat[0][0].vars
-    s = MPoly.variable(vars, "s", Golden.of(1))
-    t = MPoly.variable(vars, "t", Golden.of(1))
-    one = MPoly.constant(vars, Golden.of(1))
+    s = MPoly.variable(vars, "s", QPHI.one)
+    t = MPoly.variable(vars, "t", QPHI.one)
+    one = MPoly.constant(vars, QPHI.one)
     tripod_ok = determinant(mat) == (one + s) ** 2 * (one - 2 * s - 3 * t**2)
     t_tripod = time.monotonic() - t0
 
@@ -131,9 +131,9 @@ def test_criterion_4_symbolic_identities():
     vars = ("s", "t")
     pmat = path_matrix_symbolic(vars)
     det = determinant(pmat)
-    s = MPoly.variable(vars, "s", Golden.of(1))
-    t = MPoly.variable(vars, "t", Golden.of(1))
-    one = MPoly.constant(vars, Golden.of(1))
+    s = MPoly.variable(vars, "s", QPHI.one)
+    t = MPoly.variable(vars, "t", QPHI.one)
+    one = MPoly.constant(vars, QPHI.one)
     f1 = s**2 + t**2 + s * t + s + t - one
     f2 = s - MPoly.constant(vars, INV_PHI2) * t + MPoly.constant(vars, INV_PHI)
     f3 = t - MPoly.constant(vars, INV_PHI2) * s + MPoly.constant(vars, INV_PHI)

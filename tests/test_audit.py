@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptile_forge import audit
-from reptile_forge.algebra import Golden, MPoly, PHI
+from reptile_forge.algebra import MPoly, PHI, QPHI
 from reptile_forge.audit import (
     AuditStep,
     _rho_enclosure,
@@ -93,7 +93,7 @@ class TestSymbolicSteps:
     def test_tripod_negative_control(self):
         rows = tripod_matrix_symbolic()
         vars = rows[0][0].vars
-        t = MPoly.variable(vars, "t", Golden.of(1))
+        t = MPoly.variable(vars, "t", QPHI.one)
         rows[0][1] = -t
         rows[1][0] = -t
         s = tripod_identity_step(rows)
@@ -108,7 +108,7 @@ class TestSymbolicSteps:
     def test_multiples_negative_control(self):
         rows = multiples_matrix_symbolic()
         vars = rows[0][0].vars
-        one = MPoly.constant(vars, Golden.of(1))
+        one = MPoly.constant(vars, QPHI.one)
         rows[0][0] = one  # break the diagonal
         s = multiples_case_step(rows)
         assert s.verdict == "fail"
@@ -157,8 +157,8 @@ class TestBoundChain:
 
     def test_exact_bound_value(self):
         s = bound_chain_step()
-        g = Golden.from_json(s.certificate["exact_bound"])
-        assert g == Golden.of(2) - PHI * Fraction(3, 2)
+        g = QPHI.from_json(s.certificate["exact_bound"])
+        assert g == QPHI(2) - PHI * Fraction(3, 2)
 
 
 class TestExcludePiOver5:
@@ -175,8 +175,8 @@ class TestExcludePiOver5:
         from reptile_forge.fiedler import path_eigenvalue_symbolic
 
         lam1 = path_eigenvalue_symbolic(("s", "t"))
-        inv2phi = Golden.of(Fraction(1, 2)) - PHI * Fraction(1, 2)  # (1-phi)/2 = -1/(2phi)
-        val = lam1.evaluate({"s": inv2phi, "t": Golden.of(Fraction(1, 2))})
+        inv2phi = QPHI(Fraction(1, 2)) - PHI * Fraction(1, 2)  # (1-phi)/2 = -1/(2phi)
+        val = lam1.evaluate({"s": inv2phi, "t": QPHI(Fraction(1, 2))})
         assert val  # nonzero
 
 
@@ -321,18 +321,18 @@ class TestIdentitiesAtRandomPoints:
         lam1 = path_eigenvalue_symbolic(vars)
         from reptile_forge.algebra import MPoly, PHI
 
-        s_var = MPoly.variable(vars, "s", Golden.of(1))
-        t_var = MPoly.variable(vars, "t", Golden.of(1))
-        one = MPoly.constant(vars, Golden.of(1))
+        s_var = MPoly.variable(vars, "s", QPHI.one)
+        t_var = MPoly.variable(vars, "t", QPHI.one)
+        one = MPoly.constant(vars, QPHI.one)
         f1 = s_var**2 + t_var**2 + s_var * t_var + s_var + t_var - one
         f2 = s_var - MPoly.constant(vars, INV_PHI2) * t_var + MPoly.constant(vars, INV_PHI)
         f3 = t_var - MPoly.constant(vars, INV_PHI2) * s_var + MPoly.constant(vars, INV_PHI)
         phi2 = MPoly.constant(vars, PHI * PHI)
         rhs_path = -(phi2 * f1 * f2 * f3)
         for _ in range(20):
-            s0 = Golden.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-            t0 = Golden.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-            at = {"s": s0, "t": t0, "L": Golden.of(0)}
+            s0 = QPHI(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            t0 = QPHI(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            at = {"s": s0, "t": t0, "L": QPHI.zero}
             # tripod determinant factorization
             lhs = tripod_det.evaluate(at)
             rhs = ((one + s_var) ** 2 * (one - 2 * s_var - 3 * t_var**2)).evaluate(at)

@@ -140,6 +140,15 @@ class TestFiedlerCommands:
                 {"dim": 1, "cos": [["-1", "sqrt(2)/0"], ["sqrt(2)/0", "-1"]]},
                 "cannot parse exact value 'sqrt(2)/0'",
             ),
+            # a JSON boolean is not read as the integer 0 or 1
+            (
+                {"dim": 1, "cos": [["-1", False], [False, "-1"]]},
+                "cannot parse exact value false: a boolean is not a number",
+            ),
+            (
+                {"dim": 1, "cos": [[True, "0"], ["0", "-1"]]},
+                "cannot parse exact value true: a boolean is not a number",
+            ),
         ],
     )
     def test_malformed_matrix_exit_two(self, doc, message, command, tmp_path, capsys):
@@ -203,6 +212,24 @@ class TestHillCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: subdivision JSON has no {key!r} key\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (5, "subdivision JSON must be an object"),
+            ({"m": 2, "parent": 5, "pieces": []}, "bad simplex JSON: expected an object, got 5"),
+            ({"m": 2, "parent": {"dim": 2}, "pieces": []}, "bad simplex JSON: 'vertices'"),
+            (
+                {"m": 2, "parent": {"dim": 1, "vertices": [["0"], ["1"]]}, "pieces": 7},
+                "pieces must be a list of simplices",
+            ),
+        ],
+    )
+    def test_verify_refuses_a_malformed_subdivision(self, doc, message, tmp_path, capsys):
+        assert main(["hill", "verify", write(tmp_path, "sub.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
 
     def test_grow_with_obj(self, tmp_path, capsys):
         obj_path = tmp_path / "grow.obj"
@@ -515,6 +542,10 @@ class TestExport:
         stats = json.loads(capsys.readouterr().out)
         assert stats["faces"] == 32
         assert stats["vertices"] <= 32
+
+    def test_document_not_an_object(self, tmp_path, capsys):
+        assert main(["export", write(tmp_path, "x.json", 5), "--obj", str(tmp_path / "x.obj")]) == 2
+        assert capsys.readouterr().err == "input error: bad simplex JSON: expected an object, got 5\n"
 
     def test_dimension_guard(self, tmp_path, capsys):
         from reptile_forge.simplex import right_isosceles_triangle

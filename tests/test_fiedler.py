@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reptile_forge.algebra import AlgebraicReal, Golden, MPoly, PHI, as_algebraic, determinant, sturm
+from reptile_forge.algebra import PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, determinant, sturm
 from reptile_forge.cli import main
 from reptile_forge.fiedler import (
     CosMatrix,
@@ -375,16 +375,16 @@ class TestSymbolicMatrices:
         mat = tripod_matrix_symbolic()
         det = determinant(mat)
         vars = mat[0][0].vars
-        s = MPoly.variable(vars, "s", Golden.of(1))
-        t = MPoly.variable(vars, "t", Golden.of(1))
-        one = MPoly.constant(vars, Golden.of(1))
+        s = MPoly.variable(vars, "s", QPHI.one)
+        t = MPoly.variable(vars, "t", QPHI.one)
+        one = MPoly.constant(vars, QPHI.one)
         assert det == (one + s) ** 2 * (one - 2 * s - 3 * t**2)
 
     def test_multiples_rows_sum(self):
         mat = multiples_matrix_symbolic()
         vars = mat[0][0].vars
-        t = MPoly.variable(vars, "t", Golden.of(1))
-        one = MPoly.constant(vars, Golden.of(1))
+        t = MPoly.variable(vars, "t", QPHI.one)
+        one = MPoly.constant(vars, QPHI.one)
         sums = [mat[0][j] + mat[3][j] for j in range(4)]
         assert sums[0] == t - one and sums[3] == t - one
         assert sums[1].is_zero and sums[2].is_zero
@@ -392,8 +392,8 @@ class TestSymbolicMatrices:
     def test_complement_rows_sum(self):
         mat = complement_matrix_symbolic()
         vars = mat[0][0].vars
-        t = MPoly.variable(vars, "t", Golden.of(1))
-        one = MPoly.constant(vars, Golden.of(1))
+        t = MPoly.variable(vars, "t", QPHI.one)
+        one = MPoly.constant(vars, QPHI.one)
         sums = [mat[1][j] + mat[2][j] for j in range(4)]
         assert sums[1] == t - one and sums[2] == t - one
         assert sums[0].is_zero and sums[3].is_zero
@@ -402,9 +402,9 @@ class TestSymbolicMatrices:
         vars = ("s", "t")
         mat = path_matrix_symbolic(vars)
         det = determinant(mat)
-        s = MPoly.variable(vars, "s", Golden.of(1))
-        t = MPoly.variable(vars, "t", Golden.of(1))
-        one = MPoly.constant(vars, Golden.of(1))
+        s = MPoly.variable(vars, "s", QPHI.one)
+        t = MPoly.variable(vars, "t", QPHI.one)
+        one = MPoly.constant(vars, QPHI.one)
         from reptile_forge.algebra import INV_PHI, INV_PHI2
 
         f1 = s**2 + t**2 + s * t + s + t - one
@@ -413,19 +413,19 @@ class TestSymbolicMatrices:
         phi2 = MPoly.constant(vars, PHI * PHI)
         assert det == -(phi2 * f1 * f2 * f3)
         # at t = 0 the determinant collapses to the golden quartic in s
-        at0 = det.substitute({"t": Golden.of(0)})
+        at0 = det.substitute({"t": QPHI.zero})
         expected = s**4 - 3 * s**2 + one
         assert at0 == expected
 
     def test_corrupted_tripod_identity_fails(self):
         mat = tripod_matrix_symbolic()
         vars = mat[0][0].vars
-        t = MPoly.variable(vars, "t", Golden.of(1))
+        t = MPoly.variable(vars, "t", QPHI.one)
         mat[0][1] = -t  # flip one sign
         mat[1][0] = -t
         det = determinant(mat)
-        s = MPoly.variable(vars, "s", Golden.of(1))
-        one = MPoly.constant(vars, Golden.of(1))
+        s = MPoly.variable(vars, "s", QPHI.one)
+        one = MPoly.constant(vars, QPHI.one)
         assert det != (one + s) ** 2 * (one - 2 * s - 3 * t**2)
 
 
@@ -485,11 +485,11 @@ class TestMatrixIntake:
 
 class TestCharPolyOnRead:
     def test_reconstruct_computes_no_char_poly(self, monkeypatch, tmp_path, capsys):
-        import reptile_forge.fiedler as fiedler_mod
+        from reptile_forge.algebra import linalg
 
         calls = []
-        real = fiedler_mod._char_poly
-        monkeypatch.setattr(fiedler_mod, "_char_poly", lambda m: calls.append(m) or real(m))
+        real = linalg.char_poly
+        monkeypatch.setattr(linalg, "char_poly", lambda m: calls.append(m) or real(m))
         path = tmp_path / "m.json"
         path.write_text(json.dumps(SQRT_MATRIX), encoding="utf-8")
         assert main(["fiedler", "reconstruct", str(path)]) == 0
@@ -501,11 +501,11 @@ class TestCharPolyOnRead:
         assert printed == [str(c.as_fraction()) for c in char_poly(load_matrix(SQRT_MATRIX))]
 
     def test_verdict_char_poly_is_read_once(self, monkeypatch):
-        import reptile_forge.fiedler as fiedler_mod
+        from reptile_forge.algebra import linalg
 
         calls = []
-        real = fiedler_mod._char_poly
-        monkeypatch.setattr(fiedler_mod, "_char_poly", lambda m: calls.append(m) or real(m))
+        real = linalg.char_poly
+        monkeypatch.setattr(linalg, "char_poly", lambda m: calls.append(m) or real(m))
         v = realizability_check(matrix_of(ORTHO_235))
         assert calls == []
         assert v.char_poly == (0, 2, 5, 4, 1) and v.char_poly == (0, 2, 5, 4, 1)
