@@ -10,6 +10,7 @@ Public surface:
 - ``eliminate``: resultant elimination of a shared generator
 - ``NumberField`` / ``FieldElement`` / ``MPoly``: number fields Q[x]/(m), the
   golden-ratio field ``QPHI`` among them, and a small symbolic ring
+- ``det``: the determinant over any of these rings (``linalg.det``)
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .algebraic import (
 )
 from .factor import FactorError, irreducible_factors, is_irreducible
 from .intpoly import Poly
-from .linalg import det_int
-from .multipoly import MPoly, determinant
+from .linalg import det, det_int
+from .multipoly import MPoly
 from .numberfield import INV_PHI, INV_PHI2, PHI, QPHI, FieldElement, NumberField
 
 __all__ = [
@@ -51,7 +52,7 @@ __all__ = [
     "arith",
     "as_algebraic",
     "compare",
-    "determinant",
+    "det",
     "eliminate",
     "enclosure",
     "euler_totient",

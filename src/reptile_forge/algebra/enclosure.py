@@ -132,11 +132,3 @@ def acos_fraction_bounds(c: Fraction, width: Fraction) -> Bounds:
                 raise ArithmeticError("arccos comparison undecidable")
     return lo, hi
 
-
-def acos_interval_bounds(clo: Fraction, chi: Fraction, width: Fraction) -> Bounds:
-    """Bracket of arccos over a value enclosure [clo, chi] in [-1, 1]."""
-    if clo > chi:
-        raise ValueError("empty value enclosure")
-    upper = acos_fraction_bounds(max(clo, Fraction(-1)), width)[1]
-    lower = acos_fraction_bounds(min(chi, Fraction(1)), width)[0]
-    return lower, upper

@@ -1,16 +1,19 @@
 """The one elimination layer: determinants, characteristic polynomials, row
 reduction, kernels, solves, interpolation and rational square roots.
 
-The exact routines work over any field whose elements support the plain
-operators: Fraction, AlgebraicReal (which mixes with Fraction), or float.
-Integers are promoted to Fraction first, because int / int is a float.
-Zero tests use ``not x``, which is O(1) on AlgebraicReal where ``x != 0``
-would refine an enclosure; ``rref`` leaves zero entries as they are rather
-than spend an AlgebraicReal operation on each.  In ``rref`` a float pivot
-must exceed FLOAT_PIVOT in magnitude.  ``det_int`` is fraction-free
-Bareiss elimination (Math. Comp. 22, 1968) on integer matrices.  The float
-routines (``cholesky``, ``unit_normal``) serve reconstructed and
-irrational-basis simplices of dimension at most 4.
+``char_poly`` and ``det`` share one core, Berkowitz's algorithm (Inf.
+Process. Lett. 18, 1984), which uses only ring operations: it serves
+Fraction, AlgebraicReal, number-field elements, MPoly and float entries
+alike.  ``det_int`` is fraction-free Bareiss elimination (Math. Comp. 22,
+1968), the faster route for integer matrices.  The remaining exact routines
+work over any field whose elements support the plain operators: Fraction,
+AlgebraicReal (which mixes with Fraction), or float.  Integers are promoted
+to Fraction first, because int / int is a float.  Zero tests use ``not x``,
+which is O(1) on AlgebraicReal where ``x != 0`` would refine an enclosure;
+``rref`` leaves zero entries as they are rather than spend an AlgebraicReal
+operation on each.  In ``rref`` a float pivot must exceed FLOAT_PIVOT in
+magnitude.  The float routines (``cholesky``, ``unit_normal``) serve
+reconstructed and irrational-basis simplices of dimension at most 4.
 
 This module imports nothing from the package.
 """
@@ -33,27 +36,44 @@ def _is_zero(x) -> bool:
     return not x
 
 
+def _berkowitz(rows: list[list]) -> list:
+    """[c_(n-1), ..., c_0] with det(lambda I - M) = lambda^n + c_(n-1)
+    lambda^(n-1) + ... + c_0, by Berkowitz's algorithm: the characteristic
+    polynomial of each leading k x k block is a Toeplitz matrix, built from
+    the block's new row and column, times that of the block before it."""
+    m = [[_promote(x) for x in r] for r in rows]
+    p: list = []  # the coefficients below the leading 1, high first
+    for k in range(len(m)):
+        row, col = m[k][:k], [m[i][k] for i in range(k)]
+        t = [-m[k][k]]  # -a_kk, -R C, -R A C, ..., -R A^(k-1) C
+        for j in range(k):
+            t.append(-_dot(row, col))
+            if j < k - 1:
+                col = [_dot(m[i][:k], col) for i in range(k)]
+        new = []
+        for r in range(k + 1):
+            c = t[r]
+            for j in range(r):
+                c = c + t[r - 1 - j] * p[j]
+            new.append(c + p[r] if r < k else c)
+        p = new
+    return p
+
+
+def _dot(xs: list, ys: list):
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
 def det(rows: list[list]):
-    """Determinant by Gaussian elimination over the entries' field."""
-    a = [[_promote(x) for x in r] for r in rows]
-    n = len(a)
-    sign = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0.0 if isinstance(a[k][k], float) else Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] / a[k][k]
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-    out = sign
-    for k in range(n):
-        out *= a[k][k]
-    return out
+    """Determinant over the entries' ring: (-1)^n times the constant
+    coefficient of the characteristic polynomial."""
+    p = _berkowitz(rows)
+    if not p:
+        return Fraction(1)
+    return -p[-1] if len(p) % 2 else p[-1]
 
 
 def det_int(a: list[list[int]]) -> int:
@@ -83,12 +103,8 @@ def det_int(a: list[list[int]]) -> int:
 
 
 def char_poly(m: list[list]) -> list:
-    """det(lambda I - M) over the entries' field, low coefficients first:
-    determinants at lambda = 0..n, interpolated."""
-    n = len(m)
-    pts = list(range(n + 1))
-    vals = [det([[(x0 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]) for x0 in pts]
-    return interpolate(pts, vals)
+    """det(lambda I - M) over the entries' ring, low coefficients first."""
+    return _berkowitz(m)[::-1] + [Fraction(1)]
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:

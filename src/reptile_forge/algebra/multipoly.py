@@ -1,15 +1,18 @@
 """Sparse multivariate polynomials over an exact field.
 
 Coefficients may be Fraction or a number-field element such as one of
-Q(phi) (anything with field arithmetic and truthiness).  Terms are keyed by exponent tuples over a fixed variable
-list.  This is deliberately small: the symbolic determinant identities
-need ring arithmetic, substitution, and nothing else.
+Q(phi) (anything with field arithmetic and truthiness).  Terms are keyed by
+exponent tuples over a fixed variable list.  This is deliberately small:
+the symbolic determinant identities need ring arithmetic, substitution, and
+nothing else.  Their determinants and characteristic polynomials come from
+``linalg.det`` and ``linalg.char_poly``, which use ring operations only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+
+from .linalg import det as determinant  # noqa: F401  (the name perfbench/tracer.py wraps)
 
 
 class MPoly:
@@ -154,9 +157,6 @@ class MPoly:
             total = term if total is None else total + term
         return total if total is not None else Fraction(0)
 
-    def map_coefficients(self, fn: Callable) -> "MPoly":
-        return MPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
-
     def to_json(self) -> list:
         def enc(c):
             return c.to_json() if hasattr(c, "to_json") else f"{c}"
@@ -174,24 +174,3 @@ class MPoly:
             parts.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
 
-
-def determinant(rows: list[list[MPoly]]) -> MPoly:
-    """Exact determinant by cofactor expansion (meant for n <= 5)."""
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("nonempty square matrix required")
-
-    def minor(cols: tuple[int, ...]) -> MPoly:
-        # determinant of the submatrix on rows [n-len(cols):] and `cols`
-        i = n - len(cols)
-        if len(cols) == 1:
-            return rows[i][cols[0]]
-        acc = None
-        for k, c in enumerate(cols):
-            term = rows[i][c] * minor(cols[:k] + cols[k + 1 :])
-            if k % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
-
-    return minor(tuple(range(n)))

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .algebra import INV_PHI, INV_PHI2, PHI, QPHI, AlgebraicReal, FieldElement, MPoly
 from .algebra import eliminate as algebra_eliminate
 from .algebra import intpoly as ip
+from .algebra import linalg
 from .algebra import numberfield as nf
 from .algebra import sturm
 from .algebra.enclosure import pi_bounds
@@ -42,7 +43,6 @@ from .fiedler import (
 )
 from .hill import HillSpec, Subdivision, subdivide, verify_reptile
 from .trig import RationalAngle, acos_enclosure, catalog, cosine_of, match_rational_angle
-from .algebra.multipoly import determinant
 
 RATIONALITY_ASSUMPTION = (
     "dihedral angles of a reptile tetrahedron admit a strictly positive rational "
@@ -326,7 +326,7 @@ def tripod_identity_step(rows=None) -> AuditStep:
     """det of the triangle-tripod matrix equals (1+s)^2 (1-2s-3t^2)."""
     mat = rows if rows is not None else tripod_matrix_symbolic()
     vars = mat[0][0].vars
-    det = determinant(mat)
+    det = linalg.det(mat)
     s = MPoly.variable(vars, "s", QPHI.one)
     t = MPoly.variable(vars, "t", QPHI.one)
     one = MPoly.constant(vars, QPHI.one)
@@ -493,7 +493,7 @@ def path_det_factorization_step() -> AuditStep:
     lam1 divides the characteristic polynomial."""
     mat = path_matrix_symbolic(SYM_VARS_L)
     vars = SYM_VARS_L
-    det = determinant(mat)
+    det = linalg.det(mat)
     s = MPoly.variable(vars, "s", QPHI.one)
     t = MPoly.variable(vars, "t", QPHI.one)
     one = MPoly.constant(vars, QPHI.one)
@@ -652,7 +652,7 @@ def exclude_pi_over_5_step() -> AuditStep:
 def _path_det_in_t_coeffs() -> list[list[int]]:
     """The path determinant arranged as integer coefficients: entry [i][j]
     multiplies s^i t^j."""
-    det = determinant(path_matrix_symbolic(SYM_VARS))
+    det = linalg.det(path_matrix_symbolic(SYM_VARS))
     deg_s = det.degree_in("s")
     deg_t = det.degree_in("t")
     table = [[0] * (deg_t + 1) for _ in range(deg_s + 1)]

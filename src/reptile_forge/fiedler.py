@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import INV_PHI, PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, determinant, linalg
+from .algebra import INV_PHI, PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, linalg
 from .algebra.linalg import cholesky, det, nullspace, rational_sqrt, solve
 from .simplex import FLOAT_TOL, DihedralData, Simplex, dihedral_data
 
@@ -261,8 +261,9 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
                 False, None, {"kind": "indefinite", "direction": x, "scaling": tuple(q)}, similar
             )
         if analysis["rank"] == n:
+            # det(B) is det(A) * prod(q); the similar matrix has det(A)
             return RealizabilityVerdict(
-                False, None, {"kind": "nonsingular", "det": det(b)}, similar
+                False, None, {"kind": "nonsingular", "det": det(similar)}, similar
             )
         if analysis["rank"] < d:
             return RealizabilityVerdict(
@@ -459,11 +460,6 @@ def path_eigenvalue_symbolic(vars: tuple[str, ...] = SYM_VARS) -> MPoly:
 
 def char_poly_symbolic(rows: list[list[MPoly]], lam: str = "L") -> MPoly:
     """det(A - lambda I) over the matrix's coefficient ring."""
-    n = len(rows)
-    vars = rows[0][0].vars
-    lam_poly = MPoly.variable(vars, lam, QPHI.one)
-    shifted = [
-        [rows[i][j] - (lam_poly if i == j else MPoly.constant(vars, QPHI.zero)) for j in range(n)]
-        for i in range(n)
-    ]
-    return determinant(shifted)
+    lam_poly = MPoly.variable(rows[0][0].vars, lam, QPHI.one)
+    out = sum((c * lam_poly**k for k, c in enumerate(linalg.char_poly(rows))), MPoly(lam_poly.vars))
+    return -out if len(rows) % 2 else out

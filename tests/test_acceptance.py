@@ -107,7 +107,7 @@ def test_criterion_3_fiedler_soundness_200():
 
 
 def test_criterion_4_symbolic_identities():
-    from reptile_forge.algebra import INV_PHI, INV_PHI2, PHI, QPHI, MPoly, determinant
+    from reptile_forge.algebra import INV_PHI, INV_PHI2, PHI, QPHI, MPoly, det
     from reptile_forge.fiedler import (
         char_poly_symbolic,
         path_eigenvalue_symbolic,
@@ -122,7 +122,7 @@ def test_criterion_4_symbolic_identities():
     s = MPoly.variable(vars, "s", QPHI.one)
     t = MPoly.variable(vars, "t", QPHI.one)
     one = MPoly.constant(vars, QPHI.one)
-    tripod_ok = determinant(mat) == (one + s) ** 2 * (one - 2 * s - 3 * t**2)
+    tripod_ok = det(mat) == (one + s) ** 2 * (one - 2 * s - 3 * t**2)
     t_tripod = time.monotonic() - t0
 
     # path determinant factorization over Q(phi); clearing the 1/phi and
@@ -130,7 +130,7 @@ def test_criterion_4_symbolic_identities():
     t0 = time.monotonic()
     vars = ("s", "t")
     pmat = path_matrix_symbolic(vars)
-    det = determinant(pmat)
+    path_det = det(pmat)
     s = MPoly.variable(vars, "s", QPHI.one)
     t = MPoly.variable(vars, "t", QPHI.one)
     one = MPoly.constant(vars, QPHI.one)
@@ -138,7 +138,7 @@ def test_criterion_4_symbolic_identities():
     f2 = s - MPoly.constant(vars, INV_PHI2) * t + MPoly.constant(vars, INV_PHI)
     f3 = t - MPoly.constant(vars, INV_PHI2) * s + MPoly.constant(vars, INV_PHI)
     phi2 = MPoly.constant(vars, PHI * PHI)
-    path_ok = det == -(phi2 * f1 * f2 * f3)
+    path_ok = path_det == -(phi2 * f1 * f2 * f3)
     t_path = time.monotonic() - t0
 
     # lambda_1 divides the path characteristic polynomial

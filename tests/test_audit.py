@@ -302,7 +302,7 @@ class TestIdentitiesAtRandomPoints:
     def test_twenty_random_rational_points(self):
         import random
 
-        from reptile_forge.algebra import INV_PHI, INV_PHI2, determinant
+        from reptile_forge.algebra import INV_PHI, INV_PHI2, det
         from reptile_forge.fiedler import (
             char_poly_symbolic,
             path_eigenvalue_symbolic,
@@ -312,11 +312,9 @@ class TestIdentitiesAtRandomPoints:
         rng = random.Random(424242)
         vars = ("s", "t", "L")
         tripod = tripod_matrix_symbolic(vars)
-        tripod_det = __import__("reptile_forge.algebra", fromlist=["determinant"]).determinant(
-            tripod
-        )
+        tripod_det = det(tripod)
         path = path_matrix_symbolic(vars)
-        path_det = determinant(path)
+        path_det = det(path)
         cp = char_poly_symbolic(path, "L")
         lam1 = path_eigenvalue_symbolic(vars)
         from reptile_forge.algebra import MPoly, PHI

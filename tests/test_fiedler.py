@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reptile_forge.algebra import PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, determinant, sturm
+from reptile_forge.algebra import PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, det, sturm
 from reptile_forge.cli import main
 from reptile_forge.fiedler import (
     CosMatrix,
@@ -177,6 +177,24 @@ class TestRealizability:
             z_geo.append(float(np.linalg.norm(w)))
             ratio = kernel / np.array(z_geo)
             assert np.allclose(ratio, ratio[0], rtol=1e-9)
+
+    def test_nonsingular_witness_det_is_det_of_a(self):
+        # radical entries take the descaled path, whose rational matrix
+        # B = diag(sqrt q) A diag(sqrt q) has det(B) = det(A) * prod(q)
+        sympy = pytest.importorskip("sympy")
+        rows = [
+            ["-1", "-sqrt(1/8)", "-sqrt(1/12)"],
+            ["-sqrt(1/8)", "-1", "-sqrt(1/24)"],
+            ["-sqrt(1/12)", "-sqrt(1/24)", "-1"],
+        ]
+        a = load_matrix({"dim": 2, "cos": rows})
+        assert _descale(a) is not None
+        v = realizability_check(a)
+        assert v.failure_witness["kind"] == "nonsingular"
+        d = v.failure_witness["det"]
+        want = sympy.Matrix([[sympy.sympify(x) for x in r] for r in rows]).det()
+        assert sympy.Rational(d.numerator, d.denominator) == sympy.nsimplify(want)
+        assert d == (-1) ** len(rows) * v.char_poly[0] == Fraction(-19, 24)
 
     def test_indefinite_witness_is_verifiable(self):
         a = CosMatrix.from_rows(tripod_rows(Fraction(9, 10), Fraction(9, 10)))
@@ -373,12 +391,12 @@ class TestCharPoly:
 class TestSymbolicMatrices:
     def test_tripod_det_identity(self):
         mat = tripod_matrix_symbolic()
-        det = determinant(mat)
+        d = det(mat)
         vars = mat[0][0].vars
         s = MPoly.variable(vars, "s", QPHI.one)
         t = MPoly.variable(vars, "t", QPHI.one)
         one = MPoly.constant(vars, QPHI.one)
-        assert det == (one + s) ** 2 * (one - 2 * s - 3 * t**2)
+        assert d == (one + s) ** 2 * (one - 2 * s - 3 * t**2)
 
     def test_multiples_rows_sum(self):
         mat = multiples_matrix_symbolic()
@@ -401,7 +419,7 @@ class TestSymbolicMatrices:
     def test_path_det_golden_factorization(self):
         vars = ("s", "t")
         mat = path_matrix_symbolic(vars)
-        det = determinant(mat)
+        d = det(mat)
         s = MPoly.variable(vars, "s", QPHI.one)
         t = MPoly.variable(vars, "t", QPHI.one)
         one = MPoly.constant(vars, QPHI.one)
@@ -411,9 +429,9 @@ class TestSymbolicMatrices:
         f2 = s - MPoly.constant(vars, INV_PHI2) * t + MPoly.constant(vars, INV_PHI)
         f3 = t - MPoly.constant(vars, INV_PHI2) * s + MPoly.constant(vars, INV_PHI)
         phi2 = MPoly.constant(vars, PHI * PHI)
-        assert det == -(phi2 * f1 * f2 * f3)
+        assert d == -(phi2 * f1 * f2 * f3)
         # at t = 0 the determinant collapses to the golden quartic in s
-        at0 = det.substitute({"t": QPHI.zero})
+        at0 = d.substitute({"t": QPHI.zero})
         expected = s**4 - 3 * s**2 + one
         assert at0 == expected
 
@@ -423,10 +441,10 @@ class TestSymbolicMatrices:
         t = MPoly.variable(vars, "t", QPHI.one)
         mat[0][1] = -t  # flip one sign
         mat[1][0] = -t
-        det = determinant(mat)
+        d = det(mat)
         s = MPoly.variable(vars, "s", QPHI.one)
         one = MPoly.constant(vars, QPHI.one)
-        assert det != (one + s) ** 2 * (one - 2 * s - 3 * t**2)
+        assert d != (one + s) ** 2 * (one - 2 * s - 3 * t**2)
 
 
 # a tetrahedron's matrix with +-sqrt(q) entries, as the CLI reads it

@@ -1,14 +1,17 @@
-"""The elimination layer against sympy: determinants, kernels, solves,
+"""The elimination layer against sympy: determinants and characteristic
+polynomials over Q, number fields and Q(phi)[s, t], kernels, solves,
 interpolation and rational square roots on random small matrices."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reptile_forge.algebra import AlgebraicReal
+from reptile_forge.algebra import QPHI, AlgebraicReal, FieldElement, MPoly, NumberField
 from reptile_forge.algebra.linalg import (
+    char_poly,
     cholesky,
     det,
     det_int,
@@ -64,6 +67,76 @@ def test_det_int_matches_det(a):
     before = [list(r) for r in a]
     assert det_int(a) == det(a)
     assert a == before  # the input is left alone
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: matrices(n, n)))
+def test_char_poly_matches_sympy(a):
+    want = [to_fraction(c) for c in reversed(sym(a).charpoly().all_coeffs())]
+    assert char_poly(a) == want
+    assert det(a) == (-1) ** len(a) * want[0]
+
+
+CBRT2 = NumberField((-2, 0, 0, 1), Fraction(1), Fraction(2), "c")
+SYMPY_FIELDS = {"phi": (QPHI, "(1 + sqrt(5)) / 2"), "cbrt2": (CBRT2, "cbrt(2)")}
+
+
+@functools.lru_cache(maxsize=None)
+def sympy_field(name):
+    """sympy's algebraic field for SYMPY_FIELDS[name], checked to share the
+    number field's minimal polynomial so that coordinates carry over."""
+    field, gen = SYMPY_FIELDS[name]
+    k = sympy.QQ.algebraic_field(sympy.sympify(gen))
+    assert k.mod.to_list() == [sympy.QQ(c) for c in reversed(field.minpoly)]
+    return k
+
+
+def field_coords(field):
+    return st.lists(st.fractions(-3, 3, max_denominator=4), min_size=field.degree, max_size=field.degree)
+
+
+def to_field(k, x):
+    """A FieldElement (or Fraction) as an element of sympy's algebraic field
+    k, whose generator has the same minimal polynomial."""
+    cs = x.c if isinstance(x, FieldElement) else (x,)
+    return k([sympy.QQ(c.numerator, c.denominator) for c in reversed(cs)])
+
+
+def check_against_domain(a, dom, conv):
+    """char_poly and det of a agree with sympy's over the domain dom."""
+    from sympy.polys.matrices import DomainMatrix
+
+    n = len(a)
+    dm = DomainMatrix([[conv(x) for x in r] for r in a], (n, n), dom)
+    assert [conv(c) for c in char_poly(a)] == dm.charpoly()[::-1]
+    assert conv(det(a)) == dm.det()
+
+
+@pytest.mark.parametrize("name", sorted(SYMPY_FIELDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_char_poly_over_number_fields_matches_sympy(name, data):
+    field, k = SYMPY_FIELDS[name][0], sympy_field(name)
+    n = data.draw(st.integers(1, 4))
+    a = [[field.element(data.draw(field_coords(field))) for _ in range(n)] for _ in range(n)]
+    check_against_domain(a, k, lambda x: to_field(k, x))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_char_poly_over_golden_polynomials_matches_sympy(data):
+    k = sympy_field("phi")
+    polys = k[sympy.symbols("s t")]
+    exps = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    coeffs = field_coords(QPHI).map(QPHI.element)
+    entries = st.dictionaries(exps, coeffs, max_size=3).map(lambda d: MPoly(("s", "t"), d))
+
+    def conv(p):
+        terms = p.terms if isinstance(p, MPoly) else {(0, 0): p}
+        return polys.ring.from_dict({e: to_field(k, c) for e, c in terms.items()})
+
+    n = data.draw(st.integers(1, 4))
+    check_against_domain([[data.draw(entries) for _ in range(n)] for _ in range(n)], polys, conv)
 
 
 def test_det_promotes_integers():
