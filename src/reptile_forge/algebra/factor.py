@@ -4,10 +4,14 @@ The strategy is root-isolation guided: rational roots are found exactly,
 and higher-degree factors are reconstructed from subsets of isolated real
 roots of the monicized polynomial (integer factors of a monic integer
 polynomial have integer coefficients, so a candidate is pinned down once
-every elementary-symmetric enclosure is narrower than one).  Quartics with
-complex roots fall back to resolvent-cubic analysis.  This covers every
-polynomial arising from arithmetic on totally real algebraic numbers;
-anything outside that domain raises FactorError rather than guessing.
+every elementary-symmetric enclosure is narrower than one).  Two screens
+keep the subset search small: a real-rooted polynomial's smallest factor has
+degree at most half its own, and a subset whose root-sum enclosure holds no
+integer is skipped before its product is formed (the trace test of Abbott,
+Shoup and Zimmermann, ISSAC 2000).  Quartics with complex roots fall back to
+resolvent-cubic analysis.  This covers every polynomial arising from
+arithmetic on totally real algebraic numbers; anything outside that domain
+raises FactorError rather than guessing.
 """
 
 from __future__ import annotations
@@ -72,8 +76,18 @@ def _subset_factor(g: Poly) -> Poly | None:
             if hi - lo >= w:
                 refined[i] = sturm.refine_root(g, lo, hi, w)
 
-    for k in range(2, n - 1):
+    # a real-rooted g has real-rooted cofactors, so its smallest factor has
+    # degree <= n/2, and at n/2 one of each complementary pair holds root 0
+    all_real = len(intervals) == n
+    for k in range(2, n // 2 + 1 if all_real else n - 1):
         for subset in combinations(range(len(refined)), k):
+            if all_real and 2 * k == n and subset[0]:
+                break
+            # trace screen: the root sum is minus a coefficient, an integer
+            lo = sum(refined[i][0] for i in subset)
+            hi = sum(refined[i][1] for i in subset)
+            if hi - lo < 1 and math.ceil(lo) > hi:
+                continue
             w = Fraction(1, 64)
             while True:
                 refine_all(w)

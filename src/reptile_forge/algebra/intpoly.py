@@ -2,7 +2,8 @@
 
 A polynomial is a tuple of arbitrary-precision ints, lowest degree first,
 with no trailing zero (the zero polynomial is the empty tuple).  All
-routines are exact; anything that would need a fraction returns one.
+routines are exact; division and remainders stay in the integers, and only
+eval_at and root_bound return fractions.
 """
 
 from __future__ import annotations
@@ -143,42 +144,40 @@ def primitive(p: Poly) -> Poly:
     return tuple(a // g for a in p)
 
 
-def divmod_exact(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Division over the rationals, returned as (quotient, remainder) with
-    Fraction arithmetic cleared only when exact; raises if inputs are not ints."""
+def _divide(p: Poly, q: Poly) -> tuple[list[int], Poly]:
+    """Integer long division: (quotient, remainder) with p = quotient*q + remainder.
+
+    Each step divides the top coefficient by q's leading one and must leave
+    no remainder, else the quotient is not integral and ValueError is raised.
+    A pseudo-remainder never raises: its dividend carries lc(q)^(d+1).
+    """
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(a) for a in p]
-    qc = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    rem = list(p)
     dq = len(q) - 1
-    lc = Fraction(q[-1])
-    while len(rem) - 1 >= dq and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        k = len(rem) - 1 - dq
-        f = rem[-1] / lc
-        qc[k] = f
-        for i in range(len(q)):
-            rem[k + i] -= f * q[i]
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(qc), tuple(rem)
+    lc = q[-1]
+    quo = [0] * max(0, len(p) - dq)
+    for k in range(len(quo) - 1, -1, -1):
+        f, r = divmod(rem[k + dq], lc)
+        if r:
+            raise ValueError("quotient not integral")
+        quo[k] = f
+        if f:
+            rem[k : k + dq] = [a - f * b for a, b in zip(rem[k : k + dq], q)]
+    return quo, poly(rem[:dq])
 
 
 def div_exact(p: Poly, q: Poly) -> Poly:
     """Exact division p / q over the integers; raises ValueError on nonzero remainder."""
-    quo, rem = divmod_exact(p, q)
+    quo, rem = _divide(p, q)
     if rem:
         raise ValueError("inexact polynomial division")
-    out = []
-    for c in quo:
-        if c.denominator != 1:
-            raise ValueError("quotient not integral")
-        out.append(int(c))
-    return poly(out)
+    return poly(quo)
+
+
+def pseudo_remainder(p: Poly, q: Poly, k: int) -> Poly:
+    """Remainder of lc(q)^k * p on division by q; k >= deg p - deg q + 1."""
+    return _divide(scale(p, q[-1] ** k), q)[1]
 
 
 def divides(q: Poly, p: Poly) -> bool:
@@ -202,11 +201,7 @@ def gcd_poly(p: Poly, q: Poly) -> Poly:
         if d < 0:
             a, b = b, a
             continue
-        lead = b[-1]
-        r = tuple(c * lead ** (d + 1) for c in a)
-        _, rem = divmod_exact(r, b)
-        rem_int = poly(int(c) for c in rem)
-        a, b = b, primitive(rem_int)
+        a, b = b, primitive(pseudo_remainder(a, b, d + 1))
     return primitive(a)
 
 

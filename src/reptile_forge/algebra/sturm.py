@@ -32,14 +32,10 @@ def sturm_sequence(p: Poly) -> list[Poly]:
         d = ip.degree(a) - ip.degree(b)
         if d < 0:
             raise AssertionError("degree must drop along the chain")
-        lead = b[-1]
-        # multiply by an even power of the leading coefficient so the
-        # remainder keeps the sign of the exact rational remainder
-        k = d + 1 if (d + 1) % 2 == 0 else d + 2
-        r = tuple(c * lead**k for c in a)
-        _, rem = ip.divmod_exact(r, b)
-        rem_int = ip.poly(int(c) for c in rem)
-        seq.append(_strip_content(ip.neg(rem_int)))
+        # an even power of the leading coefficient keeps the sign of the
+        # exact rational remainder
+        rem = ip.pseudo_remainder(a, b, d + 1 + (d + 1) % 2)
+        seq.append(_strip_content(ip.neg(rem)))
     seq.pop()
     return seq
 

@@ -4,8 +4,8 @@ Subcommands: fiedler check|reconstruct, hill generate|subdivide|verify|grow,
 angles classify|catalog, audit run|step, export.  JSON results go to stdout
 or --out; human-readable summaries go to stderr.  "-" means stdin/stdout.
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
-3 an exact computation beyond a supported bound (the algebraic degree cap
-or the refinement cap), so no verdict was reached.
+3 an exact computation beyond a supported bound (the algebraic degree cap,
+the refinement cap or the factorizer's reach), so no verdict was reached.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import audit as audit_mod
 from . import hill as hill_mod
-from .algebra import AlgebraicReal, DegreeOverflowError
+from .algebra import AlgebraicReal, DegreeOverflowError, FactorError
 from .fiedler import ReconstructionError, realizability_check, reconstruct_simplex
 from .jsonio import (
     InputFormatError,
@@ -419,15 +419,15 @@ def main(argv=None) -> int:
     args = _parser_for(argv).parse_args(argv)
     try:
         return args.fn(args)
+    except (DegreeOverflowError, InconclusiveComparison, FactorError) as e:
+        _log(f"undecided: {e}")
+        return EXIT_UNDECIDED
     except InputFormatError as e:
         _log(f"input error: {e}")
         return EXIT_USAGE
     except (ValueError, OSError) as e:
         _log(f"error: {e}")
         return EXIT_USAGE
-    except (DegreeOverflowError, InconclusiveComparison) as e:
-        _log(f"undecided: {e}")
-        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

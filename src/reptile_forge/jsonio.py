@@ -11,7 +11,7 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import AlgebraicReal
+from .algebra import AlgebraicReal, FactorError
 from .fiedler import CosMatrix
 from .simplex import Simplex
 
@@ -33,6 +33,8 @@ def parse_real(spec):
     if isinstance(spec, dict):
         try:
             return AlgebraicReal.from_json(spec)
+        except FactorError:
+            raise  # a valid value beyond the factorizer: undecided, not bad input
         except (KeyError, ValueError) as e:
             raise InputFormatError(f"bad algebraic-number object: {e}") from e
     if isinstance(spec, bool):

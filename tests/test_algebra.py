@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reptile_forge.algebra import (
@@ -24,6 +24,8 @@ from reptile_forge.algebra import (
     sturm_isolate,
     totient_inverse,
 )
+from reptile_forge.algebra.factor import factor_squarefree
+from reptile_forge.trig import cos_two_pi_minpoly
 
 
 def bisection_root(poly, lo, hi, width=Fraction(1, 10**8)):
@@ -159,6 +161,58 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             is_irreducible([5])
 
+
+
+# totally real irreducibles: cosine minimal polynomials of degree <= 4 under
+# an invertible affine substitution, and quadratics x^2 - d for non-squares d
+_TOTALLY_REAL = st.one_of(
+    st.builds(
+        lambda n, a, b: ip.primitive(ip.compose_linear(cos_two_pi_minpoly(n), a, b)),
+        st.sampled_from([5, 7, 9, 15, 16, 17, 20]),
+        st.integers(1, 3),
+        st.integers(-2, 2),
+    ),
+    st.builds(lambda d: (-d, 0, 1), st.sampled_from([2, 3, 5, 6, 7, 10])),
+)
+
+
+def _sympy_factors(p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    _, facs = sympy.factor_list(sympy.Poly(list(reversed(p)), x, domain="ZZ"))
+    return sorted(ip.primitive(ip.poly(int(c) for c in reversed(f.all_coeffs()))) for f, _ in facs)
+
+
+class TestFactorMatchesSympy:
+    """factor_squarefree against sympy.factor_list on products of degree <= 8."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_TOTALLY_REAL, min_size=1, max_size=4, unique=True))
+    def test_totally_real_products(self, factors):
+        assume(sum(ip.degree(f) for f in factors) <= 8)
+        p = ip.ONE
+        for f in factors:
+            p = ip.mul(p, f)
+        assert factor_squarefree(p) == _sympy_factors(p) == sorted(factors)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            # cos 13pi/17: an irreducible octic with eight real roots
+            [(1, 8, -40, -80, 240, 192, -448, -128, 256)],
+            # two real-rooted quartics: only half the k = 4 subsets are tried
+            [(1, 0, -10, 0, 1), (1, 8, -16, -8, 16)],
+            # the smallest real root, -200^(1/4), belongs to the factor with
+            # complex roots, so the quartic's roots exclude root 0
+            [(1, 0, -10, 0, 1), (-200, 0, 0, 0, 1)],
+            [(1, 0, 1), (-3, 0, 1), (1, -3, 0, 1)],
+        ],
+    )
+    def test_named_products(self, factors):
+        p = ip.ONE
+        for f in factors:
+            p = ip.mul(p, f)
+        assert factor_squarefree(p) == _sympy_factors(p) == sorted(factors)
 
 class TestRefine:
     def test_sqrt2_width(self):

@@ -122,6 +122,16 @@ class TestFiedlerCommands:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and "degree" in lines[0]
 
+    def test_check_entry_beyond_factorizer_exit_three(self, tmp_path, capsys):
+        # 2^(1/6)/2, a root of 32x^6 - 1: a valid cosine whose minimal
+        # polynomial has complex roots the factorizer cannot pair up
+        c = {"minpoly": [-1, 0, 0, 0, 0, 0, 32], "interval": ["1/2", "1"]}
+        m = {"dim": 2, "cos": [["-1", c, "0"], [c, "-1", "0"], ["0", "0", "-1"]]}
+        assert main(["fiedler", "check", write(tmp_path, "m.json", m)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "undecided: cannot factor degree-6 polynomial with complex conjugate roots\n"
+
     @pytest.mark.parametrize("command", ["check", "reconstruct"])
     @pytest.mark.parametrize(
         "doc, message",
@@ -490,6 +500,27 @@ class TestAnglesCommands:
         assert (out[0]["angle_deg"] if out else None) == want
         assert main(["angles", "classify", "--", value]) == 0
         assert json.loads(capsys.readouterr().out) == out
+
+    def test_classify_octic(self, capsys):
+        spec = {"minpoly": [1, 8, -40, -80, 240, 192, -448, -128, 256], "interval": ["-55/64", "-11/16"]}
+        assert main(["angles", "classify", "--", json.dumps(spec)]) == 0
+        assert [m["angle"] for m in json.loads(capsys.readouterr().out)] == ["13*pi/17"]
+
+    @pytest.mark.parametrize(
+        "minpoly, reason",
+        [
+            # 2^(1/6): a sextic with four complex roots
+            ([-2, 0, 0, 0, 0, 0, 1], "cannot factor degree-6 polynomial with complex conjugate roots"),
+            ([-2, 0, 0, 0, 0, 0, 0, 0, 0, 1], "degree 9 exceeds the supported bound 8"),
+        ],
+    )
+    def test_classify_beyond_factorizer_exit_three(self, minpoly, reason, capsys):
+        # a valid algebraic number is undecided (3), not an input error (2)
+        spec = json.dumps({"minpoly": minpoly, "interval": ["1", "2"]})
+        assert main(["angles", "classify", "--", spec]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"undecided: {reason}\n"
 
     def test_unknown_option_still_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reptile_forge.algebra import algebraic, sturm
@@ -137,3 +137,80 @@ class TestCosineIntervals:
         finally:
             algebraic._root_intervals.cache_clear()
         assert sorted(calls) == sorted({cos_two_pi_minpoly(59), cos_two_pi_minpoly(118)})
+
+
+small_polys = st.lists(st.integers(-20, 20), min_size=0, max_size=6).map(ip.poly)
+nonzero_polys = small_polys.filter(bool)
+
+
+def _normal(p):
+    """Primitive part with positive leading coefficient, as a tuple."""
+    return ip.primitive(ip.poly(p))
+
+
+class TestIntegerKernelMatchesSympy:
+    """div_exact, gcd_poly, squarefree_part and Sturm counts agree with sympy."""
+
+    @staticmethod
+    def _sympy_poly(p):
+        sympy = pytest.importorskip("sympy")
+        return sympy.Poly(list(reversed(p)) or [0], sympy.Symbol("x"), domain="QQ")
+
+    @staticmethod
+    def _coeffs(poly):
+        return ip.poly(int(c) for c in reversed(poly.all_coeffs())) if not poly.is_zero else ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonzero_polys, small_polys, st.one_of(st.just(ip.ZERO), small_polys), st.integers(1, 4))
+    def test_div_exact(self, q, c, r, m):
+        # p = q c + r divided by m q: exact, inexact, or with a non-integral quotient
+        p = ip.add(ip.mul(q, c), r)
+        d = ip.scale(q, m)
+        quo, rem = self._sympy_poly(p).div(self._sympy_poly(d))
+        if rem.is_zero and all(x.is_integer for x in quo.all_coeffs()):
+            assert ip.div_exact(p, d) == self._coeffs(quo)
+            assert ip.divides(d, p)
+        else:
+            with pytest.raises(ValueError):
+                ip.div_exact(p, d)
+            assert not ip.divides(d, p)
+
+    def test_div_exact_refusals(self):
+        with pytest.raises(ValueError, match="inexact"):
+            ip.div_exact((1, 0, 1), (-1, 1))  # x^2 + 1 = (x - 1)(x + 1) + 2
+        with pytest.raises(ValueError, match="not integral"):
+            ip.div_exact((1, 1), (2, 2))  # quotient 1/2
+        with pytest.raises(ZeroDivisionError):
+            ip.div_exact((1, 1), ip.ZERO)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_polys, small_polys, nonzero_polys)
+    def test_gcd_poly(self, a, b, g):
+        sympy = pytest.importorskip("sympy")
+        p, q = ip.mul(a, g), ip.mul(b, g)
+        want = sympy.gcd(self._sympy_poly(p), self._sympy_poly(q))
+        assert ip.gcd_poly(p, q) == _normal(self._coeffs(want.clear_denoms()[1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonzero_polys, nonzero_polys, st.integers(1, 3))
+    def test_squarefree_part(self, a, b, k):
+        p = ip.mul(a, ip.pow_poly(b, k))
+        want = self._sympy_poly(p).sqf_part()
+        assert ip.squarefree_part(p) == _normal(self._coeffs(want.clear_denoms()[1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonzero_polys, nonzero_polys, st.integers(1, 3), fractions, fractions)
+    def test_sturm_counts(self, a, b, k, x, y):
+        sympy = pytest.importorskip("sympy")
+        p = ip.mul(a, ip.pow_poly(b, k))
+        lo, hi = min(x, y) / 10**7, max(x, y) / 10**7
+        assume(lo < hi)
+        seq = sturm.sturm_sequence(p)
+        sqf = self._sympy_poly(p).sqf_part()
+        # sympy counts distinct roots on [lo, hi]; the chain counts (lo, hi]
+        want = sqf.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                               sympy.Rational(hi.numerator, hi.denominator))
+        want -= ip.eval_at(p, lo) == 0
+        assert sturm.count_roots(seq, lo, hi) == want
+        bound = ip.root_bound(ip.squarefree_part(p))
+        assert sturm.count_roots(seq, -bound, bound) == sqf.count_roots()
