@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import INV_PHI, INV_PHI2, PHI, QPHI, AlgebraicReal, FieldElement, MPoly
 from .algebra import eliminate as algebra_eliminate
@@ -29,6 +30,7 @@ from .algebra import intpoly as ip
 from .algebra import linalg
 from .algebra import numberfield as nf
 from .algebra import sturm
+from .algebra.algebraic import _root_intervals
 from .algebra.enclosure import pi_bounds
 from .algebra.factor import irreducible_factors
 from .fiedler import (
@@ -773,26 +775,32 @@ def _det_vanishes_at(table: list[list[int]], s_val: AlgebraicReal, t_val: Algebr
 def _catalog_gaps(root: AlgebraicReal) -> dict:
     """Certified positive distance from a root to every catalog cosine.
 
-    Exact comparison separates the enclosures of distinct values, so the
-    gap is the distance between disjoint rational intervals.
+    Each value is read through its canonical enclosure, so the gap depends
+    on the minimal polynomials and root indices alone, never on how far
+    earlier callers refined a shared value.
     """
     degrees = sorted({1, 2, 4, root.degree} if root.degree <= 8 else {1, 2, 4})
+    key = (root.minpoly, root._root_index())
+    a_lo, a_hi = _canonical_enclosure(*key)
     min_gap = None
     for d in degrees:
         for _, cos in catalog(d).entries:
-            if root.compare(cos) == 0:
+            if (cos.minpoly, cos._root_index()) == key:
                 return {"min_gap": Fraction(0), "degrees": degrees}
-            a = root.refine_below(Fraction(1, 10**9))
-            b = cos.refine_below(Fraction(1, 10**9))
-            if a.hi < b.lo:
-                gap = b.lo - a.hi
-            elif b.hi < a.lo:
-                gap = a.lo - b.hi
-            else:
+            b_lo, b_hi = _canonical_enclosure(cos.minpoly, cos._root_index())
+            gap = max(b_lo - a_hi, a_lo - b_hi)
+            if gap <= 0:
                 raise AssertionError("distinct values left overlapping enclosures")
             if min_gap is None or gap < min_gap:
                 min_gap = gap
     return {"min_gap": min_gap, "degrees": degrees}
+
+
+@lru_cache(maxsize=None)
+def _canonical_enclosure(minpoly, index: int) -> tuple[Fraction, Fraction]:
+    """Root ``index`` of ``minpoly``: its isolating interval bisected below 10^-9."""
+    lo, hi = _root_intervals(minpoly)[index]
+    return sturm.refine_root(minpoly, lo, hi, Fraction(1, 10**9))
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +983,10 @@ def verify_step(step: AuditStep) -> bool:
                     return False
                 target = Fraction(target)
                 within = target - Fraction(1, 1000) <= lo and hi <= target + Fraction(1, 1000)
-                if not (within and rec["within_0.001"]) or Fraction(rec["min_catalog_gap"]) <= 0:
+                gaps = _catalog_gaps(root)  # re-derived, not read from the file
+                fresh = [list(root.minpoly), _frac(gaps["min_gap"]), gaps["degrees"]]
+                recorded = [rec["minpoly"], rec["min_catalog_gap"], rec["catalog_degrees_checked"]]
+                if not (within and rec["within_0.001"] and gaps["min_gap"] > 0) or fresh != recorded:
                     return False
         return True
     if sid == "hill-construction":

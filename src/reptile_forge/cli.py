@@ -31,7 +31,7 @@ from .jsonio import (
     read_json_document,
 )
 from .simplex import InconclusiveComparison
-from .trig import catalog, match_rational_angle
+from .trig import catalog, cosine_of, match_rational_angle
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -185,14 +185,13 @@ def cmd_angles_classify(args) -> int:
     angle = match_rational_angle(value)
     matches = []
     if angle is not None:
-        from .trig import cosine_of
-
+        cos = cosine_of(angle)
         matches.append(
             {
                 "angle_deg": float(angle.degrees),
                 "angle": f"{angle.p}*pi/{angle.q}",
-                "minpoly": list(cosine_of(angle).minpoly),
-                "approx": format_real(cosine_of(angle), digits)["approx"],
+                "minpoly": list(cos.minpoly),
+                "approx": format_real(cos, digits)["approx"],
             }
         )
     _emit(matches, args.out)

@@ -3,7 +3,10 @@
 The bridge between angles p/q*pi and exact cosine values: minimal
 polynomials come from cyclotomic polynomials through the x + 1/x
 substitution, the algebraic degree of cos(2*pi*m/n) is phi(n)/2, and the
-catalogs enumerate every angle whose cosine has a prescribed degree.
+catalogs enumerate every angle whose cosine has a prescribed degree.  A
+value is cos(2*pi*k/n) exactly when its minimal polynomial is that of
+cos(2*pi/n) (Watkins & Zeitlin, Amer. Math. Monthly 100, 1993), so matching
+compares minimal polynomials, reads k from the root index, and scans no catalog.
 """
 
 from __future__ import annotations
@@ -125,6 +128,13 @@ def cos_two_pi_minpoly(n: int) -> Poly:
     return ip.primitive(ip.compose_linear(folded, 2, 0))
 
 
+def _orders_of_degree(degree: int) -> list[int]:
+    """Ascending n whose cos(2*pi*k/n) have this degree: phi(n) = 2*degree, or <= 2 for 1."""
+    if degree == 1:
+        return totient_inverse(1) + totient_inverse(2)
+    return totient_inverse(2 * degree)
+
+
 def _coprime_residues_half(n: int) -> list[int]:
     """Residues k coprime to n with 0 < k < n/2 (plus k = 0 for n = 1 and
     k = 1 for n = 2, the degenerate endpoint angles)."""
@@ -187,20 +197,12 @@ def catalog(degree: int) -> CosineCatalog:
     """
     if not 1 <= degree <= 8:
         raise ValueError("catalogs are supported for degrees 1 through 8")
-    if degree == 1:
-        ns = [n for n in totient_inverse(1) + totient_inverse(2)]
-    else:
-        ns = totient_inverse(2 * degree)
+    # distinct angles in [0, pi] have distinct cosines, so nothing repeats
     pairs: list[tuple[RationalAngle, AlgebraicReal]] = []
-    seen: list[AlgebraicReal] = []
-    for n in sorted(ns):
+    for n in _orders_of_degree(degree):
         for k in _coprime_residues_half(n):
             ang = RationalAngle.of(2 * k, n)
-            cos = cosine_of(ang)
-            if any(cos == c for c in seen):
-                continue
-            seen.append(cos)
-            pairs.append((ang, cos))
+            pairs.append((ang, cosine_of(ang)))
     pairs.sort(key=lambda pc: pc[0].fraction_of_pi, reverse=True)  # ascending cosine
     return CosineCatalog(degree, tuple(pairs))
 
@@ -218,9 +220,11 @@ def match_rational_angle(x) -> RationalAngle | None:
     d = x.degree
     if d > 8:
         return None
-    for ang, cos in catalog(d).entries:
-        if cos == x:
-            return ang
+    for n in _orders_of_degree(d):
+        if cos_two_pi_minpoly(n) == x.minpoly:
+            # roots ascend as residues descend (see cosine_of)
+            residues = _coprime_residues_half(n)
+            return RationalAngle.of(2 * residues[len(residues) - 1 - x._root_index()], n)
     return None
 
 

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -16,6 +17,7 @@ from reptile_forge import audit
 from reptile_forge.algebra import MPoly, PHI, QPHI
 from reptile_forge.audit import (
     AuditStep,
+    _frac,
     _rho_enclosure,
     _two_length_scan,
     beta_constraints_step,
@@ -39,6 +41,7 @@ from reptile_forge.audit import (
 )
 from reptile_forge.cli import main as cli_main
 from reptile_forge.fiedler import multiples_matrix_symbolic, tripod_matrix_symbolic
+from reptile_forge.trig import RationalAngle, catalog, cosine_degree, cosine_of, match_rational_angle
 
 NON_CUBE_K = [k for k in range(2, 65) if not is_perfect_cube(k)]
 
@@ -468,7 +471,14 @@ class TestVerifyOncePerRun:
 
     @pytest.mark.parametrize(
         "mutation",
-        ["drop-root", "eliminant-coefficient", "shift-interval", "conjugate-interval", "spurious-count"],
+        [
+            "drop-root",
+            "eliminant-coefficient",
+            "shift-interval",
+            "conjugate-interval",
+            "spurious-count",
+            "catalog-gap",
+        ],
     )
     def test_corrupted_final_cases_fails_every_non_cube_k(
         self, full_audit, mutation, tmp_path, monkeypatch, capsys
@@ -489,8 +499,12 @@ class TestVerifyOncePerRun:
             rec = cases[0]["roots"][1]
             assert rec["minpoly"] == [-1, 1, 1]
             rec["interval"] = ["-162/100", "-161/100"]
-        else:
+        elif mutation == "spurious-count":
             cases[0]["spurious_filtered"] += 1
+        else:
+            # a different positive gap: the checker re-derives it
+            rec = cases[1]["roots"][0]
+            rec["min_catalog_gap"] = _frac(Fraction(rec["min_catalog_gap"]) / 2)
         assert not verify_step(step)
         rc, err = _run_cli_verify(reports, tmp_path, monkeypatch, capsys)
         assert rc == 1
@@ -532,10 +546,11 @@ class TestReportText:
         assert captured.err == file_err
 
 
+AUDIT_SHA256 = "c21c1b41ca14ca1fcab9bc7fc9cf9d167be773745ade847f50677b2b1657da37"
+
+
 def _clear_package_caches():
-    """Empty every lru_cache the package holds, as in a fresh interpreter:
-    catalog cosines keep the refinement earlier callers gave them, and the
-    recorded catalog gaps are read from their enclosures."""
+    """Empty every lru_cache the package holds, as in a fresh interpreter."""
     for name, module in list(sys.modules.items()):
         if name.startswith("reptile_forge") and module is not None:
             for value in vars(module).values():
@@ -547,6 +562,21 @@ def test_audit_report_bytes_pinned(tmp_path, capsys):
     out = tmp_path / "audit.json"
     _clear_package_caches()
     assert cli_main(["audit", "run", "--kmax", "64", "--verify", "--json", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "061ca200671c6c36bc7b544e511a2bb8f62b17431382f55be70e6b3e0c023429"
-    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == AUDIT_SHA256
+
+
+def test_audit_report_bytes_independent_of_refinement_history(tmp_path, capsys):
+    """The catalog cosines the audit reads are shared, cached objects.
+    Refining them far past what the audit needs, and classifying cosines,
+    must not move a byte: recorded gaps come from canonical enclosures."""
+    for d in range(1, 9):
+        for _, cos in catalog(d).entries:
+            cos.refine_below(Fraction(1, 10**30))
+    for q in range(2, 41):
+        for p in range(1, q):
+            angle = RationalAngle.of(p, q)
+            if math.gcd(p, q) == 1 and cosine_degree(angle) <= 8:
+                assert match_rational_angle(cosine_of(angle)) == angle
+    out = tmp_path / "audit.json"
+    assert cli_main(["audit", "run", "--kmax", "64", "--verify", "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == AUDIT_SHA256

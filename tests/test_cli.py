@@ -506,6 +506,16 @@ class TestAnglesCommands:
         assert main(["angles", "classify", "--", json.dumps(spec)]) == 0
         assert [m["angle"] for m in json.loads(capsys.readouterr().out)] == ["13*pi/17"]
 
+    def test_classify_one_third_no_match(self, capsys):
+        assert main(["angles", "classify", "--", "1/3"]) == 0
+        assert capsys.readouterr().out == "[]\n"
+
+    def test_classify_wide_interval_heptadecagon(self, capsys):
+        # cos 2pi/17 from an interval that also holds values of other degrees
+        spec = {"minpoly": [1, -8, -40, 80, 240, -192, -448, 128, 256], "interval": ["9/10", "1"]}
+        assert main(["angles", "classify", "--", json.dumps(spec)]) == 0
+        assert [m["angle"] for m in json.loads(capsys.readouterr().out)] == ["2*pi/17"]
+
     @pytest.mark.parametrize(
         "minpoly, reason",
         [

@@ -4,12 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from reptile_forge.algebra import AlgebraicReal, euler_totient
+from reptile_forge.algebra import intpoly as ip
+from reptile_forge.algebra.sturm import isolate_roots
+from reptile_forge.jsonio import parse_real
 from reptile_forge.trig import (
     RationalAngle,
     acos_enclosure,
     catalog,
+    cos_two_pi_minpoly,
     cosine_degree,
     cosine_of,
     cyclotomic,
@@ -176,6 +181,85 @@ class TestMatchRationalAngle:
             if cosine_degree(ang) > 8:
                 continue
             assert match_rational_angle(cosine_of(ang)) == ang
+
+
+def _reference_match(x):
+    """The catalog scan the matcher replaced: exact comparison with every
+    cosine of x's degree."""
+    if isinstance(x, Fraction):
+        x = AlgebraicReal.from_rational(x)
+    if x.compare(Fraction(-1)) < 0 or x.compare(Fraction(1)) > 0:
+        raise ValueError("cosine values lie in [-1, 1]")
+    if x.degree > 8:
+        return None
+    for ang, cos in catalog(x.degree).entries:
+        if cos == x:
+            return ang
+    return None
+
+
+def _wide_specs(minpoly):
+    """One {"minpoly", "interval"} object per real root, each interval
+    reaching to its neighbours' isolating intervals (or past the outer
+    roots), so the matcher starts from coarse enclosures."""
+    ivs = isolate_roots(minpoly)
+    bound = ip.root_bound(minpoly)
+    los = [-bound] + [hi for _, hi in ivs[:-1]]
+    his = [lo for lo, _ in ivs[1:]] + [bound]
+    return [
+        {"minpoly": list(minpoly), "interval": [str(lo), str(hi)]} for lo, hi in zip(los, his)
+    ]
+
+
+def _chebyshev_off_cosines(d: int):
+    """3 T_d(x) - 1: its roots are cos((arccos(1/3) + 2 pi k)/d), and
+    arccos(1/3)/pi is irrational."""
+    x = sympy.symbols("x")
+    coeffs = sympy.Poly(3 * sympy.chebyshevt(d, x) - 1, x).all_coeffs()
+    return ip.primitive(ip.poly([int(c) for c in reversed(coeffs)]))
+
+
+# totally real irreducible polynomials none of whose roots is a
+# rational-angle cosine: the final-cases quartic and 3 T_d(x) - 1
+_NON_COSINES = [(-1, -8, -18, -8, 4)] + [_chebyshev_off_cosines(d) for d in range(2, 9)]
+
+
+class TestMatchAgainstReferenceScan:
+    def test_every_conjugate_from_a_wide_interval(self):
+        for n in range(3, 61):
+            mp = cos_two_pi_minpoly(n)
+            if ip.degree(mp) > 8:
+                continue
+            for spec in _wide_specs(mp):
+                got = match_rational_angle(parse_real(spec))
+                assert got is not None
+                assert got == _reference_match(parse_real(spec)), spec
+
+    @pytest.mark.parametrize(
+        "value", ["0", "1/2", "-1/2", "1", "-1", "1/3", "-2/5", "sqrt(2)/2", "sqrt(3)/7"]
+    )
+    def test_rationals_and_surds(self, value):
+        assert match_rational_angle(parse_real(value)) == _reference_match(parse_real(value))
+
+    @pytest.mark.parametrize("minpoly", _NON_COSINES, ids=lambda p: f"degree{len(p) - 1}")
+    def test_non_cosines(self, minpoly):
+        for spec in _wide_specs(minpoly):
+            x = parse_real(spec)
+            if x.compare(Fraction(-1)) < 0 or x.compare(Fraction(1)) > 0:
+                with pytest.raises(ValueError):
+                    match_rational_angle(parse_real(spec))
+                continue
+            assert match_rational_angle(parse_real(spec)) is None
+            assert _reference_match(parse_real(spec)) is None
+
+    def test_matching_builds_no_catalog(self, monkeypatch):
+        import reptile_forge.trig as trig
+
+        def refuse(degree):
+            raise AssertionError("catalog built")
+
+        monkeypatch.setattr(trig, "catalog", refuse)
+        assert match_rational_angle(cosine_of(RationalAngle.of(13, 17))) == RationalAngle.of(13, 17)
 
 
 class TestAcosEnclosure:
