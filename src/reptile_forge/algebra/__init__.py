@@ -79,21 +79,7 @@ def sturm_isolate(p, interval: tuple | Interval | None = None) -> list[Interval]
     if interval is not None:
         lo, hi = (interval.lo, interval.hi) if isinstance(interval, Interval) else interval
     f = intpoly.squarefree_part(p)
-    bound = abs(f[-1])
-    width = Fraction(1, 2 * bound * bound)
-    out = []
-    for a, b in sturm.isolate_roots(f, lo, hi):
-        if a != b:
-            # a rational root has denominator dividing the leading
-            # coefficient; below the separation width the simplest rational
-            # in the bracket either is the root or rules one out
-            a, b = sturm.refine_root(f, a, b, width)
-            if a != b:
-                cand = sturm.simplest_in(a, b)
-                if cand.denominator <= bound and intpoly.eval_at(f, cand) == 0:
-                    a = b = cand
-        out.append(Interval(a, b))
-    return out
+    return [Interval(*sturm.snap_rational(f, a, b)) for a, b in sturm.isolate_roots(f, lo, hi)]
 
 
 def euler_totient(n: int) -> int:

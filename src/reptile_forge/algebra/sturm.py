@@ -170,28 +170,28 @@ def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
     return rec(lo, hi)
 
 
-def rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots of p, found exactly.
+def snap_rational(f: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """An isolating interval of the squarefree f, as the point (r, r) when
+    its root is a rational r, else refined below width 1/(2 lc(f)^2).
 
-    Any rational root of the primitive part has denominator dividing the
-    leading coefficient, so inside a sufficiently narrow isolating interval
-    the simplest rational either is the root or proves there is none.
+    Any rational root of f has denominator dividing the leading coefficient,
+    so below that width the simplest rational in the bracket either is the
+    root or proves there is none.
     """
+    if lo == hi:
+        return lo, hi
+    bound = abs(f[-1])
+    lo, hi = refine_root(f, lo, hi, Fraction(1, 2 * bound * bound))
+    if lo != hi:
+        cand = simplest_in(lo, hi)
+        if cand.denominator <= bound and ip.eval_at(f, cand) == 0:
+            return cand, cand
+    return lo, hi
+
+
+def rational_roots(p: Poly) -> list[Fraction]:
+    """All rational roots of p, found exactly."""
     f = ip.squarefree_part(p)
     if ip.degree(f) < 1:
         return []
-    den_bound = abs(f[-1])
-    width = Fraction(1, 2 * den_bound * den_bound)
-    roots = []
-    for lo, hi in isolate_roots(f):
-        if lo == hi:
-            roots.append(lo)
-            continue
-        lo, hi = refine_root(f, lo, hi, width)
-        if lo == hi:
-            roots.append(lo)
-            continue
-        cand = simplest_in(lo, hi)
-        if cand.denominator <= den_bound and ip.eval_at(f, cand) == 0:
-            roots.append(cand)
-    return roots
+    return [lo for lo, hi in (snap_rational(f, *iv) for iv in isolate_roots(f)) if lo == hi]

@@ -3,10 +3,14 @@
 A candidate angle assignment enters as a symmetric cosine matrix with
 diagonal -1.  It is realizable by a simplex exactly when its negation is
 positive semidefinite of rank d with a strictly positive kernel direction.
-The accept/reject decision is always exact: measured matrices carry (or
-admit) a rational congruent scaling, and the analysis runs over rationals
-or exact algebraic numbers.  Only the coordinate output of reconstruction
-uses floating point, with a residual check against the declared tolerance.
+The accept/reject decision is always exact and takes one path: a
+congruence elimination and a kernel of a working matrix B.  Measured
+matrices carry (or admit) a diagonal scaling q that makes B rational;
+any other matrix is its own B in exact algebraic arithmetic.  The scaling
+decides only what exists under it (the similar rational matrix, the
+witness's determinant and scaling, and the map from B's kernel to A's).
+Only the coordinate output of reconstruction uses floating point, with a
+residual bound of 1e-9 on each reconstructed cosine.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import combinations
 
 from .algebra import INV_PHI, PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, linalg
 from .algebra.linalg import cholesky, det, nullspace, rational_sqrt, solve
-from .simplex import FLOAT_TOL, DihedralData, Simplex, dihedral_data
+from .simplex import DihedralData, Simplex, dihedral_data
 
 SYM_VARS = ("s", "t")
 SYM_VARS_L = ("s", "t", "L")
@@ -111,6 +115,13 @@ class RealizabilityVerdict:
         return tuple(linalg.char_poly(self.similar_matrix))
 
 
+def _sign(x) -> int:
+    """Sign of a Fraction or an AlgebraicReal."""
+    if isinstance(x, AlgebraicReal):
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
 def _congruence_analysis(m: list[list]) -> dict:
     """Exact PSD analysis of a symmetric matrix by rational/algebraic
     congruence elimination.
@@ -122,18 +133,13 @@ def _congruence_analysis(m: list[list]) -> dict:
     a = [list(r) for r in m]
     basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
-    def sgn(x) -> int:
-        if isinstance(x, AlgebraicReal):
-            return x.sign()
-        return (x > 0) - (x < 0)
-
     rank = 0
     for k in range(n):
-        sk = sgn(a[k][k])
+        sk = _sign(a[k][k])
         if sk < 0:
             return {"psd": False, "rank": None, "negative_direction": tuple(basis[k])}
         if sk == 0:
-            bad = next((j for j in range(k + 1, n) if sgn(a[k][j]) != 0), None)
+            bad = next((j for j in range(k + 1, n) if _sign(a[k][j]) != 0), None)
             if bad is not None:
                 # [[0, b], [b, c]] block is indefinite: x = t e_k + e_bad with
                 # t = -(c + 1) / (2 b) gives quadratic form value -1
@@ -145,7 +151,7 @@ def _congruence_analysis(m: list[list]) -> dict:
             continue
         rank += 1
         for i in range(k + 1, n):
-            if sgn(a[i][k]) == 0:
+            if _sign(a[i][k]) == 0:
                 continue
             f = a[i][k] / a[k][k]
             # congruence: row_i -= f * row_k, then col_i -= f * col_k
@@ -240,71 +246,49 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
 
     Valid iff -A is positive semidefinite of rank exactly d and the
     one-dimensional kernel is generated by a strictly positive vector.
-    Measured matrices reduce to a congruent rational matrix (diagonal
-    square-root scaling); anything else runs in exact algebraic arithmetic.
+    One path decides every matrix.  Its working matrix B is the congruent
+    rational matrix of a diagonal square-root scaling q when A descales to
+    one (a_ij = b_ij / sqrt(q_i q_j)), else A itself in exact algebraic
+    arithmetic.  The scaling only adds what exists under it: the similar
+    rational matrix, the witness's ``scaling`` and ``det`` fields, and the
+    map w -> (sqrt(q_i) w_i) from B's kernel to A's.
     """
     d = a.dim
     n = d + 1
     descaled = _descale(a)
-    if descaled is not None:
-        b, q = descaled
-        neg = [[-x for x in row] for row in b]
-        analysis = _congruence_analysis(neg)
-        # A = D B D with D = diag(q)^(-1/2) is similar to B diag(q)^(-1)
-        similar = tuple(tuple(b[i][j] / q[j] for j in range(n)) for i in range(n))
-        if not analysis["psd"]:
-            x = analysis["negative_direction"]
-            # map the direction back through the implicit scaling: the
-            # quadratic form x^T(-B)x < 0 certifies y^T(-A)y < 0 for
-            # y_i = sqrt(q_i) x_i; report the rational B-direction
-            return RealizabilityVerdict(
-                False, None, {"kind": "indefinite", "direction": x, "scaling": tuple(q)}, similar
-            )
-        if analysis["rank"] == n:
-            # det(B) is det(A) * prod(q); the similar matrix has det(A)
-            return RealizabilityVerdict(
-                False, None, {"kind": "nonsingular", "det": det(similar)}, similar
-            )
-        if analysis["rank"] < d:
-            return RealizabilityVerdict(
-                False, None, {"kind": "rank_defect", "rank": analysis["rank"]}, similar
-            )
-        w = nullspace(b)
-        if all(x < 0 for x in w):
-            w = [-x for x in w]
-        if not all(x > 0 for x in w):
-            return RealizabilityVerdict(
-                False, None, {"kind": "kernel_not_positive", "kernel": tuple(w)}, similar
-            )
-        kernel = tuple(AlgebraicReal.sqrt_rational(qi) * wi for qi, wi in zip(q, w))
-        # re-verify B w = 0 exactly; this is A z = 0 under the scaling
-        for i in range(n):
-            if sum(b[i][j] * w[j] for j in range(n)) != 0:
-                raise AssertionError("kernel verification failed")
-        return RealizabilityVerdict(True, kernel, None, similar)
-    # generic exact path
-    rows = [[-as_algebraic(x) for x in r] for r in a.entries]
-    analysis = _congruence_analysis(rows)
+    b, q = descaled if descaled is not None else (a.entries, None)
+    analysis = _congruence_analysis([[-x for x in row] for row in b])
+    # A = D B D with D = diag(q)^(-1/2) is similar to B diag(q)^(-1)
+    similar = None if q is None else tuple(tuple(b[i][j] / q[j] for j in range(n)) for i in range(n))
+    rank = analysis["rank"]
+    witness = None
     if not analysis["psd"]:
-        return RealizabilityVerdict(
-            False, None, {"kind": "indefinite", "direction": analysis["negative_direction"]}, None
-        )
-    if analysis["rank"] == n:
-        return RealizabilityVerdict(False, None, {"kind": "nonsingular"}, None)
-    if analysis["rank"] < d:
-        return RealizabilityVerdict(
-            False, None, {"kind": "rank_defect", "rank": analysis["rank"]}, None
-        )
-    z = nullspace(a.entries)
-    signs = [as_algebraic(x).sign() for x in z]
-    if all(s < 0 for s in signs):
-        z = [-as_algebraic(x) for x in z]
-        signs = [1] * n
-    if not all(s > 0 for s in signs):
-        return RealizabilityVerdict(
-            False, None, {"kind": "kernel_not_positive", "kernel": tuple(z)}, None
-        )
-    return RealizabilityVerdict(True, tuple(as_algebraic(x) for x in z), None, None)
+        # x^T(-B)x < 0 certifies y^T(-A)y < 0 for y_i = sqrt(q_i) x_i:
+        # the direction is reported in B's coordinates, with the scaling
+        witness = {"kind": "indefinite", "direction": analysis["negative_direction"]}
+        if q is not None:
+            witness["scaling"] = tuple(q)
+    elif rank == n:
+        witness = {"kind": "nonsingular"}
+        if q is not None:
+            witness["det"] = det(similar)  # det(A); det(B) is det(A) * prod(q)
+    elif rank < d:
+        witness = {"kind": "rank_defect", "rank": rank}
+    else:
+        # the free coordinate is 1, so a positive kernel needs no sign flip;
+        # min reads every sign, refining each algebraic entry alike
+        w = nullspace(b)
+        if min(_sign(x) for x in w) <= 0:
+            witness = {"kind": "kernel_not_positive", "kernel": tuple(w)}
+    if witness is not None:
+        return RealizabilityVerdict(False, None, witness, similar)
+    if q is None:
+        return RealizabilityVerdict(True, tuple(as_algebraic(x) for x in w), None, None)
+    # re-verify B w = 0 exactly; this is A z = 0 under the scaling
+    if any(sum(b[i][j] * w[j] for j in range(n)) != 0 for i in range(n)):
+        raise AssertionError("kernel verification failed")
+    kernel = tuple(AlgebraicReal.sqrt_rational(qi) * wi for qi, wi in zip(q, w))
+    return RealizabilityVerdict(True, kernel, None, similar)
 
 
 def nonneg_rowspace_certificate(a: CosMatrix):
@@ -350,7 +334,7 @@ def _solve_certificate(rows, tight, flip):
     if sol is None:
         return None
     y = [sum(sol[j] * rows[j][i] for j in range(n)) for i in range(n)]
-    sgns = [(as_algebraic(v).sign() if isinstance(v, AlgebraicReal) else (v > 0) - (v < 0)) for v in y]
+    sgns = [_sign(v) for v in y]
     if all(flip * s >= 0 for s in sgns) and any(s != 0 for s in sgns):
         return tuple(sol)
     return None
@@ -362,12 +346,12 @@ def char_poly(a: CosMatrix) -> list:
     return [as_algebraic(c) for c in linalg.char_poly(rows)]
 
 
-def reconstruct_simplex(a: CosMatrix, tol: float = FLOAT_TOL) -> Simplex:
+def reconstruct_simplex(a: CosMatrix) -> Simplex:
     """A simplex whose dihedral cosine matrix equals A, normalized so the
     longest edge has length 1 (the similarity class is all the data fixes).
 
     The accept decision is exact; coordinates come from a floating Cholesky
-    factor and are verified against A within the tolerance.
+    factor and each dihedral cosine is verified against A within 1e-9.
     """
     verdict = realizability_check(a)
     if not verdict.valid:
@@ -378,12 +362,12 @@ def reconstruct_simplex(a: CosMatrix, tol: float = FLOAT_TOL) -> Simplex:
     normals = cholesky([[-float(x) for x in row[:d]] for row in a.entries[:d]])
     # vertex j solves u_i . v_j = [i == j] / z_j; vertex d is the origin
     verts = [solve(normals, [1.0 / z[j] if i == j else 0.0 for i in range(d)]) for j in range(d)]
-    s = Simplex.floating(verts + [[0.0] * d], tol)
+    s = Simplex.floating(verts + [[0.0] * d])
     s = s.scaled(1 / math.sqrt(max(s.squared_lengths().values())))
     dd = dihedral_data(s)
     for (i, j), c in dd.facet_cos.items():
         want = float(as_algebraic(a.entries[i][j]))
-        if abs(c - want) > max(tol, 1e-9):
+        if abs(c - want) > 1e-9:
             raise AssertionError(
                 f"reconstruction residual {abs(c - want):.3g} exceeds tolerance at ({i},{j})"
             )

@@ -354,7 +354,7 @@ def interiors_disjoint(s1: Simplex, s2: Simplex) -> tuple[bool, tuple | None]:
     point when they overlap.
     """
     exact = s1.mode == "exact" and s2.mode == "exact"
-    tol = None if exact else max(s1.tol, s2.tol)
+    tol = None if exact else FLOAT_TOL
     if _bbox_disjoint(s1, s2):
         return True, None
     if _plane_separates(s1, s2, tol) or _plane_separates(s2, s1, tol):
@@ -363,7 +363,7 @@ def interiors_disjoint(s1: Simplex, s2: Simplex) -> tuple[bool, tuple | None]:
     if exact:
         return (tau <= 0), (x if tau > 0 else None)
     scale = max(abs(float(v)) for s in (s1, s2) for vert in s.vertices for v in vert) + 1
-    return (float(tau) <= (tol or FLOAT_TOL) * scale), (x if float(tau) > (tol or FLOAT_TOL) * scale else None)
+    return (float(tau) <= FLOAT_TOL * scale), (x if float(tau) > FLOAT_TOL * scale else None)
 
 
 # ---------------------------------------------------------------------------

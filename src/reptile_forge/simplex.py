@@ -5,7 +5,7 @@ squared edge lengths, and dihedral cosines (one square root per facet
 pair, held as an exact algebraic number), and an integer form: one
 denominator D and integer vertices D * x, which give the determinant,
 cofactor facet normals, bounds and squared edge lengths in integers.  Float
-mode carries a declared tolerance and is used for reconstructed or
+mode compares within FLOAT_TOL and is used for reconstructed or
 irrational-basis simplices.
 """
 
@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import combinations, permutations
 
 from .algebra import AlgebraicReal, as_algebraic
 from .algebra import intpoly as ip
 from .algebra.enclosure import pi_bounds
 from .algebra.linalg import det, det_int, nullspace, unit_normal
-from .trig import RationalAngle, acos_enclosure, cosine_of, match_rational_angle
+from .trig import RationalAngle, _half_chebyshev, acos_enclosure, cosine_of, match_rational_angle
 
 FLOAT_TOL = 1e-10
 
@@ -64,7 +64,6 @@ class Simplex:
     dim: int
     vertices: tuple[tuple, ...]
     mode: str = "exact"
-    tol: float = FLOAT_TOL
 
     def __post_init__(self):
         if not 2 <= self.dim <= 4:
@@ -82,7 +81,7 @@ class Simplex:
         else:
             # |det| of a well-shaped simplex scales as (longest edge)^dim
             longest = math.sqrt(max(self.squared_lengths().values()))
-            if abs(d) <= self.tol * longest**self.dim:
+            if abs(d) <= FLOAT_TOL * longest**self.dim:
                 raise ValueError("degenerate simplex (determinant below tolerance)")
 
     @staticmethod
@@ -91,9 +90,9 @@ class Simplex:
         return Simplex(len(vs) - 1, vs, "exact")
 
     @staticmethod
-    def floating(vertices, tol: float = FLOAT_TOL) -> "Simplex":
+    def floating(vertices) -> "Simplex":
         vs = tuple(tuple(float(x) for x in v) for v in vertices)
-        return Simplex(len(vs) - 1, vs, "float", tol)
+        return Simplex(len(vs) - 1, vs, "float")
 
     @cached_property
     def signed_det(self) -> Fraction | float:
@@ -151,22 +150,16 @@ class Simplex:
             r = Fraction(r)
         else:
             r = float(r)
-        return Simplex(
-            self.dim, tuple(tuple(r * x for x in v) for v in self.vertices), self.mode, self.tol
-        )
+        return Simplex(self.dim, tuple(tuple(r * x for x in v) for v in self.vertices), self.mode)
 
     def translated(self, t) -> "Simplex":
-        return Simplex(
-            self.dim,
-            tuple(tuple(x + dx for x, dx in zip(v, t)) for v in self.vertices),
-            self.mode,
-            self.tol,
-        )
+        vs = tuple(tuple(x + dx for x, dx in zip(v, t)) for v in self.vertices)
+        return Simplex(self.dim, vs, self.mode)
 
     def as_float(self) -> "Simplex":
         if self.mode == "float":
             return self
-        return Simplex.floating(self.vertices, self.tol)
+        return Simplex.floating(self.vertices)
 
     def facet_normal(self, i: int) -> list:
         """Inward normal (unnormalized; rational in exact mode) of the facet
@@ -295,12 +288,7 @@ class DihedralData:
                 groups.append((c, 1))
         entries = []
         for rep, mult in groups:
-            ang = None
-            if self.mode == "exact" and (
-                isinstance(rep, Fraction)
-                or (isinstance(rep, AlgebraicReal) and rep.degree <= 8)
-            ):
-                ang = match_rational_angle(rep)
+            ang = match_rational_angle(rep) if self.mode == "exact" else None
             entries.append((ang if ang is not None else rep, mult))
         return AngleMultiset(tuple(entries))
 
@@ -410,7 +398,7 @@ def congruent(s1: Simplex, s2: Simplex, allow_reflection: bool = True) -> bool:
         raise ValueError("dimension mismatch")
     if s1.mode != s2.mode:
         s1, s2 = s1.as_float(), s2.as_float()
-    tol = None if s1.mode == "exact" else max(s1.tol, s2.tol)
+    tol = None if s1.mode == "exact" else FLOAT_TOL
     perm = _match_permutation(s1, s2, 1, tol)
     if perm is None:
         return False
@@ -446,10 +434,9 @@ def similar(s1: Simplex, s2: Simplex):
     sq1 = sorted(s1.squared_lengths().values())
     sq2 = sorted(s2.squared_lengths().values())
     ratio2 = sq2[0] / sq1[0]
-    tol = max(s1.tol, s2.tol)
-    if any(abs(b - a * ratio2) > tol * max(abs(b), 1.0) for a, b in zip(sq1, sq2)):
+    if any(abs(b - a * ratio2) > FLOAT_TOL * max(abs(b), 1.0) for a, b in zip(sq1, sq2)):
         return None
-    if _match_permutation(s1, s2, ratio2, tol) is None:
+    if _match_permutation(s1, s2, ratio2, FLOAT_TOL) is None:
         return None
     return math.sqrt(ratio2)
 
@@ -535,7 +522,7 @@ def edge_length_classes_by_angle(s: Simplex, angle) -> set:
         return set(lengths)
     classes: list[float] = []
     for v in sorted(lengths):
-        if not classes or abs(v - classes[-1]) > s.tol * max(abs(v), 1.0):
+        if not classes or abs(v - classes[-1]) > FLOAT_TOL * max(abs(v), 1.0):
             classes.append(v)
     return set(classes)
 
@@ -573,7 +560,7 @@ class _Ang:
             self.cos = None
             return
         c = as_algebraic(raw)
-        matched = match_rational_angle(c) if c.degree <= 8 else None
+        matched = match_rational_angle(c)
         if matched is not None:
             self.rat = matched.fraction_of_pi
             self.cos = None
@@ -607,11 +594,8 @@ class _Ang:
 
 @lru_cache(maxsize=None)
 def _chebyshev_t(n: int):
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (0, 1)
-    return ip.sub(ip.scale(ip.mul((0, 1), _chebyshev_t(n - 1)), 2), _chebyshev_t(n - 2))
+    """T_n(c) = H_n(2c) / 2, with H_n(x + 1/x) = x^n + x^-n (trig._half_chebyshev)."""
+    return tuple(c // 2 for c in ip.compose_linear(_half_chebyshev(n), 2, 0))
 
 
 def _cos_sin_of_multiple(ang: _Ang, k: int, sin_cache: dict):
@@ -676,7 +660,7 @@ def greedy_indivisible_basis(d: AngleMultiset) -> list:
     not expressible as a nonnegative-integer combination of those before."""
     raw = d.angles()
     angs = [_Ang(a) for a in raw]
-    order = sorted(range(len(angs)), key=lambda i: _AngKey(angs[i]))
+    order = sorted(range(len(angs)), key=cmp_to_key(lambda i, j: angs[i].compare(angs[j])))
     betas: list[_Ang] = []
     chosen: list = []
     for idx in order:
@@ -688,14 +672,6 @@ def greedy_indivisible_basis(d: AngleMultiset) -> list:
         betas.append(a)
         chosen.append(raw[idx])
     return chosen
-
-
-class _AngKey:
-    def __init__(self, a: _Ang):
-        self.a = a
-
-    def __lt__(self, other: "_AngKey") -> bool:
-        return self.a.compare(other.a) < 0
 
 
 def _is_combination(alpha: _Ang, betas: list[_Ang]) -> bool:

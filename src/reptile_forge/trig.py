@@ -210,17 +210,14 @@ def catalog(degree: int) -> CosineCatalog:
 def match_rational_angle(x) -> RationalAngle | None:
     """The rational angle in [0, pi] whose cosine equals x exactly, if any.
 
-    Only cosines of algebraic degree at most 8 can match; values outside
-    [-1, 1] are a domain error.
+    Any algebraic degree can match; values outside [-1, 1] are a domain
+    error.
     """
     if isinstance(x, (int, Fraction)):
         x = AlgebraicReal.from_rational(x)
     if x.compare(Fraction(-1)) < 0 or x.compare(Fraction(1)) > 0:
         raise ValueError("cosine values lie in [-1, 1]")
-    d = x.degree
-    if d > 8:
-        return None
-    for n in _orders_of_degree(d):
+    for n in _orders_of_degree(x.degree):
         if cos_two_pi_minpoly(n) == x.minpoly:
             # roots ascend as residues descend (see cosine_of)
             residues = _coprime_residues_half(n)

@@ -214,6 +214,71 @@ class TestRealizability:
             assert quad * -1 < 0  # x^T(-B)x < 0, i.e. x^T B x > 0
 
 
+S2, NS2 = "sqrt(2)/2", "-sqrt(2)/2"
+
+# (expected verdict, rows): entries in Q and Q*sqrt(2), so the algebraic
+# branch stays under the degree cap; where unit normals are named above a
+# case, -A is their Gram matrix
+BRANCH_CASES = {
+    # (1, 0), (0, 1), -(1, 1)/sqrt(2): kernel (1, 1, sqrt 2)
+    "triangle": ("valid", [["-1", "0", S2], ["0", "-1", S2], [S2, S2, "-1"]]),
+    "regular": ("valid", [["-1" if i == j else "1/3" for j in range(4)] for i in range(4)]),
+    # (1, 0), (0, 1), (1, 1)/sqrt(2): kernel (1, 1, -sqrt 2)
+    "half-plane": ("kernel_not_positive", [["-1", "0", NS2], ["0", "-1", NS2], [NS2, NS2, "-1"]]),
+    # four unit normals in a plane: -A has rank 2 < 3
+    "planar": (
+        "rank_defect",
+        [["-1", "0", NS2, S2], ["0", "-1", NS2, NS2], [NS2, NS2, "-1", "0"], [S2, NS2, "0", "-1"]],
+    ),
+    "wide-tripod": ("indefinite", tripod_rows("9/10", "9/10")),
+    "radical-triangle": ("indefinite", [["-1", S2, S2], [S2, "-1", "1/2"], [S2, "1/2", "-1"]]),
+    "near-identity": (
+        "nonsingular",
+        [["-1", "sqrt(2)/4", "1/3"], ["sqrt(2)/4", "-1", "-sqrt(2)/4"], ["1/3", "-sqrt(2)/4", "-1"]],
+    ),
+}
+
+
+class TestBranchesAgree:
+    """The descaled rational branch and the algebraic branch of
+    realizability_check give the same verdict on the same matrix."""
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+    def test_same_verdict(self, name, monkeypatch):
+        want, rows = BRANCH_CASES[name]
+        descaled, algebraic = self._both(load_matrix({"dim": len(rows) - 1, "cos": rows}), monkeypatch)
+        assert (descaled.failure_witness or {"kind": "valid"})["kind"] == want
+        self._assert_agree(descaled, algebraic)
+
+    def test_orthoscheme_from_json(self, monkeypatch):
+        self._assert_agree(*self._both(via_json(matrix_of(ORTHO_235)), monkeypatch))
+
+    @staticmethod
+    def _both(a, monkeypatch):
+        import reptile_forge.fiedler as fiedler_mod
+
+        assert _descale(a) is not None
+        descaled = realizability_check(a)
+        monkeypatch.setattr(fiedler_mod, "_descale", lambda a: None)
+        algebraic = realizability_check(a)
+        assert algebraic.similar_matrix is None
+        return descaled, algebraic
+
+    @staticmethod
+    def _assert_agree(descaled, algebraic):
+        assert descaled.valid == algebraic.valid
+        if not descaled.valid:
+            w1, w2 = descaled.failure_witness, algebraic.failure_witness
+            assert w1["kind"] == w2["kind"]
+            assert w1.get("rank") == w2.get("rank")
+            return
+        k1 = [as_algebraic(x) for x in descaled.kernel]
+        k2 = [as_algebraic(x) for x in algebraic.kernel]
+        assert all(x.sign() > 0 for x in k1 + k2)
+        # k1 = c k2 with c > 0: every k1_i k2_0 - k1_0 k2_i vanishes
+        assert all((k1[i] * k2[0]).compare(k1[0] * k2[i]) == 0 for i in range(len(k1)))
+
+
 def _sqrt_prod(qi, qj):
     v = Fraction(qi) * Fraction(qj)
     r = AlgebraicReal.sqrt_rational(v)

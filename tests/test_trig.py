@@ -182,6 +182,19 @@ class TestMatchRationalAngle:
                 continue
             assert match_rational_angle(cosine_of(ang)) == ang
 
+    @pytest.mark.parametrize("p, q", [(2, 19), (4, 27), (2, 59), (6, 59)])
+    def test_cosines_past_degree_eight_match(self, p, q):
+        ang = RationalAngle.of(p, q)
+        assert cosine_degree(ang) > 8
+        assert match_rational_angle(cosine_of(ang)) == ang
+
+    def test_degree_nine_non_cosine_unmatched(self):
+        # 2^(-1/9), the real root of 2x^9 - 1 (irreducible: its reversal
+        # x^9 - 2 is Eisenstein at 2)
+        root = AlgebraicReal((-1, 0, 0, 0, 0, 0, 0, 0, 0, 2), (Fraction(9, 10), Fraction(1)), _trusted=True)
+        assert root.degree == 9
+        assert match_rational_angle(root) is None
+
 
 def _reference_match(x):
     """The catalog scan the matcher replaced: exact comparison with every
