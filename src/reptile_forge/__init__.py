@@ -6,7 +6,7 @@ Subpackages and modules:
   number fields Q[x]/(m) (the golden-ratio field Q(phi) among them), exact
   linear algebra, and a small multivariate symbolic ring
 - ``trig``: rational angles, cosine minimal polynomials, degree catalogs
-- ``simplex``: simplices, dihedral data, congruence/similarity, angle lemmas
+- ``simplex``: simplices, dihedral data, volume, congruence/similarity
 - ``fiedler``: dihedral-angle realizability and reconstruction
 - ``hill``: Hill simplices, m^d subdivisions, the exact reptile verifier
 - ``audit``: the machine-checked nonexistence case analysis

@@ -98,14 +98,15 @@ class AlgebraicReal:
         several roots of one polynomial share one factorization.
         """
         lo, hi = Fraction(lo), Fraction(hi)
-        p = ip.squarefree_part(ip.poly(defining))
-        if ip.degree(p) < 1:
+        defining = ip.poly(defining)
+        if ip.degree(defining) < 1:
             raise ValueError("defining polynomial must have positive degree")
         if lo == hi:
-            if ip.eval_at(p, lo) != 0:
+            if ip.eval_at(defining, lo) != 0:
                 raise ValueError("degenerate interval does not hit a root")
             return AlgebraicReal.from_rational(lo)
-        seq = sturm.sturm_sequence(p)
+        seq = sturm.sturm_sequence(defining)
+        p = seq[0]
         n_in = sturm.count_roots(seq, lo, hi)
         if n_in != 1:
             raise ValueError(f"interval must isolate exactly one root (found {n_in})")
@@ -444,8 +445,8 @@ def _select_root(defining: Poly, value_range, *operands: AlgebraicReal) -> Algeb
     the result; operands are refined until that enclosure isolates a
     single root with honest endpoint signs.
     """
-    p = ip.squarefree_part(defining)
-    seq = sturm.sturm_sequence(p)
+    seq = sturm.sturm_sequence(defining)
+    p = seq[0]
     while True:
         ivs = [x._iv for x in operands]
         lo, hi = value_range(*ivs)

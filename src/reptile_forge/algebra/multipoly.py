@@ -114,16 +114,6 @@ class MPoly:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
-    def coefficients_in(self, name: str) -> list["MPoly"]:
-        """Coefficients (low power first) as polynomials in the other variables."""
-        i = self.vars.index(name)
-        rest = tuple(v for v in self.vars if v != name)
-        out = [dict() for _ in range(self.degree_in(name) + 1)]
-        for e, c in self.terms.items():
-            re = tuple(x for j, x in enumerate(e) if j != i)
-            out[e[i]][re] = out[e[i]].get(re, 0) + c if re in out[e[i]] else c
-        return [MPoly(rest, d) for d in out]
-
     def substitute(self, values: dict) -> "MPoly":
         """Substitute values (field elements or MPoly in the same vars) for
         some variables; unsubstituted variables survive."""

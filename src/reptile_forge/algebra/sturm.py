@@ -24,7 +24,7 @@ def _strip_content(p: Poly) -> Poly:
 
 
 def sturm_sequence(p: Poly) -> list[Poly]:
-    """Sturm chain of the squarefree part of p."""
+    """Sturm chain of the squarefree part of p, which is its first entry."""
     f = ip.squarefree_part(p)
     seq = [f, _strip_content(ip.derivative(f))]
     while seq[-1]:
@@ -72,13 +72,13 @@ def isolate_roots(
         raise ValueError("undefined root set: zero polynomial")
     if ip.degree(p) == 0:
         return []
-    f = ip.squarefree_part(p)
+    seq = sturm_sequence(p)
+    f = seq[0]
     bound = ip.root_bound(f)
     left = -bound if lo is None else Fraction(lo)
     right = bound if hi is None else Fraction(hi)
     if left >= right:
         return []
-    seq = sturm_sequence(f)
 
     out: set[tuple[Fraction, Fraction]] = set()
 

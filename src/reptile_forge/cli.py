@@ -4,8 +4,8 @@ Subcommands: fiedler check|reconstruct, hill generate|subdivide|verify|grow,
 angles classify|catalog, audit run|step, export.  JSON results go to stdout
 or --out; human-readable summaries go to stderr.  "-" means stdin/stdout.
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
-3 an exact computation beyond a supported bound (the algebraic degree cap,
-the refinement cap or the factorizer's reach), so no verdict was reached.
+3 an exact computation beyond a supported bound (the algebraic degree cap
+or the factorizer's reach), so no verdict was reached.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .jsonio import (
     parse_real,
     read_json_document,
 )
-from .simplex import InconclusiveComparison
 from .trig import catalog, cosine_of, match_rational_angle
 
 EXIT_OK = 0
@@ -418,7 +417,7 @@ def main(argv=None) -> int:
     args = _parser_for(argv).parse_args(argv)
     try:
         return args.fn(args)
-    except (DegreeOverflowError, InconclusiveComparison, FactorError) as e:
+    except (DegreeOverflowError, FactorError) as e:
         _log(f"undecided: {e}")
         return EXIT_UNDECIDED
     except InputFormatError as e:

@@ -1,4 +1,4 @@
-"""Simplices, dihedral angles, and combinatorial angle lemmas.
+"""Simplices, dihedral angles, volume, congruence and similarity.
 
 Exact mode keeps every coordinate a Fraction: facet normals, Gram data,
 squared edge lengths, and dihedral cosines (one square root per facet
@@ -14,20 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property
 from itertools import combinations, permutations
 
-from .algebra import AlgebraicReal, as_algebraic
-from .algebra import intpoly as ip
-from .algebra.enclosure import pi_bounds
+from .algebra import AlgebraicReal
 from .algebra.linalg import det, det_int, nullspace, unit_normal
-from .trig import RationalAngle, _half_chebyshev, acos_enclosure, cosine_of, match_rational_angle
 
 FLOAT_TOL = 1e-10
-
-
-class InconclusiveComparison(ArithmeticError):
-    """A certified comparison hit the refinement cap without deciding."""
 
 
 def _dot(u, v):
@@ -277,27 +270,6 @@ class DihedralData:
             rows[i][j] = rows[j][i] = c
         return rows
 
-    def angle_multiset(self) -> "AngleMultiset":
-        groups: list[tuple] = []
-        for c in self.facet_cos.values():
-            for k, (rep, mult) in enumerate(groups):
-                if _cos_equal(rep, c, self.mode):
-                    groups[k] = (rep, mult + 1)
-                    break
-            else:
-                groups.append((c, 1))
-        entries = []
-        for rep, mult in groups:
-            ang = match_rational_angle(rep) if self.mode == "exact" else None
-            entries.append((ang if ang is not None else rep, mult))
-        return AngleMultiset(tuple(entries))
-
-
-def _cos_equal(a, b, mode: str) -> bool:
-    if mode == "float":
-        return abs(float(a) - float(b)) <= FLOAT_TOL
-    return as_algebraic(a).compare(as_algebraic(b)) == 0
-
 
 def _exact_cos(num: Fraction, norm_product: Fraction) -> AlgebraicReal | Fraction:
     """num / sqrt(norm_product) as an exact value."""
@@ -306,6 +278,7 @@ def _exact_cos(num: Fraction, norm_product: Fraction) -> AlgebraicReal | Fractio
     q = num * num / norm_product
     root = AlgebraicReal.sqrt_rational(q)
     return root if num > 0 else -root
+
 
 def dihedral_data(s: Simplex) -> DihedralData:
     """Dihedral cosines from inward normals: cos(i,j) = -<u_i, u_j>."""
@@ -439,313 +412,3 @@ def similar(s1: Simplex, s2: Simplex):
     if _match_permutation(s1, s2, ratio2, FLOAT_TOL) is None:
         return None
     return math.sqrt(ratio2)
-
-
-# ---------------------------------------------------------------------------
-# per-vertex dihedral angle sums (certified)
-# ---------------------------------------------------------------------------
-
-
-def vertex_angle_check(s: Simplex, start_width: Fraction = Fraction(1, 10**4)) -> dict:
-    """For each vertex of a tetrahedron, certify that the three adjacent
-    dihedral angles sum to more than pi.
-
-    Returns {vertex: {"interval": (lo, hi), "verdict": "greater"|"not_greater"}}.
-    Raises InconclusiveComparison if the refinement cap is hit (a bug signal
-    for nondegenerate input).
-    """
-    if s.dim != 3:
-        raise ValueError("vertex angle sums are a tetrahedron check")
-    dd = dihedral_data(s)
-    edge_cos = dd.edge_cos()
-    out = {}
-    for v in range(4):
-        cs = [edge_cos[e] for e in sorted(edge_cos) if v in e]
-        if len(cs) != 3:
-            raise AssertionError("each vertex meets exactly three edges")
-        if s.mode == "float":
-            total = sum(math.acos(max(-1.0, min(1.0, float(c)))) for c in cs)
-            out[v] = {
-                "interval": (total, total),
-                "verdict": "greater" if total > math.pi else "not_greater",
-            }
-            continue
-        w = Fraction(start_width)
-        while True:
-            lo = hi = Fraction(0)
-            for c in cs:
-                a, b = acos_enclosure(c, w)
-                lo += a
-                hi += b
-            pi_lo, pi_hi = pi_bounds(w)
-            if lo > pi_hi:
-                out[v] = {"interval": (lo, hi), "verdict": "greater"}
-                break
-            if hi < pi_lo:
-                out[v] = {"interval": (lo, hi), "verdict": "not_greater"}
-                break
-            w /= 2
-            if w < Fraction(1, 10**30):
-                raise InconclusiveComparison(
-                    f"angle sum at vertex {v} undecided at maximum refinement"
-                )
-    return out
-
-
-def edge_length_classes_by_angle(s: Simplex, angle) -> set:
-    """Distinct squared lengths among the edges carrying the given angle.
-
-    For d = 3 an angle sits at an edge (the ridge of its facet pair); for
-    d = 2 it sits at a vertex and the flanking sides are counted.  The
-    angle may be a RationalAngle or an exact cosine and must occur in the
-    simplex.
-    """
-    if s.dim > 3:
-        raise ValueError("edge classification is defined for d <= 3")
-    target = angle
-    if isinstance(angle, RationalAngle):
-        target = cosine_of(angle)
-    dd = dihedral_data(s)
-    hits = [pair for pair, c in dd.facet_cos.items() if _cos_equal(c, target, s.mode)]
-    if not hits:
-        raise ValueError("angle does not occur in the simplex")
-    edges = set()
-    for i, j in hits:
-        if s.dim == 3:
-            edges.add(dd.ridge(i, j))
-        else:
-            # the two sides meeting at the shared vertex are the facets
-            for f in (i, j):
-                edges.add(tuple(k for k in range(3) if k != f))
-    lengths = [dd.sq_lengths[e] for e in edges]
-    if s.mode == "exact":
-        return set(lengths)
-    classes: list[float] = []
-    for v in sorted(lengths):
-        if not classes or abs(v - classes[-1]) > FLOAT_TOL * max(abs(v), 1.0):
-            classes.append(v)
-    return set(classes)
-
-
-# ---------------------------------------------------------------------------
-# angle multisets and combination lemmas
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AngleMultiset:
-    """Distinct angles with multiplicities; entries are RationalAngle or an
-    exact cosine value (AlgebraicReal)."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        # 6 distinct angles for a tetrahedron; 10 facet pairs at d = 4
-        if len(self.entries) > 10:
-            raise ValueError("too many distinct dihedral angles for a supported simplex")
-
-    def angles(self) -> list:
-        return [a for a, _ in self.entries]
-
-
-class _Ang:
-    """Internal normalized angle: rational multiple of pi where possible,
-    otherwise an exact cosine."""
-
-    __slots__ = ("rat", "cos")
-
-    def __init__(self, raw):
-        if isinstance(raw, RationalAngle):
-            self.rat: Fraction | None = raw.fraction_of_pi
-            self.cos = None
-            return
-        c = as_algebraic(raw)
-        matched = match_rational_angle(c)
-        if matched is not None:
-            self.rat = matched.fraction_of_pi
-            self.cos = None
-        else:
-            self.rat = None
-            self.cos = c
-
-    @property
-    def is_rational(self) -> bool:
-        return self.rat is not None
-
-    def cosine(self) -> AlgebraicReal:
-        if self.cos is not None:
-            return self.cos
-        return cosine_of(RationalAngle.from_fraction_of_pi(self.rat))
-
-    def enclosure(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        if self.rat is not None:
-            return RationalAngle.from_fraction_of_pi(self.rat).enclosure(width)
-        return acos_enclosure(self.cos, width)
-
-    def compare(self, other: "_Ang") -> int:
-        if self.rat is not None and other.rat is not None:
-            return (self.rat > other.rat) - (self.rat < other.rat)
-        if self.rat is not None and other.cos is not None:
-            return -self.cosine().compare(other.cos)
-        if self.cos is not None and other.rat is not None:
-            return -self.cos.compare(other.cosine())
-        return -self.cos.compare(other.cos)
-
-
-@lru_cache(maxsize=None)
-def _chebyshev_t(n: int):
-    """T_n(c) = H_n(2c) / 2, with H_n(x + 1/x) = x^n + x^-n (trig._half_chebyshev)."""
-    return tuple(c // 2 for c in ip.compose_linear(_half_chebyshev(n), 2, 0))
-
-
-def _cos_sin_of_multiple(ang: _Ang, k: int, sin_cache: dict):
-    """Exact (cos, sin) of k times the angle; sin sign certified by enclosure."""
-    c = ang.cosine()
-    ck = c.poly_image(_chebyshev_t(k))
-    one_minus = AlgebraicReal.from_rational(1) - ck * ck
-    sk_abs = one_minus.sqrt()
-    if not sk_abs:
-        return ck, sk_abs
-    # sign of sin(k*theta): locate k*theta against multiples of pi
-    w = Fraction(1, 64)
-    while True:
-        lo, hi = ang.enclosure(w)
-        pi_lo, pi_hi = pi_bounds(w)
-        klo, khi = k * lo, k * hi
-        m_lo = (klo / pi_hi).__floor__()
-        m_hi = (khi / pi_lo).__floor__()
-        if m_lo == m_hi and klo > m_lo * pi_hi and khi < (m_lo + 1) * pi_lo:
-            sign = 1 if m_lo % 2 == 0 else -1
-            return ck, (sk_abs if sign > 0 else -sk_abs)
-        w /= 16
-        if w < Fraction(1, 10**60):
-            raise InconclusiveComparison("sine sign undecided")
-
-
-def _combination_equals(alpha: _Ang, betas: list[_Ang], coeffs: list[int]) -> bool:
-    """Does sum coeffs[i] * betas[i] equal alpha exactly?"""
-    rational_all = alpha.is_rational and all(b.is_rational for b in betas)
-    if rational_all:
-        total = sum(c * b.rat for c, b in zip(coeffs, betas))
-        return total == alpha.rat
-    # certified interval filter first
-    w = Fraction(1, 10**4)
-    while True:
-        alo, ahi = alpha.enclosure(w)
-        slo = shi = Fraction(0)
-        for c, b in zip(coeffs, betas):
-            blo, bhi = b.enclosure(w)
-            slo += c * blo
-            shi += c * bhi
-        if shi < alo or ahi < slo:
-            return False
-        pi_lo, pi_hi = pi_bounds(w)
-        if w < Fraction(1, 10**6) and shi < 2 * pi_lo - ahi:
-            break
-        w /= 16
-        if w < Fraction(1, 10**40):
-            raise InconclusiveComparison("combination comparison undecided")
-    # exact confirmation through angle addition on (cos, sin) pairs
-    cur = (AlgebraicReal.from_rational(1), AlgebraicReal.from_rational(0))
-    for c, b in zip(coeffs, betas):
-        if c == 0:
-            continue
-        ck, sk = _cos_sin_of_multiple(b, c, {})
-        cur = (cur[0] * ck - cur[1] * sk, cur[1] * ck + cur[0] * sk)
-    return cur[0].compare(alpha.cosine()) == 0 and cur[1].sign() >= 0
-
-
-def greedy_indivisible_basis(d: AngleMultiset) -> list:
-    """Ascending angles selected greedily: each new element is the smallest
-    not expressible as a nonnegative-integer combination of those before."""
-    raw = d.angles()
-    angs = [_Ang(a) for a in raw]
-    order = sorted(range(len(angs)), key=cmp_to_key(lambda i, j: angs[i].compare(angs[j])))
-    betas: list[_Ang] = []
-    chosen: list = []
-    for idx in order:
-        a = angs[idx]
-        if betas and _is_combination(a, betas):
-            continue
-        if betas and a.compare(betas[-1]) == 0:
-            continue
-        betas.append(a)
-        chosen.append(raw[idx])
-    return chosen
-
-
-def _is_combination(alpha: _Ang, betas: list[_Ang]) -> bool:
-    # coefficient bounds: c_i <= alpha / beta_i, certified from enclosures
-    bounds = []
-    ahi = alpha.enclosure(Fraction(1, 1000))[1]
-    for b in betas:
-        blo = b.enclosure(Fraction(1, 1000))[0]
-        if blo <= 0:
-            raise ValueError("angles must be positive")
-        bounds.append(int(ahi / blo) + 1)
-
-    def rec(i: int, coeffs: list[int]) -> bool:
-        if i == len(betas):
-            if all(c == 0 for c in coeffs):
-                return False
-            return _combination_equals(alpha, betas, coeffs)
-        for c in range(bounds[i] + 1):
-            if rec(i + 1, coeffs + [c]):
-                return True
-        return False
-
-    return rec(0, [])
-
-
-def integer_combination_pi(d: AngleMultiset) -> dict | None:
-    """Nonnegative integers i_a with sum i_a * a = pi, or None.
-
-    All angles must be rational multiples of pi.
-    """
-    angs = []
-    for a in d.angles():
-        na = _Ang(a)
-        if not na.is_rational:
-            raise ValueError("integer combinations need rational angles")
-        if na.rat <= 0:
-            raise ValueError("angles must be positive")
-        angs.append(na.rat)
-
-    sol: list[int] | None = None
-
-    def rec(i: int, remaining: Fraction, acc: list[int]) -> bool:
-        nonlocal sol
-        if remaining == 0 and i <= len(angs):
-            sol = acc + [0] * (len(angs) - i)
-            return True
-        if i == len(angs) or remaining < 0:
-            return False
-        top = int(remaining / angs[i])
-        for c in range(top, -1, -1):
-            if rec(i + 1, remaining - c * angs[i], acc + [c]):
-                return True
-        return False
-
-    if not rec(0, Fraction(1), []):
-        return None
-    return {a: c for a, c in zip(d.angles(), sol)}
-
-
-def positive_rational_combination_pi(d: AngleMultiset) -> list[Fraction] | None:
-    """Strictly positive rationals q_i with sum q_i * a_i = pi, or None.
-
-    Rational feasibility only needs one positive angle; the witness spreads
-    pi uniformly across the entries.
-    """
-    if not d.entries:
-        return None
-    fracs = []
-    for a in d.angles():
-        na = _Ang(a)
-        if not na.is_rational:
-            raise ValueError("rational combinations need rational angles")
-        if na.rat <= 0:
-            raise ValueError("angles must be positive")
-        fracs.append(na.rat)
-    n = len(fracs)
-    return [Fraction(1, n) / u for u in fracs]

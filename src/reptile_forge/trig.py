@@ -46,11 +46,6 @@ class RationalAngle:
             f = 2 - f
         return RationalAngle(f.numerator, f.denominator)
 
-    @staticmethod
-    def from_fraction_of_pi(f) -> "RationalAngle":
-        f = Fraction(f)
-        return RationalAngle.of(f.numerator, f.denominator)
-
     @property
     def fraction_of_pi(self) -> Fraction:
         return Fraction(self.p, self.q)

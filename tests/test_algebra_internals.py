@@ -206,14 +206,6 @@ class TestMPoly:
         t = MPoly.variable(self.V, "t")
         assert (s * t).evaluate({"s": Fraction(2), "t": Fraction(5)}) == 10
 
-    def test_coefficients_in(self):
-        s = MPoly.variable(self.V, "s")
-        t = MPoly.variable(self.V, "t")
-        p = s**2 * t + s * t + MPoly.constant(self.V, Fraction(7))
-        coeffs = p.coefficients_in("s")
-        assert len(coeffs) == 3
-        assert coeffs[0] == MPoly.constant(("t",), Fraction(7))
-
     def test_mixed_variable_sets_rejected(self):
         s = MPoly.variable(("s",), "s")
         t = MPoly.variable(("t",), "t")

@@ -1,4 +1,4 @@
-"""Geometry core: dihedral data, volumes, congruence, angle lemmas."""
+"""Geometry core: dihedral data, volumes, congruence, similarity."""
 
 import math
 import random
@@ -10,25 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reptile_forge.algebra import AlgebraicReal
 from reptile_forge.algebra.linalg import det
 from reptile_forge.simplex import (
-    AngleMultiset,
     Simplex,
     congruent,
     dihedral_data,
-    edge_length_classes_by_angle,
-    greedy_indivisible_basis,
-    integer_combination_pi,
     orthoscheme,
-    positive_rational_combination_pi,
     regular_tetrahedron,
     right_isosceles_triangle,
     similar,
-    vertex_angle_check,
     volume,
 )
-from reptile_forge.trig import RationalAngle
 
 from helpers import random_rational_tetrahedron
 
@@ -81,6 +73,19 @@ class TestConstruction:
             Simplex.floating([(0, 0), (scale, scale), (3 * scale, 3 * scale)])
         with pytest.raises(ValueError, match="degenerate"):
             Simplex.floating([(0, 0, 0), (scale, 0, 0), (0, scale, 0), (scale, scale, 0)])
+
+    def test_symmetric_pyramid_has_at_most_two_lengths(self):
+        # equilateral base, apex on the axis: base angle edges + tripod edges
+        s = Simplex.floating(
+            [
+                (1.0, 0.0, 0.0),
+                (-0.5, math.sqrt(3) / 2, 0.0),
+                (-0.5, -math.sqrt(3) / 2, 0.0),
+                (0.0, 0.0, 1.25),
+            ]
+        )
+        lengths = sorted(set(round(v, 9) for v in s.squared_lengths().values()))
+        assert len(lengths) <= 2
 
 
 class TestDihedralData:
@@ -250,148 +255,3 @@ class TestSimilar:
         s = random_rational_tetrahedron(random.Random(9))
         for r in (Fraction(3), Fraction(2, 7), Fraction(5, 3)):
             assert similar(s, s.scaled(r)) == r
-
-
-class TestVertexAngleCheck:
-    def test_regular(self):
-        res = vertex_angle_check(regular_tetrahedron())
-        for info in res.values():
-            assert info["verdict"] == "greater"
-            assert float(info["interval"][0]) == pytest.approx(3 * math.acos(1 / 3), abs=1e-3)
-
-    def test_orthoscheme_apex(self):
-        res = vertex_angle_check(orthoscheme(3))
-        assert all(i["verdict"] == "greater" for i in res.values())
-        # vertex 0 carries angles pi/4 + pi/2 + pi/3 = 13pi/12 > pi
-        lo, hi = res[0]["interval"]
-        assert float(lo) <= 13 * math.pi / 12 <= float(hi)
-
-    def test_near_degenerate_sliver_still_decisive(self):
-        sliver = Simplex.exact(
-            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (Fraction(1, 3), Fraction(1, 3), Fraction(1, 50))]
-        )
-        res = vertex_angle_check(sliver)
-        assert all(i["verdict"] == "greater" for i in res.values())
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError):
-            vertex_angle_check(right_isosceles_triangle())
-
-
-class TestEdgeClasses:
-    def test_orthoscheme_right_angles(self):
-        cls = edge_length_classes_by_angle(orthoscheme(3), Fraction(0))
-        assert cls == {Fraction(1), Fraction(2)}
-
-    def test_triangle_cases(self):
-        tri = right_isosceles_triangle()
-        assert edge_length_classes_by_angle(tri, RationalAngle.of(1, 2)) == {Fraction(1)}
-        assert edge_length_classes_by_angle(tri, RationalAngle.of(1, 4)) == {
-            Fraction(1),
-            Fraction(2),
-        }
-
-    def test_symmetric_pyramid_has_at_most_two_lengths(self):
-        # equilateral base, apex on the axis: base angle edges + tripod edges
-        s = Simplex.floating(
-            [
-                (1.0, 0.0, 0.0),
-                (-0.5, math.sqrt(3) / 2, 0.0),
-                (-0.5, -math.sqrt(3) / 2, 0.0),
-                (0.0, 0.0, 1.25),
-            ]
-        )
-        lengths = sorted(set(round(v, 9) for v in s.squared_lengths().values()))
-        assert len(lengths) <= 2
-
-    def test_equilateral_triangle_single_class(self):
-        s = Simplex.floating([(1.0, 0.0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)])
-        cls = edge_length_classes_by_angle(s, Fraction(1, 2))  # cos 60 degrees
-        assert len(cls) == 1
-
-    def test_absent_angle(self):
-        with pytest.raises(ValueError, match="does not occur"):
-            edge_length_classes_by_angle(orthoscheme(3), Fraction(1, 7))
-
-
-class TestAngleCombinations:
-    def test_greedy_all_multiples(self):
-        d = AngleMultiset(
-            ((RationalAngle.of(1, 4), 1), (RationalAngle.of(1, 2), 1), (RationalAngle.of(3, 4), 1))
-        )
-        assert greedy_indivisible_basis(d) == [RationalAngle.of(1, 4)]
-
-    def test_greedy_incommensurable_pair(self):
-        acos13 = AlgebraicReal.from_rational(Fraction(1, 3))
-        d = AngleMultiset(((RationalAngle.of(1, 3), 1), (acos13, 1)))
-        basis = greedy_indivisible_basis(d)
-        assert len(basis) == 2
-
-    def test_greedy_multiples_of_irrational(self):
-        # arccos(9/10), twice and three times it (all below pi)
-        d = AngleMultiset(
-            ((Fraction(9, 10), 1), (Fraction(31, 50), 1), (Fraction(27, 125), 1))
-        )
-        assert greedy_indivisible_basis(d) == [Fraction(9, 10)]
-
-    def test_integer_combination_basic(self):
-        d = AngleMultiset(((RationalAngle.of(1, 4), 1), (RationalAngle.of(1, 2), 1)))
-        sol = integer_combination_pi(d)
-        assert sol is not None
-        assert sum(c * a.fraction_of_pi for a, c in sol.items()) == 1
-
-    def test_pi_third_and_fifth_has_trivial_solution(self):
-        # 3 * (pi/3) = pi: zero coefficients are allowed, so this is feasible
-        d = AngleMultiset(((RationalAngle.of(1, 3), 1), (RationalAngle.of(1, 5), 1)))
-        sol = integer_combination_pi(d)
-        assert sol is not None
-        assert sum(c * a.fraction_of_pi for a, c in sol.items()) == 1
-
-    def test_integer_combination_infeasible(self):
-        # 2pi/5 and 2pi/7: 14 i1 + 10 i2 = 35 has no solution by parity
-        d = AngleMultiset(((RationalAngle.of(2, 5), 1), (RationalAngle.of(2, 7), 1)))
-        assert integer_combination_pi(d) is None
-        assert integer_combination_pi(AngleMultiset(((RationalAngle.of(2, 5), 1),))) is None
-
-    def test_integer_combination_rejects_irrational(self):
-        with pytest.raises(ValueError):
-            integer_combination_pi(AngleMultiset(((Fraction(1, 3), 1),)))
-
-    def test_positive_rational_witness(self):
-        d = AngleMultiset(((RationalAngle.of(1, 2), 1),))
-        assert positive_rational_combination_pi(d) == [Fraction(2)]
-        d = AngleMultiset(((RationalAngle.of(1, 3), 1), (RationalAngle.of(1, 4), 1)))
-        q = positive_rational_combination_pi(d)
-        assert all(x > 0 for x in q)
-        assert q[0] * Fraction(1, 3) + q[1] * Fraction(1, 4) == 1
-
-    def test_positive_rational_six_angles(self):
-        angles = [RationalAngle.of(1, 3)] * 3 + [RationalAngle.of(1, 4)] * 3
-        d = AngleMultiset(tuple((a, 1) for a in angles[:6]))
-        q = positive_rational_combination_pi(d)
-        assert all(x > 0 for x in q)
-        total = sum(x * a.fraction_of_pi for x, a in zip(q, angles))
-        assert total == 1
-
-    def test_empty_multiset(self):
-        assert positive_rational_combination_pi(AngleMultiset(())) is None
-
-
-class TestAngleMultisetExtraction:
-    def test_regular_tetrahedron_single_angle(self):
-        ms = dihedral_data(regular_tetrahedron()).angle_multiset()
-        assert len(ms.entries) == 1
-        angle, mult = ms.entries[0]
-        assert mult == 6
-
-    def test_orthoscheme_three_angles(self):
-        ms = dihedral_data(orthoscheme(3)).angle_multiset()
-        named = sorted(
-            (a.fraction_of_pi, m) for a, m in ms.entries if isinstance(a, RationalAngle)
-        )
-        assert named == [
-            (Fraction(1, 4), 2),
-            (Fraction(1, 3), 1),
-            (Fraction(1, 2), 3),
-        ]
-        assert len(ms.entries) <= 6

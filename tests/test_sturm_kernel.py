@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reptile_forge.algebra import algebraic, sturm
+from reptile_forge.algebra import algebraic, sturm, sturm_isolate
 from reptile_forge.algebra import intpoly as ip
 from reptile_forge.trig import RationalAngle, catalog, cos_two_pi_minpoly, cosine_of
 
@@ -214,3 +214,44 @@ class TestIntegerKernelMatchesSympy:
         assert sturm.count_roots(seq, lo, hi) == want
         bound = ip.root_bound(ip.squarefree_part(p))
         assert sturm.count_roots(seq, -bound, bound) == sqf.count_roots()
+
+
+class TestOneSquarefreePartPerChain:
+    """A Sturm chain's first entry is the squarefree part, so no caller
+    computes it again just to build the chain."""
+
+    @staticmethod
+    def _counting(monkeypatch, module, name) -> list:
+        seen = []
+        real = getattr(module, name)
+
+        def counting(p):
+            seen.append(p)
+            return real(p)
+
+        monkeypatch.setattr(module, name, counting)
+        return seen
+
+    def test_calls_on_cos_two_pi_over_59(self, monkeypatch):
+        p = cos_two_pi_minpoly(59)
+        seen = self._counting(monkeypatch, ip, "squarefree_part")
+        counts = {}
+        for name, call in [
+            ("sturm_isolate", sturm_isolate),
+            ("isolate_roots", sturm.isolate_roots),
+            ("rational_roots", sturm.rational_roots),
+        ]:
+            seen.clear()
+            call(p)
+            counts[name] = len(seen)
+        # sturm_isolate and rational_roots keep one of their own: snap_rational
+        # needs the squarefree polynomial
+        assert counts == {"sturm_isolate": 2, "isolate_roots": 1, "rational_roots": 2}
+
+    def test_from_root_only_in_chains(self, monkeypatch):
+        p = cos_two_pi_minpoly(17)
+        lo, hi = sturm.isolate_roots(p)[-1]
+        parts = self._counting(monkeypatch, ip, "squarefree_part")
+        chains = self._counting(monkeypatch, sturm, "sturm_sequence")
+        algebraic.AlgebraicReal.from_root(p, lo, hi, [p])
+        assert chains and len(parts) == len(chains)
