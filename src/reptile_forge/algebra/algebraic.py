@@ -121,10 +121,10 @@ class AlgebraicReal:
                 lo = m
             else:
                 hi = m
-        mp = minimal_polynomial_on(p, lo, hi, factors)
+        mp = minimal_polynomial_on(p, lo, hi, factors, seq)
         if ip.degree(mp) == 1:
             return AlgebraicReal.from_rational(Fraction(-mp[0], mp[1]))
-        lo, hi = _shrink_to(mp, lo, hi)
+        lo, hi = _shrink_to(mp, lo, hi, seq)
         return AlgebraicReal(mp, (lo, hi), _trusted=True)
 
     @staticmethod
@@ -370,9 +370,11 @@ def as_algebraic(x) -> AlgebraicReal:
     raise TypeError(f"cannot interpret {type(x).__name__} as an algebraic real")
 
 
-def _shrink_to(mp: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink (lo, hi) until it sign-isolates the root of the irreducible mp."""
-    seq = sturm.sturm_sequence(mp)
+def _shrink_to(mp: Poly, lo: Fraction, hi: Fraction, seq=None) -> tuple[Fraction, Fraction]:
+    """Shrink (lo, hi) until it sign-isolates the root of the irreducible
+    mp; a caller's Sturm chain ``seq`` is reused when it is mp's."""
+    if seq is None or seq[0] != mp:
+        seq = sturm.sturm_sequence(mp)
     while ip.sign_at(mp, lo) == 0 or ip.sign_at(mp, hi) == 0 or (
         ip.sign_at(mp, lo) == ip.sign_at(mp, hi)
     ):

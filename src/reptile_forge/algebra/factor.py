@@ -225,21 +225,23 @@ def irreducible_factors(p: Poly) -> list[Poly]:
 
 
 def minimal_polynomial_on(
-    p: Poly, lo: Fraction, hi: Fraction, factors: list[Poly] | None = None
+    p: Poly, lo: Fraction, hi: Fraction, factors: list[Poly] | None = None, seq: list[Poly] | None = None
 ) -> Poly:
     """The irreducible factor of p having a root in the isolating interval.
 
     The interval must isolate exactly one root of p's squarefree part.
     ``factors``, when given, must be ``irreducible_factors(p)``; a caller
     that places several roots of one polynomial then factors it once.
+    ``seq``, when given, is p's Sturm chain, reused for a factor that is
+    p's squarefree part ``seq[0]``.
     """
     for fac in irreducible_factors(p) if factors is None else factors:
         if lo == hi:
             if ip.eval_at(fac, lo) == 0:
                 return fac
             continue
-        seq = sturm.sturm_sequence(fac)
-        if sturm.count_roots(seq, lo, hi) == 1:
+        chain = seq if seq is not None and seq[0] == fac else sturm.sturm_sequence(fac)
+        if sturm.count_roots(chain, lo, hi) == 1:
             return fac
     raise ValueError("interval does not isolate a root of the polynomial")
 

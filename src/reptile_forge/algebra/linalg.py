@@ -12,8 +12,8 @@ to Fraction first, because int / int is a float.  Zero tests use ``not x``,
 which is O(1) on AlgebraicReal where ``x != 0`` would refine an enclosure;
 ``rref`` leaves zero entries as they are rather than spend an AlgebraicReal
 operation on each.  In ``rref`` a float pivot must exceed FLOAT_PIVOT in
-magnitude.  The float routines (``cholesky``, ``unit_normal``) serve
-reconstructed and irrational-basis simplices of dimension at most 4.
+magnitude.  The float routines (``cholesky``, ``unit_normal``) serve the
+coordinate output of reconstructed and framed simplices, dimension <= 4.
 
 This module imports nothing from the package.
 """

@@ -15,11 +15,10 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from . import audit as audit_mod
 from . import hill as hill_mod
-from .algebra import AlgebraicReal, DegreeOverflowError, FactorError
+from .algebra import DegreeOverflowError, FactorError
 from .fiedler import ReconstructionError, realizability_check, reconstruct_simplex
 from .jsonio import (
     InputFormatError,
@@ -124,20 +123,14 @@ def cmd_fiedler_reconstruct(args) -> int:
 
 
 def _hill_spec(args) -> hill_mod.HillSpec:
-    cos = parse_real(args.cos)
-    if isinstance(cos, AlgebraicReal):
-        if cos.is_rational:
-            cos = cos.as_fraction()
-        else:
-            return hill_mod.HillSpec.from_pair_cos(args.dim, float(cos))
-    return hill_mod.HillSpec.from_pair_cos(args.dim, Fraction(cos))
+    return hill_mod.HillSpec.from_pair_cos(args.dim, parse_real(args.cos))
 
 
 def cmd_hill_generate(args) -> int:
     spec = _hill_spec(args)
     s = hill_mod.hill_simplex(spec)
     _emit(s.to_json(), args.out)
-    _log(f"Hill simplex: dim {args.dim}, pairwise cosine {args.cos}, mode {spec.mode}")
+    _log(f"Hill simplex: dim {args.dim}, pairwise cosine {args.cos}")
     return EXIT_OK
 
 

@@ -4,131 +4,110 @@ A Hill simplex is the convex hull of the prefix sums of d equal-length
 vectors sharing one pairwise angle in (0, 2*pi/3).  In basis coordinates
 it is the order region {1 >= y_1 >= ... >= y_d >= 0}; cutting by the
 hyperplane families y_i = j/m and y_i - y_j = l/m tiles it with m^d
-staircase cells, each similar to the parent with ratio 1/m.  The verifier,
-not the generator, carries the correctness burden: volume accounting,
-similarity, mutual congruence, pairwise interior disjointness (an exact
-rational feasibility program per pair), and containment are all certified.
+staircase cells, each similar to the parent with ratio 1/m.  Where no
+rational Cartesian basis exists, the basis vectors are the unit vectors of
+a frame with the common cosine c, so vertices stay rational for every c
+(the Freudenthal-Kuhn cells).  The verifier, not the generator, carries the
+correctness burden: volume accounting, similarity, mutual congruence,
+pairwise interior disjointness (an exact rational feasibility program per
+pair), and containment are all certified exactly.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
-from .algebra.linalg import cholesky, rational_sqrt, rref
+from .algebra import AlgebraicReal, FieldElement
+from .algebra.linalg import rational_sqrt, rref
 from .jsonio import InputFormatError, load_simplex
-from .simplex import FLOAT_TOL, Simplex, _orientation_sign, congruent, similar, volume
+from .simplex import Simplex, _orientation_sign, as_frame, congruent, frame_dot, similar, volume
+
+
+def _positive(x) -> bool:
+    return x.sign() > 0 if isinstance(x, FieldElement) else x > 0
 
 
 @dataclass(frozen=True)
 class HillSpec:
-    """Basis data for a Hill simplex.
+    """Basis data for a Hill simplex, in the coordinates of the frame with
+    pairwise cosine ``frame`` (0, the default, is Cartesian).
 
     All basis vectors share one squared length and one pairwise inner
-    product; the common angle must lie strictly inside (0, 2*pi/3) and the
-    Gram matrix must be positive definite.
+    product in the frame; the common angle must lie strictly inside
+    (0, 2*pi/3) and the Gram matrix must be positive definite, which makes
+    the frame's Gram matrix positive definite too.
     """
 
     dim: int
     basis: tuple
-    mode: str = "exact"
+    frame: Fraction | FieldElement = Fraction(0)
 
     def __post_init__(self):
-        d = self.dim
+        d, b = self.dim, self.basis
         if not 2 <= d <= 4:
             raise ValueError("supported dimensions are 2, 3, 4")
-        if len(self.basis) != d or any(len(b) != d for b in self.basis):
+        if len(b) != d or any(len(v) != d for v in b):
             raise ValueError("need d basis vectors of arity d")
-        norms = [sum(x * x for x in b) for b in self.basis]
-        dots = [
-            sum(x * y for x, y in zip(self.basis[i], self.basis[j]))
-            for i, j in combinations(range(d), 2)
-        ]
-        if self.mode == "exact":
-            if any(n != norms[0] for n in norms):
-                raise ValueError("basis vectors must have equal length")
-            if any(p != dots[0] for p in dots):
-                raise ValueError("basis vectors must share one pairwise angle")
-        else:
-            tol = FLOAT_TOL * (abs(float(norms[0])) + 1)
-            if any(abs(float(n - norms[0])) > tol for n in norms):
-                raise ValueError("basis vectors must have equal length")
-            if any(abs(float(p - dots[0])) > tol for p in dots):
-                raise ValueError("basis vectors must share one pairwise angle")
-        c = Fraction(dots[0], norms[0]) if self.mode == "exact" else dots[0] / norms[0]
-        if not (-Fraction(1, 2) < c < 1 if self.mode == "exact" else -0.5 < c < 1):
+        norms = [frame_dot(v, v, self.frame) for v in b]
+        dots = [frame_dot(b[i], b[j], self.frame) for i, j in combinations(range(d), 2)]
+        if any(n != norms[0] for n in norms):
+            raise ValueError("basis vectors must have equal length")
+        if any(p != dots[0] for p in dots):
+            raise ValueError("basis vectors must share one pairwise angle")
+        n, p = norms[0], dots[0]
+        # -1/2 < p / n < 1 with n > 0
+        if not (_positive(n) and _positive(n - p) and _positive(n + 2 * p)):
             raise ValueError("pairwise angle must lie strictly inside (0, 2*pi/3)")
-        # positive definiteness of (N - p) I + p J
-        if not (norms[0] - dots[0] > 0 and norms[0] + (d - 1) * dots[0] > 0):
+        # positive definiteness of (n - p) I + p J
+        if not _positive(n + (d - 1) * p):
             raise ValueError("Gram matrix is not positive definite")
 
     @property
     def pair_cos(self):
-        n0 = sum(x * x for x in self.basis[0])
-        p = sum(x * y for x, y in zip(self.basis[0], self.basis[1]))
-        return p / n0 if self.mode == "float" else Fraction(p, n0)
+        b = self.basis
+        return frame_dot(b[0], b[1], self.frame) / frame_dot(b[0], b[0], self.frame)
 
     @staticmethod
     def from_basis(vectors) -> "HillSpec":
-        vs = [list(v) for v in vectors]
-        exact = all(isinstance(x, (int, Fraction)) for v in vs for x in v)
-        if exact:
-            basis = tuple(tuple(Fraction(x) for x in v) for v in vs)
-            return HillSpec(len(vs), basis, "exact")
-        basis = tuple(tuple(float(x) for x in v) for v in vs)
-        return HillSpec(len(vs), basis, "float")
+        basis = tuple(tuple(Fraction(x) for x in v) for v in vectors)
+        return HillSpec(len(basis), basis)
 
     @staticmethod
     def from_pair_cos(dim: int, c) -> "HillSpec":
-        """Build a basis realizing the requested common cosine.
+        """A basis realizing the common cosine c (a rational or an exact
+        algebraic real).
 
-        Rational coordinates are found where a two-term cyclic construction
-        admits them; otherwise the Gram matrix is factored in floats.
+        A rational Cartesian basis is used where a two-term cyclic
+        construction admits one; otherwise the basis is the unit vectors
+        of the frame of pairwise cosine c.
         """
-        c = Fraction(c) if not isinstance(c, float) else c
-        if isinstance(c, Fraction) and c == 0:
-            basis = tuple(
-                tuple(Fraction(1) if i == j else Fraction(0) for j in range(dim))
-                for i in range(dim)
-            )
-            return HillSpec(dim, basis, "exact")
-        if isinstance(c, Fraction) and dim in (2, 3):
+        c = as_frame(c)
+        if isinstance(c, Fraction) and c and dim in (2, 3):
             found = _rational_cyclic_basis(dim, c)
             if found is not None:
-                return HillSpec(dim, found, "exact")
-        return HillSpec(dim, _float_gram_basis(dim, float(c)), "float")
+                return HillSpec(dim, found)
+        unit = tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
+        return HillSpec(dim, unit, c)
 
 
 def _rational_cyclic_basis(dim: int, c: Fraction):
     """Cyclic shifts of a short pattern vector, when a rational one exists."""
-    if dim == 2:
-        # (a, b), (b, a): cos = 2ab / (a^2 + b^2); a/b = (1 +- sqrt(1-c^2))/c
-        r = rational_sqrt(1 - c * c)
-        if r is None:
-            return None
-        x = (1 + r) / c
-    else:
-        # (a, b, 0) cyclic: cos = ab / (a^2 + b^2); a/b = (1 +- sqrt(1-4c^2))/(2c)
-        r = rational_sqrt(1 - 4 * c * c)
-        if r is None:
-            return None
-        x = (1 + r) / (2 * c)
-    a, b = x.numerator, x.denominator
-    pattern = [Fraction(a), Fraction(b)] + [Fraction(0)] * (dim - 2)
-    basis = []
-    for i in range(dim):
-        basis.append(tuple(pattern[(j - i) % dim] for j in range(dim)))
+    # d = 2: (a, b), (b, a) give cos = 2ab / (a^2 + b^2), a/b = (1 +- sqrt(1-c^2))/c;
+    # d = 3: (a, b, 0) cyclic gives cos = ab / (a^2 + b^2), a/b = (1 +- sqrt(1-4c^2))/(2c)
+    k = dim - 1
+    r = rational_sqrt(1 - k * k * c * c)
+    if r is None:
+        return None
+    x = (1 + r) / (k * c)
+    pattern = [Fraction(x.numerator), Fraction(x.denominator)] + [Fraction(0)] * (dim - 2)
     # cyclic shifts only share one dot product when the pattern has
     # support 2 and dim <= 3; the HillSpec validator re-checks anyway
-    return tuple(basis)
-
-
-def _float_gram_basis(dim: int, c: float):
-    g = [[1.0 if i == j else c for j in range(dim)] for i in range(dim)]
-    return tuple(tuple(row) for row in cholesky(g))
+    return tuple(tuple(pattern[(j - i) % dim] for j in range(dim)) for i in range(dim))
 
 
 def hill_simplex(spec: HillSpec) -> Simplex:
@@ -138,15 +117,15 @@ def hill_simplex(spec: HillSpec) -> Simplex:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """A parent simplex cut into m^d candidate reptile pieces."""
+    """A parent simplex cut into m^d candidate reptile pieces, all exact."""
 
     parent: Simplex
     pieces: tuple
     m: int
 
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(1, self.m)
+    def __post_init__(self):
+        if any(s.mode != "exact" for s in (self.parent, *self.pieces)):
+            raise ValueError("the reptile verifier is exact: a subdivision takes no float-mode simplex")
 
     def to_json(self) -> dict:
         return {
@@ -157,6 +136,8 @@ class Subdivision:
 
     @staticmethod
     def from_json(obj: dict) -> "Subdivision":
+        """The subdivision of ``obj``; the parent's frame is parsed once and
+        every piece must carry the same raw "frame" value."""
         if not isinstance(obj, dict):
             raise InputFormatError("subdivision JSON must be an object")
         for key in ("m", "parent", "pieces"):
@@ -169,9 +150,14 @@ class Subdivision:
             raise ValueError("m must be at least 2")
         if not isinstance(obj["pieces"], list):
             raise InputFormatError("pieces must be a list of simplices")
-        return Subdivision(
-            load_simplex(obj["parent"]), tuple(load_simplex(p) for p in obj["pieces"]), m
-        )
+        parent = load_simplex(obj["parent"])
+        raw = obj["parent"].get("frame")
+        for i, p in enumerate(obj["pieces"]):
+            if isinstance(p, dict) and p.get("frame") != raw:
+                raise InputFormatError(
+                    f"piece {i} has frame {json.dumps(p.get('frame'))}, the parent {json.dumps(raw)}"
+                )
+        return Subdivision(parent, tuple(load_simplex(p, parent.frame) for p in obj["pieces"]), m)
 
 
 def _staircase_cells(dim: int, m: int):
@@ -202,17 +188,15 @@ def _staircase_cells(dim: int, m: int):
 
 def _cell_map(spec: HillSpec, den: int):
     """Integer basis coordinates ys -> the simplex with vertices
-    (sum_i y_i b_i) / den, an exact basis taken as integers over one lcm."""
-    d, basis, fden = spec.dim, spec.basis, float(den)
-    if spec.mode == "float":
-        return lambda ys: Simplex.floating(
-            [[sum(yi * b[k] / fden for yi, b in zip(y, basis)) for k in range(d)] for y in ys]
-        )
+    (sum_i y_i b_i) / den in the spec's frame, the basis taken as integers
+    over one lcm."""
+    d, basis = spec.dim, spec.basis
     q = math.lcm(*(x.denominator for b in basis for x in b))
     rows = [[x.numerator * (q // x.denominator) for x in b] for b in basis]
     return lambda ys: Simplex.exact(
         [[Fraction(sum(yi * b[k] for yi, b in zip(y, rows)), q * den) for k in range(d)]
-         for y in ys]
+         for y in ys],
+        spec.frame,
     )
 
 
@@ -234,32 +218,26 @@ def subdivide(spec: HillSpec, m: int) -> Subdivision:
 # ---------------------------------------------------------------------------
 
 
-def _plane_separates(s1: Simplex, s2: Simplex, tol) -> bool:
+def _plane_separates(s1: Simplex, s2: Simplex, strict: bool = False) -> bool:
     """Whether some facet plane of s1 has every vertex of s2 on its closed
-    outer side; in integers, vertex V2 / D2 is outside (n, b1) when
-    D1 (n.V2) <= D2 b1."""
-    if tol is None:
-        d1, (d2, verts) = s1.lattice[0], s2.lattice
-        return any(
-            all(d1 * sum(x * y for x, y in zip(n, v)) <= d2 * b for v in verts)
-            for n, b in s1.lattice_facets
-        )
+    outer side, or with ``strict`` its open one; in integers, vertex V2 / D2
+    is outside (n, b1) when D1 (n.V2) <= D2 b1 (< with ``strict``)."""
+    d1, (d2, verts) = s1.lattice[0], s2.lattice
+    slack = 0 if strict else 1  # integers: x <= y iff x < y + 1
     return any(
-        all(sum(x * y for x, y in zip(n, v)) <= b + tol for v in s2.vertices)
-        for n, b in s1.facets
+        all(d1 * sum(x * y for x, y in zip(n, v)) < d2 * b + slack for v in verts)
+        for n, b in s1.lattice_facets
     )
 
 
-def _bbox_disjoint(s1: Simplex, s2: Simplex) -> bool:
-    if s1.mode == s2.mode == "exact":
-        d1, d2 = s1.lattice[0], s2.lattice[0]
-        return any(
-            hi1 * d2 <= lo2 * d1 or hi2 * d1 <= lo1 * d2
-            for (lo1, hi1), (lo2, hi2) in zip(s1.lattice_bounds, s2.lattice_bounds)
-        )
+def _bbox_disjoint(s1: Simplex, s2: Simplex, strict: bool = False) -> bool:
+    """Whether the bounding boxes are disjoint on some axis: apart or
+    sharing only a boundary, or with ``strict`` only apart."""
+    d1, d2 = s1.lattice[0], s2.lattice[0]
+    slack = 0 if strict else 1
     return any(
-        hi1 <= lo2 or hi2 <= lo1
-        for (lo1, hi1), (lo2, hi2) in zip(s1.bounds, s2.bounds)
+        hi1 * d2 < lo2 * d1 + slack or hi2 * d1 < lo1 * d2 + slack
+        for (lo1, hi1), (lo2, hi2) in zip(s1.lattice_bounds, s2.lattice_bounds)
     )
 
 
@@ -268,15 +246,12 @@ def _sweep_candidates(pieces):
     boxes overlap.
 
     Sweep-and-prune on axis 0 (Cohen et al., I-COLLIDE, 1995), in integers
-    over the lcm of the denominators for exact pieces: pieces are visited by
-    their lower bound, a piece leaves the active list once its upper bound
-    is at most the current lower bound, and each pair met is box-tested.
+    over the lcm of the denominators: pieces are visited by their lower
+    bound, a piece leaves the active list once its upper bound is at most
+    the current lower bound, and each pair met is box-tested.
     """
-    if all(p.mode == "exact" for p in pieces):
-        big = math.lcm(*(p.lattice[0] for p in pieces))
-        extent = [[x * (big // p.lattice[0]) for x in p.lattice_bounds[0]] for p in pieces]
-    else:
-        extent = [p.bounds[0] for p in pieces]
+    big = math.lcm(*(p.lattice[0] for p in pieces))
+    extent = [[x * (big // p.lattice[0]) for x in p.lattice_bounds[0]] for p in pieces]
     order = sorted(range(len(pieces)), key=lambda i: extent[i][0])
     later: list[list[int]] = [[] for _ in pieces]  # later[i]: partners j > i
     active: list[int] = []
@@ -292,7 +267,7 @@ def _sweep_candidates(pieces):
             yield i, j
 
 
-def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int, exact: bool):
+def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int):
     """Maximize tau subject to n.x - tau >= b over all constraints.
 
     Returns (tau, x) at the optimum; the polyhedron is pointed and bounded
@@ -300,25 +275,13 @@ def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int, exact: 
     """
     nvar = dim + 1
     rows = [list(n) + [-1, b] for n, b in constraints]
-    if not exact:
-        rows = [[float(x) for x in r] for r in rows]
     best = None
     for subset in combinations(range(len(rows)), nvar):
         a, pivots = rref([rows[i] for i in subset])
         if pivots != list(range(nvar)):
             continue  # singular: not a basic solution
         sol = [r[nvar] for r in a]
-        feasible = True
-        for r in rows:
-            lhs = sum(c * v for c, v in zip(r[:nvar], sol))
-            if exact:
-                if lhs < r[nvar]:
-                    feasible = False
-                    break
-            elif lhs < r[nvar] - 1e-9:
-                feasible = False
-                break
-        if not feasible:
+        if any(sum(c * v for c, v in zip(r[:nvar], sol)) < r[nvar] for r in rows):
             continue
         tau = sol[dim]
         if best is None or tau > best[0]:
@@ -328,22 +291,16 @@ def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int, exact: 
     return best
 
 
-def _vertex_outside(parent: Simplex, piece: Simplex, exact: bool):
+def _vertex_outside(parent: Simplex, piece: Simplex):
     """The first vertex of piece outside parent, or None; in integers,
     vertex V / D is outside (n, b) when Dp (n.V) < D b."""
-    if exact:
-        dp, (d, verts) = parent.lattice[0], piece.lattice
-        for v, big_v in zip(piece.vertices, verts):
-            if any(
-                dp * sum(x * y for x, y in zip(n, big_v)) < d * b
-                for n, b in parent.lattice_facets
-            ):
-                return v
-        return None
-    for v in piece.vertices:
-        for n, b in parent.facets:
-            if float(sum(a * c for a, c in zip(n, v))) < float(b) - FLOAT_TOL:
-                return v
+    dp, (d, verts) = parent.lattice[0], piece.lattice
+    for v, big_v in zip(piece.vertices, verts):
+        if any(
+            dp * sum(x * y for x, y in zip(n, big_v)) < d * b
+            for n, b in parent.lattice_facets
+        ):
+            return v
     return None
 
 
@@ -353,17 +310,10 @@ def interiors_disjoint(s1: Simplex, s2: Simplex) -> tuple[bool, tuple | None]:
     Returns (disjoint, witness_point): the witness is a common interior
     point when they overlap.
     """
-    exact = s1.mode == "exact" and s2.mode == "exact"
-    tol = None if exact else FLOAT_TOL
-    if _bbox_disjoint(s1, s2):
+    if _bbox_disjoint(s1, s2) or _plane_separates(s1, s2) or _plane_separates(s2, s1):
         return True, None
-    if _plane_separates(s1, s2, tol) or _plane_separates(s2, s1, tol):
-        return True, None
-    tau, x = _max_margin_point(s1.facets + s2.facets, s1.dim, exact)
-    if exact:
-        return (tau <= 0), (x if tau > 0 else None)
-    scale = max(abs(float(v)) for s in (s1, s2) for vert in s.vertices for v in vert) + 1
-    return (float(tau) <= FLOAT_TOL * scale), (x if float(tau) > FLOAT_TOL * scale else None)
+    tau, x = _max_margin_point(s1.facets + s2.facets, s1.dim)
+    return (tau <= 0), (x if tau > 0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +336,7 @@ class ReptileReport:
     measured_ratio: object
     chirality: dict
     witnesses: dict
-    mode: str
+    mode = "exact"  # every check is exact; the JSON keeps the key
 
     @property
     def all_ok(self) -> bool:
@@ -422,24 +372,21 @@ class ReptileReport:
 def verify_reptile(sub: Subdivision) -> ReptileReport:
     """Certify the reptile property of a subdivision, check by check.
 
-    Exact in exact mode: volume sum, similarity ratio, congruence matching,
+    Every check is exact: volume sum, similarity ratio, congruence matching,
     pairwise interior disjointness, and containment; the union equality
     follows from volume + disjointness + containment for closed pieces.
+    Volumes are compared in frame units, lengths in the frame's metric.
     """
     parent, pieces, m = sub.parent, sub.pieces, sub.m
-    exact = parent.mode == "exact" and all(p.mode == "exact" for p in pieces)
     witnesses: dict = {}
 
-    vol_parent = volume(parent)
-    if exact:  # |signed_det| numerators summed in integers per denominator
-        totals: dict[int, int] = {}
-        for v in (p.signed_det for p in pieces):
-            totals[v.denominator] = totals.get(v.denominator, 0) + abs(v.numerator)
-        vol_sum = sum(Fraction(t, den * math.factorial(parent.dim)) for den, t in totals.items())
-        volume_ok = vol_sum == vol_parent
-    else:
-        vol_sum = sum(volume(p) for p in pieces)
-        volume_ok = abs(vol_sum - vol_parent) <= FLOAT_TOL * max(abs(vol_parent), 1.0)
+    # |signed_det| numerators summed in integers per denominator
+    totals: dict[int, int] = {}
+    for v in (p.signed_det for p in pieces):
+        totals[v.denominator] = totals.get(v.denominator, 0) + abs(v.numerator)
+    vol_sum = sum(Fraction(t, den * math.factorial(parent.dim)) for den, t in totals.items())
+    vol_parent = abs(parent.signed_det) / math.factorial(parent.dim)
+    volume_ok = vol_sum == vol_parent
     if not volume_ok:
         witnesses["volume"] = (vol_sum, vol_parent)
 
@@ -450,8 +397,7 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
         r = similar(parent, p)
         if measured is None:
             measured = r
-        good = (r == expected) if exact else (r is not None and abs(r - 1 / m) < FLOAT_TOL)
-        if not good:
+        if r != expected:
             similarity_ok = False
             witnesses["similarity"] = {"piece": idx, "ratio": r}
             break
@@ -465,7 +411,7 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
 
     containment_ok = True
     for idx, p in enumerate(pieces):
-        v = _vertex_outside(parent, p, exact)
+        v = _vertex_outside(parent, p)
         if v is not None:
             containment_ok = False
             witnesses["containment"] = {"piece": idx, "vertex": v}
@@ -500,7 +446,6 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
         measured_ratio=measured,
         chirality=chirality,
         witnesses=witnesses,
-        mode="exact" if exact else "float",
     )
 
 
@@ -523,18 +468,12 @@ class GrowthReport:
     adjacency: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "generations": self.generations,
-            "m": self.m,
-            "cell_total": self.cell_total,
-            "cells_emitted": self.cells_emitted,
-            "truncated": self.truncated,
-            "volume_emitted": str(self.volume_emitted),
-            "volume_expected": str(self.volume_expected),
-            "sampled_pairs": self.sampled_pairs,
-            "sampled_disjoint_ok": self.sampled_disjoint_ok,
-            "adjacency": self.adjacency,
-        }
+        """The fields; a rational volume as str(), an irrational one as an
+        exact algebraic number object."""
+        out = asdict(self)
+        for k in ("volume_emitted", "volume_expected"):
+            out[k] = out[k].to_json() if isinstance(out[k], AlgebraicReal) else str(out[k])
+        return out
 
 
 def grow_space_tiling(
@@ -550,7 +489,9 @@ def grow_space_tiling(
     Substituting the subdivision into itself g times is the same staircase
     cutting with parameter m^g; cells stream in deterministic order up to
     the piece budget.  Disjointness is verified on a random sample of pairs
-    (the exact verifier is for single-generation subdivisions).
+    (the exact verifier is for single-generation subdivisions), each pair
+    classed by the sign of its exact margin: touching pairs share boundary
+    points, separated ones none.  Volumes are Euclidean.
 
     Returns (cells, report): cells is the materialized list (bounded by the
     budget), report a GrowthReport.
@@ -560,48 +501,42 @@ def grow_space_tiling(
     d = spec.dim
     big = m**generations
     total = big**d
-    scale = Fraction(big) if spec.mode == "exact" else float(big)
     cell = _cell_map(spec, 1)
 
-    cells = []
-    truncated = False
-    for ys in _staircase_cells(d, big):
-        if len(cells) >= budget:
-            truncated = True
-            break
-        cells.append(cell(ys))
-    vol_emitted = sum(volume(c) for c in cells)
+    cells = [cell(ys) for ys in islice(_staircase_cells(d, big), budget)]
     parent = hill_simplex(spec)
-    vol_expected = volume(parent) * (scale**d)
+    vol_unit = volume(parent)  # Euclidean; the cells' volumes are rational multiples
+    vol_emitted = vol_unit * Fraction(sum(abs(c.signed_det) for c in cells), abs(parent.signed_det))
+    vol_expected = vol_unit * Fraction(big) ** d
 
     rng = random.Random(seed)
     ok = True
     adjacency = {"separated": 0, "touching": 0}
-    pairs = 0
     if len(cells) >= 2:
         for _ in range(sample_pairs):
-            i, j = rng.sample(range(len(cells)), 2)
-            disjoint, _ = interiors_disjoint(cells[i], cells[j])
-            if not disjoint:
+            a, b = (cells[k] for k in rng.sample(range(len(cells)), 2))
+            # the sign of the margin tau: > 0 overlapping, 0 touching, < 0
+            # separated; a strict gap between boxes or across a facet plane
+            # gives tau < 0 (a closed one does not), a common vertex tau >= 0
+            if _bbox_disjoint(a, b, True) or _plane_separates(a, b, True) or _plane_separates(b, a, True):
+                tau = -1
+            elif set(a.vertices) & set(b.vertices):
+                tau = 0 if interiors_disjoint(a, b)[0] else 1
+            else:
+                tau = _max_margin_point(a.facets + b.facets, d)[0]
+            if tau > 0:
                 ok = False
                 break
-            pairs += 1
-            if _bbox_disjoint(cells[i], cells[j]):
-                adjacency["separated"] += 1
-                continue
-            exact = spec.mode == "exact"
-            tau, _ = _max_margin_point(cells[i].facets + cells[j].facets, d, exact)
-            touching = (tau == 0) if exact else abs(float(tau)) <= FLOAT_TOL
-            adjacency["touching" if touching else "separated"] += 1
+            adjacency["touching" if tau == 0 else "separated"] += 1
     report = GrowthReport(
         generations=generations,
         m=m,
         cell_total=total,
         cells_emitted=len(cells),
-        truncated=truncated,
+        truncated=len(cells) < total,
         volume_emitted=vol_emitted,
         volume_expected=vol_expected,
-        sampled_pairs=pairs,
+        sampled_pairs=sum(adjacency.values()),
         sampled_disjoint_ok=ok,
         adjacency=adjacency,
     )

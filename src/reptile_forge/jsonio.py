@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraicReal, FactorError
 from .fiedler import CosMatrix
-from .simplex import Simplex
+from .simplex import Simplex, as_frame
 
 _SQRT_RE = re.compile(
     r"^(?P<sign>[+-]?)(?:(?P<coef>\d+(?:/\d+)?)\*)?sqrt\((?P<rad>\d+(?:/\d+)?)\)(?:/(?P<den>\d+))?$"
@@ -88,13 +88,32 @@ def load_matrix(obj: dict) -> CosMatrix:
     return CosMatrix.from_rows(parsed)
 
 
-def load_simplex(obj: dict) -> Simplex:
+def load_simplex(obj: dict, frame=None) -> Simplex:
+    """The simplex of a JSON object, in ``frame`` when the caller has parsed
+    it already, else in the object's own "frame" (Cartesian when absent)."""
     if not isinstance(obj, dict):
         raise InputFormatError(f"bad simplex JSON: expected an object, got {json.dumps(obj)[:40]}")
+    if frame is None:
+        frame = _load_frame(obj)
     try:
-        return Simplex.from_json(obj)
+        return Simplex.from_json(obj, frame)
     except (KeyError, ValueError, TypeError) as e:
         raise InputFormatError(f"bad simplex JSON: {e}") from e
+
+
+def _load_frame(obj: dict):
+    """The "frame" of a simplex object: a cosine c, written like a --cos
+    value, whose Gram matrix (1 - c) I + c J is positive definite."""
+    if "frame" not in obj:
+        return Fraction(0)
+    c = parse_real(obj["frame"])
+    verts = obj.get("vertices")
+    d = len(verts) - 1 if isinstance(verts, list) else 0
+    if not (d >= 2 and Fraction(-1, d - 1) < c < 1):
+        raise InputFormatError(
+            f"bad simplex JSON: frame {json.dumps(obj['frame'])} is not a cosine in (-1/(d-1), 1) for d = {d}"
+        )
+    return as_frame(c)
 
 
 def read_json_document(text: str):
@@ -105,12 +124,13 @@ def read_json_document(text: str):
 
 
 def export_obj(simplices, path: str, names=None, dedupe_tol: float = 1e-12) -> dict:
-    """Write tetrahedra to a Wavefront OBJ file (d = 3 only).
+    """Write tetrahedra to a Wavefront OBJ file (d = 3 only), in Cartesian
+    float coordinates (``Simplex.as_float``).
 
     Vertices within the tolerance are merged; each simplex emits its four
     triangular faces under a named group.  Returns counting stats.
     """
-    items = list(simplices)
+    items = [s.as_float() for s in simplices]
     if any(s.dim != 3 for s in items):
         raise ValueError("OBJ export is defined for d = 3")
     verts: list[tuple[float, float, float]] = []

@@ -4,21 +4,26 @@ Exact mode keeps every coordinate a Fraction: facet normals, Gram data,
 squared edge lengths, and dihedral cosines (one square root per facet
 pair, held as an exact algebraic number), and an integer form: one
 denominator D and integer vertices D * x, which give the determinant,
-cofactor facet normals, bounds and squared edge lengths in integers.  Float
-mode compares within FLOAT_TOL and is used for reconstructed or
-irrational-basis simplices.
+cofactor facet normals, bounds and squared edge lengths in integers.
+
+An exact simplex may take its coordinates in a frame: d unit vectors with
+one pairwise cosine c (a Fraction, or the generator of a NumberField when c
+is irrational).  Only squared lengths and volumes read the frame; facets,
+bounds and containment are affine and stay in coordinates.  Float mode
+compares within FLOAT_TOL and is used for reconstructed simplices.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 
-from .algebra import AlgebraicReal
-from .algebra.linalg import det, det_int, nullspace, unit_normal
+from .algebra import AlgebraicReal, FieldElement, NumberField
+from .algebra.linalg import cholesky, det, det_int, nullspace, unit_normal
 
 FLOAT_TOL = 1e-10
 
@@ -31,12 +36,19 @@ def _edges(base, verts) -> list[list]:
     return [[x - y for x, y in zip(v, base)] for v in verts]
 
 
-def _pair_lengths(verts) -> dict:
-    """Squared distances keyed by vertex pair (i < j)."""
+def frame_dot(u, v, c=0):
+    """The inner product of coordinate vectors in the frame of d unit
+    vectors with pairwise cosine c: u.v + c (sum(u) sum(v) - u.v)."""
+    uv = _dot(u, v)
+    return uv + c * (sum(u) * sum(v) - uv) if c else uv
+
+
+def _pair_lengths(verts, c=0) -> dict:
+    """Squared distances keyed by vertex pair (i < j), in the frame c."""
     out = {}
     for i, j in combinations(range(len(verts)), 2):
         d = [a - b for a, b in zip(verts[i], verts[j])]
-        out[(i, j)] = _dot(d, d)
+        out[(i, j)] = frame_dot(d, d, c)
     return out
 
 
@@ -49,14 +61,17 @@ def _pair_lengths(verts) -> dict:
 class Simplex:
     """d+1 affinely independent vertices in d-space (2 <= d <= 4).
 
-    The edge-matrix determinant, facets, per-axis bounds, squared edge
-    lengths and integer form are computed once per instance; equality and
-    hashing use the fields only.
+    The coordinates of an exact simplex are taken in the frame of pairwise
+    cosine ``frame`` (0, the default, is Cartesian).  The edge-matrix
+    determinant, facets, per-axis bounds, squared edge lengths and integer
+    form are computed once per instance; equality and hashing use the
+    fields only.
     """
 
     dim: int
     vertices: tuple[tuple, ...]
     mode: str = "exact"
+    frame: Fraction | FieldElement = Fraction(0)
 
     def __post_init__(self):
         if not 2 <= self.dim <= 4:
@@ -67,6 +82,8 @@ class Simplex:
             raise ValueError("vertex arity mismatch")
         if self.mode not in ("exact", "float"):
             raise ValueError("mode must be 'exact' or 'float'")
+        if self.frame and self.mode == "float":
+            raise ValueError("a float-mode simplex is Cartesian: it takes no frame")
         d = self.signed_det
         if self.mode == "exact":
             if d == 0:
@@ -78,9 +95,9 @@ class Simplex:
                 raise ValueError("degenerate simplex (determinant below tolerance)")
 
     @staticmethod
-    def exact(vertices) -> "Simplex":
+    def exact(vertices, frame=Fraction(0)) -> "Simplex":
         vs = tuple(tuple(Fraction(x) for x in v) for v in vertices)
-        return Simplex(len(vs) - 1, vs, "exact")
+        return Simplex(len(vs) - 1, vs, "exact", frame)
 
     @staticmethod
     def floating(vertices) -> "Simplex":
@@ -128,7 +145,7 @@ class Simplex:
     @cached_property
     def lattice_lengths(self) -> dict[tuple[int, int], int]:
         """D^2 times the squared edge lengths, keyed by (i, j); read only."""
-        return _pair_lengths(self.lattice[1])
+        return _pair_lengths(self.lattice[1], self.frame)
 
     def squared_lengths(self) -> dict[tuple[int, int], Fraction | float]:
         """Squared edge lengths keyed by vertex pair (i < j); a fresh dict."""
@@ -136,23 +153,31 @@ class Simplex:
 
     @cached_property
     def _squared_lengths(self) -> dict[tuple[int, int], Fraction | float]:
-        return _pair_lengths(self.vertices)
+        return _pair_lengths(self.vertices, self.frame)
 
     def scaled(self, r) -> "Simplex":
         if self.mode == "exact":
             r = Fraction(r)
         else:
             r = float(r)
-        return Simplex(self.dim, tuple(tuple(r * x for x in v) for v in self.vertices), self.mode)
+        return Simplex(self.dim, tuple(tuple(r * x for x in v) for v in self.vertices), self.mode, self.frame)
 
     def translated(self, t) -> "Simplex":
         vs = tuple(tuple(x + dx for x, dx in zip(v, t)) for v in self.vertices)
-        return Simplex(self.dim, vs, self.mode)
+        return Simplex(self.dim, vs, self.mode, self.frame)
 
     def as_float(self) -> "Simplex":
+        """Cartesian float coordinates: a framed simplex goes through the
+        rows of a float Cholesky factor of the frame's Gram matrix."""
         if self.mode == "float":
             return self
-        return Simplex.floating(self.vertices)
+        if not self.frame:
+            return Simplex.floating(self.vertices)
+        c, d = float(self.frame), self.dim
+        rows = cholesky([[1.0 if i == j else c for j in range(d)] for i in range(d)])
+        return Simplex.floating(
+            [[sum(float(y) * r[k] for y, r in zip(v, rows)) for k in range(d)] for v in self.vertices]
+        )
 
     def facet_normal(self, i: int) -> list:
         """Inward normal (unnormalized; rational in exact mode) of the facet
@@ -200,16 +225,31 @@ class Simplex:
             verts = [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in v] for v in self.vertices]
         else:
             verts = [[float(x) for x in v] for v in self.vertices]
-        return {"dim": self.dim, "mode": self.mode, "vertices": verts}
+        out = {"dim": self.dim, "mode": self.mode, "vertices": verts}
+        c = self.frame
+        if isinstance(c, FieldElement):  # the field's fixed bracket, never a refined one
+            out["frame"] = AlgebraicReal(c.field.minpoly, (c.field.lo, c.field.hi), _trusted=True).to_json()
+        elif c:
+            out["frame"] = f"{c.numerator}/{c.denominator}"
+        return out
 
     @staticmethod
-    def from_json(obj: dict) -> "Simplex":
-        mode = obj.get("mode", "exact")
-        if mode == "exact":
-            # one Fraction per coordinate; str() reads a float by its repr
-            vs = tuple(tuple(Fraction(str(x)) for x in v) for v in obj["vertices"])
-            return Simplex(len(vs) - 1, vs, "exact")
-        return Simplex.floating(obj["vertices"])
+    def from_json(obj: dict, frame=Fraction(0)) -> "Simplex":
+        """The simplex of ``obj``, in the already parsed ``frame``."""
+        exact = obj.get("mode", "exact") == "exact"
+        # one Fraction per exact coordinate; str() reads a float by its repr
+        vs = tuple(tuple(Fraction(str(x)) if exact else float(x) for x in v) for v in obj["vertices"])
+        return Simplex(len(vs) - 1, vs, "exact" if exact else "float", frame)
+
+
+def as_frame(c) -> Fraction | FieldElement:
+    """A pairwise cosine as a frame: a Fraction, or the generator of Q(c)
+    with c's current bracket as the field's fixed one."""
+    if not isinstance(c, AlgebraicReal):
+        return Fraction(c)
+    if c.is_rational:
+        return c.as_fraction()
+    return NumberField(c.minpoly, *c._iv).gen
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +321,10 @@ def _exact_cos(num: Fraction, norm_product: Fraction) -> AlgebraicReal | Fractio
 
 
 def dihedral_data(s: Simplex) -> DihedralData:
-    """Dihedral cosines from inward normals: cos(i,j) = -<u_i, u_j>."""
+    """Dihedral cosines from inward normals: cos(i,j) = -<u_i, u_j>, for a
+    Cartesian simplex (the normals' dot products ignore any frame)."""
+    if s.frame:
+        raise ValueError("dihedral data needs Cartesian coordinates, not a framed simplex")
     n = s.dim + 1
     normals = [s.facet_normal(i) for i in range(n)]
     cos: dict = {}
@@ -302,9 +345,12 @@ def dihedral_data(s: Simplex) -> DihedralData:
     return DihedralData(s.dim, s.mode, cos, s.squared_lengths(), gram)
 
 
-def volume(s: Simplex) -> Fraction | float:
-    """|det| / d! of the edge matrix; exact in exact mode."""
-    return abs(s.signed_det) / math.factorial(s.dim)
+def volume(s: Simplex) -> Fraction | AlgebraicReal | float:
+    """The Euclidean volume: |det| / d! of the edge matrix, times sqrt(det G)
+    in a frame with Gram matrix G; exact in exact mode."""
+    v, c, d = abs(s.signed_det) / math.factorial(s.dim), s.frame, s.dim
+    # det G = (1 + (d - 1) c) (1 - c)^(d - 1) for G = (1 - c) I + c J
+    return v * _exact_sqrt(math.prod([1 + (d - 1) * c] + [1 - c] * (d - 1))) if c else v
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +358,10 @@ def volume(s: Simplex) -> Fraction | float:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_lengths(s1: Simplex, s2: Simplex, ratio2) -> tuple[dict, dict]:
-    """s1's squared lengths times ratio2, and s2's: for exact simplices as
-    integers, cross-multiplied by ratio2 and both denominators squared."""
-    if s1.mode == "float":
-        return {k: v * ratio2 for k, v in s1._squared_lengths.items()}, s2._squared_lengths
-    r = Fraction(ratio2)
-    w1, w2 = r.numerator * s2.lattice[0] ** 2, r.denominator * s1.lattice[0] ** 2
-    l1, l2 = s1.lattice_lengths, s2.lattice_lengths
+def _weighted_lengths(s1: Simplex, s2: Simplex, w1, w2) -> tuple[dict, dict]:
+    """s1's squared lengths times w1 and s2's times w2; an exact simplex
+    gives D^2 times its squared lengths (``lattice_lengths``)."""
+    l1, l2 = (s.lattice_lengths if s.mode == "exact" else s._squared_lengths for s in (s1, s2))
     return {k: v * w1 for k, v in l1.items()}, {k: v * w2 for k, v in l2.items()}
 
 
@@ -336,12 +378,12 @@ def _perm_matches(target: dict, sq2: dict, perm, tol: float | None) -> bool:
     return True
 
 
-def _match_permutation(s1: Simplex, s2: Simplex, ratio2, tol: float | None):
-    """A vertex relabeling carrying s1's squared lengths (times ratio2) to
-    s2's, or None."""
-    target, sq2 = _scaled_lengths(s1, s2, ratio2)
+def _match_permutation(target: dict, sq2: dict, n: int, tol: float | None):
+    """A relabeling of the n vertices carrying the lengths target onto sq2,
+    or None.  Exact lengths are compared as multisets first, which needs no
+    ordering, so number-field lengths work too."""
     if tol is None:
-        if sorted(target.values()) != sorted(sq2.values()):
+        if Counter(target.values()) != Counter(sq2.values()):
             return None
     else:
         m1 = sorted(float(v) for v in target.values())
@@ -349,8 +391,7 @@ def _match_permutation(s1: Simplex, s2: Simplex, ratio2, tol: float | None):
         scale = max(abs(m1[-1]), abs(m2[-1]), 1.0)
         if any(abs(a - b) > tol * scale for a, b in zip(m1, m2)):
             return None
-    perms = permutations(range(s1.dim + 1))
-    return next((p for p in perms if _perm_matches(target, sq2, p, tol)), None)
+    return next((p for p in permutations(range(n)) if _perm_matches(target, sq2, p, tol)), None)
 
 
 def _orientation_sign(s: Simplex, order: tuple[int, ...]) -> int:
@@ -361,54 +402,58 @@ def _orientation_sign(s: Simplex, order: tuple[int, ...]) -> int:
     return ((d > 0) - (d < 0)) * (-1) ** inversions
 
 
+def _common_mode(s1: Simplex, s2: Simplex) -> tuple[Simplex, Simplex, float | None]:
+    """The pair in one mode, and the tolerance of that mode (None: exact)."""
+    if s1.dim != s2.dim:
+        raise ValueError("dimension mismatch")
+    if s1.mode != s2.mode:
+        s1, s2 = s1.as_float(), s2.as_float()
+    return s1, s2, None if s1.mode == "exact" else FLOAT_TOL
+
+
 def congruent(s1: Simplex, s2: Simplex, allow_reflection: bool = True) -> bool:
     """Exact congruence via squared-length matching over vertex relabelings.
 
     Reflections count as congruences by default; pass allow_reflection=False
     to demand an orientation-preserving isometry.
     """
-    if s1.dim != s2.dim:
-        raise ValueError("dimension mismatch")
-    if s1.mode != s2.mode:
-        s1, s2 = s1.as_float(), s2.as_float()
-    tol = None if s1.mode == "exact" else FLOAT_TOL
-    perm = _match_permutation(s1, s2, 1, tol)
-    if perm is None:
+    s1, s2, tol = _common_mode(s1, s2)
+    w1, w2 = (1, 1) if tol else (s2.lattice[0] ** 2, s1.lattice[0] ** 2)
+    target, sq2 = _weighted_lengths(s1, s2, w1, w2)
+    n = s1.dim + 1
+    if _match_permutation(target, sq2, n, tol) is None:
         return False
     if allow_reflection:
         return True
     # an orientation-preserving matching may differ from the first one found
-    n = s1.dim + 1
     base_sign = _orientation_sign(s1, tuple(range(n)))
-    target, sq2 = _scaled_lengths(s1, s2, 1)
     return any(
         _orientation_sign(s2, p) == base_sign and _perm_matches(target, sq2, p, tol)
         for p in permutations(range(n))
     )
 
 
+def _exact_sqrt(x) -> Fraction | AlgebraicReal:
+    """The square root of a nonnegative Fraction or field element: a
+    Fraction when rational, an exact algebraic root otherwise."""
+    r = x.to_algebraic().sqrt() if isinstance(x, FieldElement) else AlgebraicReal.sqrt_rational(x)
+    return r.as_fraction() if r.is_rational else r
+
+
 def similar(s1: Simplex, s2: Simplex):
     """Ratio r with s2 congruent to r * s1, or None.
 
-    In exact mode r^2 is an exact rational; r itself is rational when that
-    quotient is a perfect square and an exact algebraic root otherwise.
+    r^2 is the quotient of the sums of squared lengths, and a relabeling
+    must carry s1's lengths times r^2 onto s2's.  In exact mode r is a
+    Fraction when r^2 is a rational square and an exact algebraic root
+    otherwise.
     """
-    if s1.dim != s2.dim:
-        raise ValueError("dimension mismatch")
-    if s1.mode != s2.mode:
-        s1, s2 = s1.as_float(), s2.as_float()
-    if s1.mode == "exact":
-        l1, l2 = s1.lattice_lengths.values(), s2.lattice_lengths.values()
-        ratio2 = Fraction(min(l2) * s1.lattice[0] ** 2, min(l1) * s2.lattice[0] ** 2)
-        if _match_permutation(s1, s2, ratio2, None) is None:
-            return None
-        r = AlgebraicReal.sqrt_rational(ratio2)
-        return r.as_fraction() if r.is_rational else r
-    sq1 = sorted(s1.squared_lengths().values())
-    sq2 = sorted(s2.squared_lengths().values())
-    ratio2 = sq2[0] / sq1[0]
-    if any(abs(b - a * ratio2) > FLOAT_TOL * max(abs(b), 1.0) for a, b in zip(sq1, sq2)):
+    s1, s2, tol = _common_mode(s1, s2)
+    l1, l2 = _weighted_lengths(s1, s2, 1, 1)
+    sum1, sum2 = sum(l1.values()), sum(l2.values())
+    target, sq2 = _weighted_lengths(s1, s2, sum2, sum1)
+    if _match_permutation(target, sq2, s1.dim + 1, tol) is None:
         return None
-    if _match_permutation(s1, s2, ratio2, FLOAT_TOL) is None:
-        return None
-    return math.sqrt(ratio2)
+    if tol:
+        return math.sqrt(sum2 / sum1)
+    return _exact_sqrt(sum2 * Fraction(s1.lattice[0] ** 2) / (sum1 * s2.lattice[0] ** 2))

@@ -274,6 +274,66 @@ class TestHillCommands:
         assert json.loads(spaced)["parent"]["mode"] == "exact"
 
 
+class TestFramedHillInput:
+    """Subdivisions in the frame of their common cosine, and the input the
+    exact verifier refuses with exit 2 and one line."""
+
+    @staticmethod
+    def _subdivision(capsys, dim, cos, m):
+        assert main(["hill", "subdivide", "--dim", str(dim), f"--cos={cos}", "--m", str(m)]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def _refused(tmp_path, capsys, doc) -> str:
+        assert main(["hill", "verify", write(tmp_path, "sub.json", doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_frame_written_once_per_simplex(self, capsys):
+        doc = self._subdivision(capsys, 3, "sqrt(2)/4", 2)
+        frame = doc["parent"]["frame"]
+        assert frame["minpoly"] == [-1, 0, 8] and all(p["frame"] == frame for p in doc["pieces"])
+        assert "frame" not in self._subdivision(capsys, 3, "2/5", 2)["parent"]
+        assert self._subdivision(capsys, 3, "1/4", 2)["parent"]["frame"] == "1/4"
+
+    def test_float_mode_subdivision_refused(self, tmp_path, capsys):
+        doc = self._subdivision(capsys, 2, "0", 2)
+        for s in [doc["parent"]] + doc["pieces"]:
+            s["mode"] = "float"
+            s["vertices"] = [[float(Fraction(x)) for x in v] for v in s["vertices"]]
+        err = self._refused(tmp_path, capsys, doc)
+        assert err == "error: the reptile verifier is exact: a subdivision takes no float-mode simplex\n"
+
+    @pytest.mark.parametrize("frame", ["1/3", None])
+    def test_piece_frame_other_than_the_parent_refused(self, frame, tmp_path, capsys):
+        doc = self._subdivision(capsys, 3, "1/4", 2)
+        if frame is None:
+            del doc["pieces"][3]["frame"]
+        else:
+            doc["pieces"][3]["frame"] = frame
+        err = self._refused(tmp_path, capsys, doc)
+        assert err == f"input error: piece 3 has frame {json.dumps(frame)}, the parent \"1/4\"\n"
+
+    @pytest.mark.parametrize(
+        "frame, message",
+        [
+            ("abc", "cannot parse exact value 'abc'"),
+            (0.25, "refusing float literal 0.25"),
+            ("3/2", "is not a cosine in (-1/(d-1), 1) for d = 3"),
+            ("-1/2", "is not a cosine in (-1/(d-1), 1) for d = 3"),
+            ({"minpoly": [-2, 0, 1], "interval": ["0", "1"]}, "bad algebraic-number object"),
+            ({"interval": ["0", "1"]}, "bad algebraic-number object"),
+        ],
+    )
+    def test_malformed_frame_refused(self, frame, message, tmp_path, capsys):
+        doc = self._subdivision(capsys, 3, "1/4", 2)
+        for s in [doc["parent"]] + doc["pieces"]:
+            s["frame"] = frame
+        err = self._refused(tmp_path, capsys, doc)
+        assert err.startswith("input error: ") and message in err
+
+
 # sha256 of `hill subdivide` stdout and of `hill verify` stdout on it
 HILL_PINS = {
     (4, "0", 4): (
@@ -732,4 +792,4 @@ class TestRuntimeWithoutNumpy:
         done = run_without_numpy(["hill", "verify", "-"], stdin=sub.stdout)
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout)
-        assert report["mode"] == "float" and report["all_ok"] is True
+        assert report["mode"] == "exact" and report["all_ok"] is True

@@ -16,6 +16,7 @@ from reptile_forge.hill import (
     HillSpec,
     Subdivision,
     _bbox_disjoint,
+    _max_margin_point,
     _plane_separates,
     _staircase_cells,
     _sweep_candidates,
@@ -26,6 +27,7 @@ from reptile_forge.hill import (
     subdivide,
     verify_reptile,
 )
+from reptile_forge.jsonio import parse_real
 from reptile_forge.simplex import Simplex, congruent, dihedral_data, orthoscheme, similar, volume
 
 
@@ -43,16 +45,16 @@ def random_rational_hill_spec(rng: random.Random) -> HillSpec:
 class TestHillSpec:
     def test_orthonormal(self):
         spec = HillSpec.from_pair_cos(3, Fraction(0))
-        assert spec.mode == "exact" and spec.pair_cos == 0
+        assert spec.pair_cos == 0
 
     def test_rational_circulant_for_half(self):
         spec = HillSpec.from_pair_cos(3, Fraction(1, 2))
-        assert spec.mode == "exact" and spec.pair_cos == Fraction(1, 2)
+        assert spec.pair_cos == Fraction(1, 2)
 
     def test_float_fallback(self):
         spec = HillSpec.from_pair_cos(3, Fraction(1, 3))
-        assert spec.mode == "float"
-        assert spec.pair_cos == pytest.approx(1 / 3)
+        assert spec.frame == Fraction(1, 3)
+        assert spec.pair_cos == Fraction(1, 3)
 
     def test_boundary_angle_rejected(self):
         with pytest.raises(ValueError, match="2\\*pi/3|positive definite"):
@@ -172,7 +174,7 @@ class TestVerifyReptile:
     def test_float_mode_verification(self):
         spec = HillSpec.from_pair_cos(3, Fraction(1, 3))
         rep = verify_reptile(subdivide(spec, 2))
-        assert rep.all_ok and rep.mode == "float"
+        assert rep.all_ok and rep.mode == "exact" and spec.frame == Fraction(1, 3)
 
     def test_chirality_split_recorded(self):
         rep = verify_reptile(subdivide(HillSpec.from_pair_cos(3, Fraction(0)), 2))
@@ -457,8 +459,8 @@ class TestIntegerScreens:
         s1, s2 = pair
         assert _bbox_disjoint(s1, s2) == _ref_box_disjoint(s1, s2)
         for a, b in ((s1, s2), (s2, s1)):
-            assert _plane_separates(a, b, None) == _ref_plane_separates(a, b)
-            assert _vertex_outside(a, b, True) == _ref_vertex_outside(a, b)
+            assert _plane_separates(a, b) == _ref_plane_separates(a, b)
+            assert _vertex_outside(a, b) == _ref_vertex_outside(a, b)
         ratio2 = _ref_similarity_ratio2(s1, s2)
         r = similar(s1, s2)
         assert (r is None) == (ratio2 is None)
@@ -482,9 +484,9 @@ class TestIntegerScreens:
         b = Simplex.exact([(1, 0), (0, 1), (Fraction(4, 7), Fraction(5, 3))])  # across the hypotenuse
         assert a.lattice[0] == 1 and b.lattice[0] == 21
         assert not _bbox_disjoint(a, b)
-        assert _plane_separates(a, b, None) and _plane_separates(b, a, None)
+        assert _plane_separates(a, b) and _plane_separates(b, a)
         assert interiors_disjoint(a, b) == (True, None)
-        assert _vertex_outside(a, b, True) == (Fraction(4, 7), Fraction(5, 3))
+        assert _vertex_outside(a, b) == (Fraction(4, 7), Fraction(5, 3))
 
     def test_d4_m4_verification_makes_no_fraction_determinant(self, monkeypatch):
         import reptile_forge.algebra.linalg as linalg_mod
@@ -504,3 +506,85 @@ class TestIntegerScreens:
         assert rep.all_ok
         assert rep.chirality == {"orientation_preserving": 136, "mirrored": 120}
         assert calls == []
+
+
+# -- Hill simplices in the frame of their common cosine -----------------------
+
+# specs with no rational Cartesian basis: their vertices are taken in the
+# frame of d unit vectors with the common cosine
+FRAMED = [(2, "1/2", 2), (2, "1/2", 3), (3, "1/4", 2), (3, "1/4", 3), (3, "-1/5", 2), (3, "-1/5", 3),
+          (4, "1/3", 2), (4, "1/3", 3), (4, "1/3", 4), (3, "sqrt(2)/4", 2), (3, "sqrt(2)/4", 3)]
+
+
+class TestFramedHill:
+    @pytest.mark.parametrize("dim,cos,m", FRAMED)
+    def test_exact_reptile_with_json_round_trip(self, dim, cos, m):
+        spec = HillSpec.from_pair_cos(dim, parse_real(cos))
+        assert spec.frame and spec.pair_cos == spec.frame
+        sub = subdivide(spec, m)
+        doc = sub.to_json()
+        again = Subdivision.from_json(doc)
+        assert again.to_json() == doc
+        assert all(p.frame is again.parent.frame for p in again.pieces)
+        rep = verify_reptile(again)
+        assert rep.all_ok and rep.mode == "exact", rep.witnesses
+        assert rep.measured_ratio == Fraction(1, m) and rep.piece_count == m**dim
+
+    def test_verifier_reads_the_frame(self):
+        # pieces 1 and 2 fill a rhombus of the c = 1/2 frame; cutting it on
+        # its other diagonal gives two equilateral triangles, which the same
+        # y-coordinates in the Cartesian frame do not
+        sub = subdivide(HillSpec.from_pair_cos(2, Fraction(1, 2)), 2)
+        half = Fraction(1, 2)
+        assert set(sub.pieces[1].vertices) | set(sub.pieces[2].vertices) == {
+            (half, 0), (1, 0), (1, half), (half, half)}
+        flipped = [((half, 0), (1, 0), (half, half)), ((1, 0), (1, half), (half, half))]
+
+        def report(frame):
+            pieces = [Simplex.exact(p.vertices, frame) for p in sub.pieces]
+            pieces[1:3] = [Simplex.exact(v, frame) for v in flipped]
+            return verify_reptile(Subdivision(Simplex.exact(sub.parent.vertices, frame), tuple(pieces), 2))
+
+        framed = report(Fraction(1, 2)).to_json()["checks"]
+        assert sorted(k for k, ok in framed.items() if not ok) == ["congruence", "similarity"]
+        assert report(Fraction(0)).all_ok
+
+    def test_squared_lengths_and_volume_are_euclidean(self):
+        s = hill_simplex(HillSpec.from_pair_cos(3, Fraction(1, 3)))
+        f = s.as_float()
+        for (i, j), length in s.squared_lengths().items():
+            d = [a - b for a, b in zip(f.vertices[i], f.vertices[j])]
+            assert float(length) == pytest.approx(sum(x * x for x in d), abs=1e-12)
+        # sqrt(det G) = sqrt(20/27) for G = (2/3) I + (1/3) J
+        assert float(volume(s)) == pytest.approx(abs(det([f.vertices[k] for k in (1, 2, 3)])) / 6, abs=1e-12)
+        assert volume(s) * volume(s) == Fraction(20, 27) / 36
+
+    def test_dihedral_data_refuses_a_framed_simplex(self):
+        s = hill_simplex(HillSpec.from_pair_cos(3, Fraction(1, 4)))
+        with pytest.raises(ValueError, match="framed"):
+            dihedral_data(s)
+        assert dihedral_data(s.as_float()).dim == 3
+
+    def test_grow_reports_exact_euclidean_volumes(self):
+        _, rep = grow_space_tiling(HillSpec.from_pair_cos(3, Fraction(1, 3)), 2, m=2)
+        doc = rep.to_json()
+        assert doc["volume_emitted"] == doc["volume_expected"]
+        assert set(doc["volume_emitted"]) == {"minpoly", "interval"}
+        assert float(parse_real(doc["volume_emitted"])) == pytest.approx(9.18040496878795, abs=1e-9)
+
+    def test_adjacency_is_the_all_pairs_margin_count(self):
+        # every sampled pair classed by its margin tau alone, no screen
+        cells, rep = grow_space_tiling(HillSpec.from_pair_cos(3, Fraction(0)), 2, m=2)
+        rng = random.Random(0)
+        want = {"separated": 0, "touching": 0}
+        for _ in range(100):
+            i, j = rng.sample(range(len(cells)), 2)
+            tau, _ = _max_margin_point(cells[i].facets + cells[j].facets, 3)
+            assert tau <= 0
+            want["touching" if tau == 0 else "separated"] += 1
+        assert rep.adjacency == want == {"separated": 56, "touching": 44}
+        assert rep.sampled_pairs == 100 and rep.sampled_disjoint_ok
+        # touching (tau = 0) is affine-invariant, so every frame counts alike
+        for cos in (Fraction(1, 3), parse_real("sqrt(2)/4")):
+            _, framed = grow_space_tiling(HillSpec.from_pair_cos(3, cos), 2, m=2)
+            assert framed.adjacency == want

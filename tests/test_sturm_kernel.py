@@ -255,3 +255,13 @@ class TestOneSquarefreePartPerChain:
         chains = self._counting(monkeypatch, sturm, "sturm_sequence")
         algebraic.AlgebraicReal.from_root(p, lo, hi, [p])
         assert chains and len(parts) == len(chains)
+
+    def test_from_root_builds_one_chain(self, monkeypatch):
+        # the chain of the defining polynomial also serves the owning
+        # factor's root count and the final shrink when they are the same
+        p = cos_two_pi_minpoly(17)
+        lo, hi = sturm.isolate_roots(p)[-1]
+        chains = self._counting(monkeypatch, sturm, "sturm_sequence")
+        x = algebraic.AlgebraicReal.from_root(p, lo, hi, [p])
+        assert chains == [p]
+        assert x.minpoly == p and x.compare(cosine_of(RationalAngle.of(2, 17))) == 0
