@@ -9,8 +9,16 @@ rational Cartesian basis exists, the basis vectors are the unit vectors of
 a frame with the common cosine c, so vertices stay rational for every c
 (the Freudenthal-Kuhn cells).  The verifier, not the generator, carries the
 correctness burden: volume accounting, similarity, mutual congruence,
-pairwise interior disjointness (an exact rational feasibility program per
-pair), and containment are all certified exactly.
+interior disjointness and containment are all certified exactly.
+
+Interior disjointness has a certificate linear in the number of pieces
+when the pieces meet facet to facet, as staircase cells do: every facet is
+shared by two pieces on opposite sides of it or lies in the parent's
+boundary (the pseudomanifold-plus-volume characterization of
+triangulations; De Loera, Rambau and Santos, Triangulations, 2010).  Where
+that certificate fails, a pairwise sweep decides, with an exact rational
+feasibility program per pair whose boxes and facet planes do not separate
+it, and names the first overlapping pair and a common interior point.
 """
 
 from __future__ import annotations
@@ -21,9 +29,10 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
+from operator import mul
 
 from .algebra import AlgebraicReal, FieldElement
-from .algebra.linalg import rational_sqrt, rref
+from .algebra.linalg import rational_sqrt
 from .jsonio import InputFormatError, load_simplex
 from .simplex import Simplex, _orientation_sign, as_frame, congruent, frame_dot, similar, volume
 
@@ -190,13 +199,11 @@ def _cell_map(spec: HillSpec, den: int):
     """Integer basis coordinates ys -> the simplex with vertices
     (sum_i y_i b_i) / den in the spec's frame, the basis taken as integers
     over one lcm."""
-    d, basis = spec.dim, spec.basis
+    basis = spec.basis
     q = math.lcm(*(x.denominator for b in basis for x in b))
-    rows = [[x.numerator * (q // x.denominator) for x in b] for b in basis]
+    columns = list(zip(*([x.numerator * (q // x.denominator) for x in b] for b in basis)))
     return lambda ys: Simplex.exact(
-        [[Fraction(sum(yi * b[k] for yi, b in zip(y, rows)), q * den) for k in range(d)]
-         for y in ys],
-        spec.frame,
+        [[Fraction(sum(map(mul, y, col)), q * den) for col in columns] for y in ys], spec.frame
     )
 
 
@@ -267,28 +274,60 @@ def _sweep_candidates(pieces):
             yield i, j
 
 
+def _solve_fraction_free(a: list[list[int]]):
+    """(D, X) with D > 0 and x = X / D the solution of the integer system
+    whose augmented rows are a = [A | b], or None when A is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968):
+    every entry stays a minor of the input, so each division is exact and
+    at the end every diagonal entry is the last pivot, +-det A.
+    """
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        p, pivot_row = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [sign * r[n] for r in a]
+
+
 def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int):
     """Maximize tau subject to n.x - tau >= b over all constraints.
 
     Returns (tau, x) at the optimum; the polyhedron is pointed and bounded
-    above in tau, so basic-solution enumeration is complete.
+    above in tau, so basic-solution enumeration is complete.  Each row is
+    scaled to integers once and each basic system solved fraction-free;
+    the first best basic solution in combinations order is kept.
     """
     nvar = dim + 1
-    rows = [list(n) + [-1, b] for n, b in constraints]
-    best = None
-    for subset in combinations(range(len(rows)), nvar):
-        a, pivots = rref([rows[i] for i in subset])
-        if pivots != list(range(nvar)):
+    rows = []
+    for n, b in constraints:
+        row = [*n, -1, b]
+        q = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (q // x.denominator) for x in row])
+    best = None  # (D, X): tau = X[dim] / D with D > 0
+    for subset in combinations(rows, nvar):
+        sol = _solve_fraction_free(list(subset))
+        if sol is None:
             continue  # singular: not a basic solution
-        sol = [r[nvar] for r in a]
-        if any(sum(c * v for c, v in zip(r[:nvar], sol)) < r[nvar] for r in rows):
+        den, xs = sol
+        # zip stops at the nvar coefficients: r.x >= b, times D > 0
+        if any(sum(c * v for c, v in zip(r, xs)) < r[nvar] * den for r in rows):
             continue
-        tau = sol[dim]
-        if best is None or tau > best[0]:
-            best = (tau, tuple(sol[:dim]))
+        if best is None or xs[dim] * best[0] > best[1][dim] * den:
+            best = (den, xs)
     if best is None:
         raise AssertionError("margin program has no basic feasible point")
-    return best
+    den, xs = best
+    return Fraction(xs[dim], den), tuple(Fraction(x, den) for x in xs[:dim])
 
 
 def _vertex_outside(parent: Simplex, piece: Simplex):
@@ -314,6 +353,71 @@ def interiors_disjoint(s1: Simplex, s2: Simplex) -> tuple[bool, tuple | None]:
         return True, None
     tau, x = _max_margin_point(s1.facets + s2.facets, s1.dim)
     return (tau <= 0), (x if tau > 0 else None)
+
+
+def _facets_match(parent: Simplex, pieces) -> bool:
+    """Whether the pieces meet facet to facet inside the parent: with the
+    pieces contained in the parent and their volumes summing to its
+    volume, a certificate that their interiors are pairwise disjoint.
+
+    Each facet is keyed by its sorted vertices over one common denominator,
+    and its side is the orientation of (its sorted vertices, the opposite
+    vertex): the sign of ``signed_det`` times the parity of that order.  The
+    certificate holds iff every key is met at most twice, the two pieces
+    of a key met twice lie on opposite sides, and every key met once lies
+    in a facet plane of the parent.
+
+    Proof: follow a generic path between two interior points of the
+    parent; it crosses piece facets only in their relative interiors, one
+    hyperplane H at a time.  H meets the parent's interior, so it is no
+    facet plane of the parent and each facet in H through the crossing
+    point is met twice; its twin has the same vertices and lies on the
+    other side.  So as many pieces are entered as are left, and the number
+    of pieces covering a point is constant on the parent's interior.  The
+    pieces lie in the parent, so that number integrates to the volume sum,
+    the parent's volume: it is 1, and no two interiors meet.  A tiling
+    that is not face to face, such as one with a T-junction, fails the
+    certificate though its interiors are disjoint.
+    """
+    big = math.lcm(*(p.lattice[0] for p in pieces))
+    d = parent.dim
+    sides: dict[tuple, int] = {}  # key -> the side met once, or 0 once matched
+    for p in pieces:
+        den, verts = p.lattice
+        k = big // den
+        scaled = [tuple(x * k for x in v) for v in verts]
+        ranks = sorted(range(d + 1), key=scaled.__getitem__)
+        order = [scaled[i] for i in ranks]
+        # the orientation of the vertices in sorted order
+        side = (1 if p.signed_det > 0 else -1) * (-1) ** sum(a > b for a, b in combinations(ranks, 2))
+        for pos in range(d + 1):
+            # moving the opposite vertex from pos to the end takes d - pos swaps
+            key = tuple(order[:pos] + order[pos + 1 :])
+            s = side * (-1) ** (d - pos)
+            met = sides.get(key)
+            if met is None:
+                sides[key] = s
+            elif met == -s:
+                sides[key] = 0
+            else:
+                return False  # a third piece, or two on one side
+    dp, planes = parent.lattice[0], parent.lattice_facets
+    through: dict[tuple, int] = {}  # vertex -> bit set of the parent facet planes through it
+    for key, s in sides.items():
+        if not s:
+            continue
+        common = -1
+        for v in key:
+            if v not in through:
+                through[v] = sum(
+                    1 << i
+                    for i, (n, b) in enumerate(planes)
+                    if dp * sum(x * y for x, y in zip(n, v)) == big * b
+                )
+            common &= through[v]
+        if not common:
+            return False  # an unmatched facet inside the parent
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +477,16 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
     """Certify the reptile property of a subdivision, check by check.
 
     Every check is exact: volume sum, similarity ratio, congruence matching,
-    pairwise interior disjointness, and containment; the union equality
-    follows from volume + disjointness + containment for closed pieces.
-    Volumes are compared in frame units, lengths in the frame's metric.
+    interior disjointness, and containment; the union equality follows from
+    volume + disjointness + containment for closed pieces.  Volumes are
+    compared in frame units, lengths in the frame's metric.
+
+    Interior disjointness is certified by facet matching (``_facets_match``)
+    when the volumes and containment hold: pieces that meet facet to facet
+    inside the parent and fill its volume cover each interior point once.
+    Otherwise every pair whose boxes meet is decided exactly
+    (``interiors_disjoint``), and the first overlapping pair in
+    lexicographic order is the witness with a common interior point.
     """
     parent, pieces, m = sub.parent, sub.pieces, sub.m
     witnesses: dict = {}
@@ -417,15 +528,18 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
             witnesses["containment"] = {"piece": idx, "vertex": v}
             break
 
-    # the sweep drops only box-disjoint pairs and keeps combinations order,
-    # so the first overlap found, and its witness, is the all-pairs loop's
+    # facet matching certifies disjointness in one pass; where it does not
+    # hold, the sweep decides: it drops only box-disjoint pairs and keeps
+    # combinations order, so the first overlap found, and its witness, is
+    # the all-pairs loop's
     disjointness_ok = True
-    for i, j in _sweep_candidates(pieces):
-        ok, point = interiors_disjoint(pieces[i], pieces[j])
-        if not ok:
-            disjointness_ok = False
-            witnesses["interior_disjointness"] = {"pieces": (i, j), "point": point}
-            break
+    if not (volume_ok and containment_ok and _facets_match(parent, pieces)):
+        for i, j in _sweep_candidates(pieces):
+            ok, point = interiors_disjoint(pieces[i], pieces[j])
+            if not ok:
+                disjointness_ok = False
+                witnesses["interior_disjointness"] = {"pieces": (i, j), "point": point}
+                break
 
     union_ok = volume_ok and disjointness_ok and containment_ok
 

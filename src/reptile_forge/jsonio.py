@@ -99,6 +99,8 @@ def load_simplex(obj: dict, frame=None) -> Simplex:
         return Simplex.from_json(obj, frame)
     except (KeyError, ValueError, TypeError) as e:
         raise InputFormatError(f"bad simplex JSON: {e}") from e
+    except ZeroDivisionError as e:
+        raise InputFormatError("bad simplex JSON: a coordinate has denominator 0") from e
 
 
 def _load_frame(obj: dict):

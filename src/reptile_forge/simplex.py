@@ -16,6 +16,7 @@ compares within FLOAT_TOL and is used for reconstructed simplices.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +24,11 @@ from functools import cached_property
 from itertools import combinations, permutations
 
 from .algebra import AlgebraicReal, FieldElement, NumberField
-from .algebra.linalg import cholesky, det, det_int, nullspace, unit_normal
+from .algebra.linalg import cholesky, det, det_int, nullspace, rational_sqrt, unit_normal
 
 FLOAT_TOL = 1e-10
+
+_RATIO_RE = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def _dot(u, v):
@@ -41,6 +44,19 @@ def frame_dot(u, v, c=0):
     vectors with pairwise cosine c: u.v + c (sum(u) sum(v) - u.v)."""
     uv = _dot(u, v)
     return uv + c * (sum(u) * sum(v) - uv) if c else uv
+
+
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _coordinate(x) -> Fraction:
+    """An exact JSON coordinate: the plain "p/q" form by an integer split,
+    every other form as Fraction(str(x)) reads it."""
+    if isinstance(x, str) and _RATIO_RE.fullmatch(x):
+        num, den = x.split("/")
+        return Fraction(int(num), int(den))
+    return Fraction(str(x))
 
 
 def _pair_lengths(verts, c=0) -> dict:
@@ -96,7 +112,7 @@ class Simplex:
 
     @staticmethod
     def exact(vertices, frame=Fraction(0)) -> "Simplex":
-        vs = tuple(tuple(Fraction(x) for x in v) for v in vertices)
+        vs = tuple(tuple(_fraction(x) for x in v) for v in vertices)
         return Simplex(len(vs) - 1, vs, "exact", frame)
 
     @staticmethod
@@ -222,7 +238,7 @@ class Simplex:
 
     def to_json(self) -> dict:
         if self.mode == "exact":
-            verts = [[f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in v] for v in self.vertices]
+            verts = [[f"{q.numerator}/{q.denominator}" for q in map(_fraction, v)] for v in self.vertices]
         else:
             verts = [[float(x) for x in v] for v in self.vertices]
         out = {"dim": self.dim, "mode": self.mode, "vertices": verts}
@@ -238,7 +254,7 @@ class Simplex:
         """The simplex of ``obj``, in the already parsed ``frame``."""
         exact = obj.get("mode", "exact") == "exact"
         # one Fraction per exact coordinate; str() reads a float by its repr
-        vs = tuple(tuple(Fraction(str(x)) if exact else float(x) for x in v) for v in obj["vertices"])
+        vs = tuple(tuple(_coordinate(x) if exact else float(x) for x in v) for v in obj["vertices"])
         return Simplex(len(vs) - 1, vs, "exact" if exact else "float", frame)
 
 
@@ -436,8 +452,11 @@ def congruent(s1: Simplex, s2: Simplex, allow_reflection: bool = True) -> bool:
 def _exact_sqrt(x) -> Fraction | AlgebraicReal:
     """The square root of a nonnegative Fraction or field element: a
     Fraction when rational, an exact algebraic root otherwise."""
-    r = x.to_algebraic().sqrt() if isinstance(x, FieldElement) else AlgebraicReal.sqrt_rational(x)
-    return r.as_fraction() if r.is_rational else r
+    if isinstance(x, FieldElement):
+        r = x.to_algebraic().sqrt()
+        return r.as_fraction() if r.is_rational else r
+    r = rational_sqrt(x)  # a rational square needs no minimal polynomial
+    return AlgebraicReal.sqrt_rational(x) if r is None else r
 
 
 def similar(s1: Simplex, s2: Simplex):

@@ -655,6 +655,28 @@ class TestExport:
         assert main(["export", sp, "--obj", str(tmp_path / "t.obj")]) == 2
 
 
+class TestZeroDenominator:
+    """A coordinate "1/0" is bad input: exit 2 with one line, no traceback."""
+
+    ERR = "input error: bad simplex JSON: a coordinate has denominator 0\n"
+
+    @pytest.mark.parametrize("where", ["piece", "parent"])
+    def test_hill_verify(self, where, tmp_path, capsys):
+        assert main(["hill", "subdivide", "--dim", "2", "--m", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        simplex = doc["pieces"][2] if where == "piece" else doc["parent"]
+        simplex["vertices"][1][0] = "1/0"
+        assert main(["hill", "verify", write(tmp_path, "sub.json", doc)]) == 2
+        assert capsys.readouterr() == ("", self.ERR)
+
+    def test_export(self, tmp_path, capsys):
+        doc = Simplex.exact([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]).to_json()
+        doc["vertices"][3][2] = "1/0"
+        assert main(["export", write(tmp_path, "s.json", doc), "--obj", str(tmp_path / "s.obj")]) == 2
+        assert capsys.readouterr() == ("", self.ERR)
+        assert not (tmp_path / "s.obj").exists()
+
+
 def run_main(argv) -> tuple:
     """main's exit code, as its process would end, and what it wrote."""
     out, err = io.StringIO(), io.StringIO()

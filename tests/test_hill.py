@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptile_forge.algebra import as_algebraic
-from reptile_forge.algebra.linalg import det
+from reptile_forge import hill as hill_mod
+from reptile_forge.algebra.linalg import det, rref
 from reptile_forge.hill import (
     GrowthReport,
     HillSpec,
     Subdivision,
     _bbox_disjoint,
+    _facets_match,
     _max_margin_point,
     _plane_separates,
     _staircase_cells,
@@ -588,3 +590,174 @@ class TestFramedHill:
         for cos in (Fraction(1, 3), parse_real("sqrt(2)/4")):
             _, framed = grow_space_tiling(HillSpec.from_pair_cos(3, cos), 2, m=2)
             assert framed.adjacency == want
+
+
+# -- disjointness by facet matching, with the pairwise sweep as fallback ------
+
+# the benchmark's cycle of Cartesian specs, and specs in a frame
+CYCLE = [(d, c, m) for d, cs in ((2, ("0", "3/5", "-5/13")), (3, ("0", "2/5", "-2/5")), (4, ("0",)))
+         for c in cs for m in (2, 3, 4)]
+FRAMED_SPECS = [(3, "1/4", m) for m in (2, 3)] + [(4, "1/3", m) for m in (2, 3)] + [
+    (3, "sqrt(2)/4", m) for m in (2, 3)]
+
+
+def _subdivision(dim, cos, m):
+    return subdivide(HillSpec.from_pair_cos(dim, parse_real(cos)), m)
+
+
+def _corrupted(sub, how, rng):
+    """The pieces of sub with one piece damaged: moved onto a facet
+    neighbour, translated, scaled about the origin, or one vertex moved."""
+    pieces, dim, m = list(sub.pieces), sub.parent.dim, sub.m
+    i = rng.randrange(len(pieces))
+    if how == "neighbour":
+        shared = [j for j in range(len(pieces))
+                  if j != i and len(set(pieces[i].vertices) & set(pieces[j].vertices)) == dim]
+        pieces[i] = pieces[rng.choice(shared)]
+    elif how == "translate":
+        pieces[i] = pieces[i].translated([Fraction(rng.randint(-3, 3), 7 * m) for _ in range(dim)])
+    elif how == "scale":
+        pieces[i] = pieces[i].scaled(Fraction(rng.choice((2, 3, 5)), rng.choice((2, 3, 4))))
+    else:
+        verts = [list(v) for v in pieces[i].vertices]
+        verts[rng.randrange(dim + 1)][0] += Fraction(1, 9)
+        pieces[i] = Simplex.exact(verts, sub.parent.frame)
+    return Subdivision(sub.parent, tuple(pieces), m)
+
+
+class TestFacetMatching:
+    @pytest.mark.parametrize("dim,cos,m", CYCLE + FRAMED_SPECS)
+    def test_certificate_holds_and_reports_match_the_sweep(self, dim, cos, m, monkeypatch):
+        sub = _subdivision(dim, cos, m)
+        assert _facets_match(sub.parent, sub.pieces)
+        certified = verify_reptile(sub).to_json()
+        monkeypatch.setattr(hill_mod, "_facets_match", lambda parent, pieces: False)
+        assert verify_reptile(sub).to_json() == certified
+        assert certified["all_ok"]
+
+    @pytest.mark.parametrize("dim,cos,m", [(2, "3/5", 3), (2, "-5/13", 3), (3, "0", 3), (3, "2/5", 2),
+                                           (3, "1/4", 2), (4, "0", 2)])
+    def test_corrupted_reports_match_the_sweep(self, dim, cos, m, monkeypatch):
+        sub = _subdivision(dim, cos, m)
+        rng = random.Random(dim * 100 + m)
+        docs = [_corrupted(sub, how, rng) for how in ("neighbour", "translate", "scale", "vertex") for _ in range(2)]
+        certified = [verify_reptile(doc).to_json() for doc in docs]
+        monkeypatch.setattr(hill_mod, "_facets_match", lambda parent, pieces: False)
+        assert [verify_reptile(doc).to_json() for doc in docs] == certified
+        assert not any(rep["all_ok"] for rep in certified)
+        assert not certified[0]["checks"]["interior_disjointness"]  # a neighbour copy overlaps
+
+    def test_duplicated_piece_rejected(self):
+        sub = _subdivision(2, "0", 2)
+        pieces = list(sub.pieces)
+        pieces[1] = pieces[0]
+        assert not _facets_match(sub.parent, pieces)
+
+    def test_facet_of_three_pieces_rejected(self):
+        # two triangles on opposite sides of the edge (0,0)-(1,0), then a third on it
+        parent = Simplex.exact([(-4, -4), (8, -4), (-4, 8)])
+        tri = [Simplex.exact([(0, 0), (1, 0), apex]) for apex in ((0, 1), (0, -1), (1, 1))]
+        assert not _facets_match(parent, tri)
+
+    def test_two_pieces_on_one_side_rejected(self):
+        parent = Simplex.exact([(-4, -4), (8, -4), (-4, 8)])
+        tri = [Simplex.exact([(0, 0), (1, 0), apex]) for apex in ((0, 1), (1, 1))]
+        assert not _facets_match(parent, tri)
+
+    def test_folded_double_cover_caught_by_the_sweep(self):
+        # the square (0,0)-(2,2) of the triangle (0,0), (4,0), (0,4), cut on
+        # each diagonal: two layers whose every edge is met exactly twice,
+        # with volume, containment, similarity and congruence all holding;
+        # only the sides tell that the edges x = 2 and y = 2 are folds
+        parent = Simplex.exact([(0, 0), (4, 0), (0, 4)])
+        pieces = tuple(Simplex.exact(v) for v in (
+            [(0, 0), (2, 0), (0, 2)], [(2, 0), (2, 2), (0, 2)],
+            [(0, 0), (2, 0), (2, 2)], [(0, 0), (2, 2), (0, 2)]))
+        assert not _facets_match(parent, pieces)
+        rep = verify_reptile(Subdivision(parent, pieces, 2)).to_json()
+        assert [k for k, ok in rep["checks"].items() if not ok] == ["interior_disjointness", "union"]
+        assert rep["witnesses"]["interior_disjointness"].startswith("{'pieces': (0, 2)")
+
+    def test_t_junction_falls_back_to_the_sweep(self):
+        # a valid tiling of the triangle (0,0), (4,0), (0,4) whose edge
+        # (0,0)-(2,2) meets two edges of the other side: not face to face
+        parent = Simplex.exact([(0, 0), (4, 0), (0, 4)])
+        pieces = tuple(Simplex.exact(v) for v in (
+            [(0, 0), (2, 0), (2, 2)], [(2, 0), (4, 0), (2, 2)],
+            [(0, 0), (1, 1), (0, 4)], [(1, 1), (2, 2), (0, 4)]))
+        assert not _facets_match(parent, pieces)
+        rep = verify_reptile(Subdivision(parent, pieces, 2)).to_json()
+        assert rep["checks"]["interior_disjointness"] is True
+        assert rep["checks"]["volume"] and rep["checks"]["containment"]
+        assert "interior_disjointness" not in rep["witnesses"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([(2, "0", 2), (2, "3/5", 3), (3, "0", 2), (3, "2/5", 2)]),
+        st.integers(0, 26),
+        st.integers(0, 3),
+        st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    )
+    def test_moved_vertex_certified_only_when_disjoint(self, spec, i, j, shift):
+        sub = _subdivision(*spec)
+        dim, m = sub.parent.dim, sub.m
+        piece = sub.pieces[i % len(sub.pieces)]
+        verts = [list(v) for v in piece.vertices]
+        step = Fraction(1, 2 * m)
+        verts[j % (dim + 1)] = [x + k * step for x, k in zip(verts[j % (dim + 1)], shift)]
+        try:
+            moved = Simplex.exact(verts)
+        except ValueError:
+            return  # a degenerate piece
+        pieces = [moved if p is piece else p for p in sub.pieces]
+        if _facets_match(sub.parent, pieces):
+            assert _all_pairs_disjointness(pieces) == (True, None)
+        if not any(shift[:dim]):
+            assert _facets_match(sub.parent, pieces)
+
+
+def _ref_max_margin_point(constraints, dim):
+    """The margin program by Fraction Gauss-Jordan on every basic system."""
+    nvar = dim + 1
+    rows = [list(n) + [-1, b] for n, b in constraints]
+    best = None
+    for subset in combinations(range(len(rows)), nvar):
+        a, pivots = rref([rows[i] for i in subset])
+        if pivots != list(range(nvar)):
+            continue
+        sol = [r[nvar] for r in a]
+        if any(sum(c * v for c, v in zip(r[:nvar], sol)) < r[nvar] for r in rows):
+            continue
+        if best is None or sol[dim] > best[0]:
+            best = (sol[dim], tuple(sol[:dim]))
+    return best
+
+
+class TestMarginProgram:
+    def test_grow_pairs_match_the_fraction_routine(self):
+        cells, _ = grow_space_tiling(HillSpec.from_pair_cos(3, Fraction(0)), 1, m=2)
+        assert len(cells) == 8
+        for a, b in combinations(cells, 2):
+            got = _max_margin_point(a.facets + b.facets, 3)
+            assert got == _ref_max_margin_point(a.facets + b.facets, 3)
+            assert all(type(x) is Fraction for x in (got[0], *got[1]))
+
+    @pytest.mark.parametrize("dim,cos,m", [(2, "3/5", 3), (3, "0", 3), (3, "2/5", 2)])
+    def test_overlap_corruptions_match_the_fraction_routine(self, dim, cos, m):
+        sub = _subdivision(dim, cos, m)
+        rng = random.Random(m)
+        pieces = _corrupted(sub, "neighbour", rng).pieces
+        screened = 0
+        for a, b in combinations(pieces, 2):
+            if _bbox_disjoint(a, b) or _plane_separates(a, b) or _plane_separates(b, a):
+                continue
+            screened += 1
+            assert _max_margin_point(a.facets + b.facets, dim) == _ref_max_margin_point(a.facets + b.facets, dim)
+        assert screened >= 1  # the copy and its original reach the program
+
+    @settings(max_examples=60, deadline=None)
+    @given(simplex_pairs())
+    def test_random_pairs_match_the_fraction_routine(self, pair):
+        s1, s2 = pair
+        constraints = s1.facets + s2.facets
+        assert _max_margin_point(constraints, s1.dim) == _ref_max_margin_point(constraints, s1.dim)

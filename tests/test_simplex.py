@@ -10,9 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reptile_forge.algebra import AlgebraicReal
 from reptile_forge.algebra.linalg import det
+from reptile_forge.jsonio import parse_real
 from reptile_forge.simplex import (
     Simplex,
+    _coordinate,
+    _exact_sqrt,
+    as_frame,
     congruent,
     dihedral_data,
     orthoscheme,
@@ -255,3 +260,58 @@ class TestSimilar:
         s = random_rational_tetrahedron(random.Random(9))
         for r in (Fraction(3), Fraction(2, 7), Fraction(5, 3)):
             assert similar(s, s.scaled(r)) == r
+
+
+class TestExactSqrt:
+    @staticmethod
+    def _reference(x):
+        """The square root through AlgebraicReal for every input."""
+        r = x.to_algebraic().sqrt() if not isinstance(x, Fraction) else AlgebraicReal.sqrt_rational(x)
+        return r.as_fraction() if r.is_rational else r
+
+    @pytest.mark.parametrize(
+        "x", [Fraction(0), Fraction(1), Fraction(9, 16), Fraction(1, 36), Fraction(2), Fraction(3, 5), Fraction(20, 27)]
+    )
+    def test_rationals(self, x):
+        got, want = _exact_sqrt(x), self._reference(x)
+        assert type(got) is type(want)
+        if isinstance(want, Fraction):
+            assert got == want
+        else:
+            assert got.minpoly == want.minpoly and got.compare(want) == 0
+
+    def test_negative_refused(self):
+        with pytest.raises(ValueError):
+            _exact_sqrt(Fraction(-1, 4))
+
+    def test_field_elements(self):
+        c = as_frame(parse_real("sqrt(2)/4"))  # c^2 = 1/8
+        for x, rational in ((8 * c * c, True), (1 + 2 * c, False), (c * c / 2, True)):
+            got, want = _exact_sqrt(x), self._reference(x)
+            assert type(got) is type(want) and isinstance(got, Fraction) == rational
+            assert got == want if rational else got.compare(want) == 0
+
+
+class TestCoordinateParsing:
+    """The plain "p/q" form by an integer split; every other form as
+    Fraction(str(x)) reads it, accepted or refused alike."""
+
+    @pytest.mark.parametrize(
+        "x",
+        ["3/4", "-3/4", "-0/7", "007/010", "12/8", "1/0", "+3/4", " 3/4", "3/4 ", "3/4\n", "3 / 4", "3/-4",
+         "--3/4", "1_0/3", "\u0661/\u0662", "3.5", "1e3", "-2", "0x1/2", "", "/", "3/", "abc", 7, -2, 0.5],
+    )
+    def test_same_as_fraction_of_str(self, x):
+        try:
+            want = Fraction(str(x))
+        except (ValueError, ZeroDivisionError) as e:
+            with pytest.raises(type(e)):
+                _coordinate(x)
+        else:
+            got = _coordinate(x)
+            assert type(got) is Fraction and got == want
+
+    @settings(max_examples=200)
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+    def test_ratios(self, p, q):
+        assert _coordinate(f"{p}/{q}") == Fraction(p, q)
