@@ -20,9 +20,10 @@ from . import intpoly as ip
 from . import sturm
 from .factor import minimal_polynomial_on
 from .intpoly import Poly
-from .linalg import interpolate, rational_sqrt
+from .linalg import interpolate
 
 DEGREE_CAP = 8
+_FLOAT_WIDTH = Fraction(1, 10**17)
 
 
 class DegreeOverflowError(ArithmeticError):
@@ -71,8 +72,13 @@ class AlgebraicReal:
 
     def __init__(self, minpoly, interval, _trusted: bool = False):
         if _trusted:
+            lo, hi = interval
             object.__setattr__(self, "minpoly", minpoly)
-            object.__setattr__(self, "_iv", (Fraction(interval[0]), Fraction(interval[1])))
+            object.__setattr__(
+                self,
+                "_iv",
+                (lo if type(lo) is Fraction else Fraction(lo), hi if type(hi) is Fraction else Fraction(hi)),
+            )
             object.__setattr__(self, "_ridx", None)
             return
         built = AlgebraicReal.from_root(minpoly, Fraction(interval[0]), Fraction(interval[1]))
@@ -129,18 +135,17 @@ class AlgebraicReal:
 
     @staticmethod
     def sqrt_rational(q) -> "AlgebraicReal":
-        """Exact square root of a nonnegative rational."""
+        """Exact square root of a nonnegative rational p/s in lowest terms:
+        the rational root when p and s are squares, else the root of
+        (-p, 0, s) in the bracket ``_sqrt_bounds(p/s, 1/16)``."""
         q = Fraction(q)
-        if q < 0:
+        num, den = q.numerator, q.denominator
+        if num < 0:
             raise ValueError("square root of a negative rational")
-        if q == 0:
-            return AlgebraicReal.from_rational(0)
-        root = rational_sqrt(q)
-        if root is not None:
-            return AlgebraicReal.from_rational(root)
-        mp = ip.primitive(ip.poly([-q.numerator, 0, q.denominator]))
-        lo, hi = _sqrt_bounds(q, Fraction(1, 16))
-        return AlgebraicReal(mp, (lo, hi), _trusted=True)
+        rn, rd = math.isqrt(num), math.isqrt(den)
+        if rn * rn == num and rd * rd == den:
+            return AlgebraicReal.from_rational(Fraction(rn, rd))
+        return AlgebraicReal((-num, 0, den), _isqrt_bracket(num, den, 17), _trusted=True)
 
     # -- basic queries ------------------------------------------------
 
@@ -150,7 +155,7 @@ class AlgebraicReal:
 
     @property
     def is_rational(self) -> bool:
-        return self.degree == 1
+        return len(self.minpoly) == 2
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -165,11 +170,13 @@ class AlgebraicReal:
         width = Fraction(width)
         if width <= 0:
             raise ValueError("width must be positive")
+        self._refine(width)
+        return Interval(*self._iv)
+
+    def _refine(self, width: Fraction) -> None:
         lo, hi = self._iv
         if hi - lo >= width:
-            lo, hi = sturm.refine_root(self.minpoly, lo, hi, width)
-            object.__setattr__(self, "_iv", (lo, hi))
-        return Interval(lo, hi)
+            object.__setattr__(self, "_iv", sturm.refine_root(self.minpoly, lo, hi, width))
 
     def sign(self) -> int:
         if self.is_rational:
@@ -177,7 +184,7 @@ class AlgebraicReal:
             return (v > 0) - (v < 0)
         lo, hi = self._iv
         while lo <= 0 <= hi:
-            self.refine_below((hi - lo) / 4)
+            self._refine((hi - lo) / 4)
             lo, hi = self._iv
         return 1 if lo > 0 else -1
 
@@ -187,8 +194,12 @@ class AlgebraicReal:
     def __float__(self) -> float:
         if self.is_rational:
             return float(self.as_fraction())
-        iv = self.refine_below(Fraction(1, 10**17))
-        return float(iv.mid)
+        self._refine(_FLOAT_WIDTH)
+        lo, hi = self._iv
+        # int / int rounds correctly, as float() of the midpoint Fraction does
+        return (lo.numerator * hi.denominator + hi.numerator * lo.denominator) / (
+            2 * lo.denominator * hi.denominator
+        )
 
     def approx(self, digits: int = 12) -> Fraction:
         """A rational approximation within 10**-digits of the true value."""
@@ -211,9 +222,24 @@ class AlgebraicReal:
                 if a <= lo and hi <= b:
                     object.__setattr__(self, "_ridx", i)
                     return i
-            self.refine_below((hi - lo) / 4)
+            self._refine((hi - lo) / 4)
 
     def compare(self, other) -> int:
+        if isinstance(other, (int, Fraction)):
+            # a rational is compared with the enclosure as it is, and only
+            # self is refined, as against a degenerate enclosure
+            if self.is_rational:
+                # -c0 / c1 against p / q, both denominators positive
+                c0, c1 = self.minpoly
+                a, b = -c0 * other.denominator, other.numerator * c1
+                return (a > b) - (a < b)
+            while True:
+                lo, hi = self._iv
+                if hi < other:
+                    return -1
+                if other < lo:
+                    return 1
+                self._refine((hi - lo) / 4)
         other = as_algebraic(other)
         if self.is_rational and other.is_rational:
             a, b = self.as_fraction(), other.as_fraction()
@@ -232,14 +258,12 @@ class AlgebraicReal:
             if b_hi < a_lo:
                 return 1
             if a_hi > a_lo:
-                self.refine_below((a_hi - a_lo) / 4)
+                self._refine((a_hi - a_lo) / 4)
             if b_hi > b_lo:
-                other.refine_below((b_hi - b_lo) / 4)
+                other._refine((b_hi - b_lo) / 4)
 
     def __eq__(self, other):
-        try:
-            other = as_algebraic(other)
-        except TypeError:
+        if not isinstance(other, (AlgebraicReal, int, Fraction)):
             return NotImplemented
         return self.compare(other) == 0
 
@@ -284,6 +308,8 @@ class AlgebraicReal:
         return _arith(as_algebraic(other), self, "-")
 
     def __mul__(self, other) -> "AlgebraicReal":
+        if isinstance(other, (int, Fraction)) and not self.is_rational:
+            return _rational_affine(self, Fraction(other), "*")
         return _arith(self, as_algebraic(other), "*")
 
     __rmul__ = __mul__
@@ -393,10 +419,14 @@ def _sqrt_bounds(q, width: Fraction) -> tuple[Fraction, Fraction]:
         raise ValueError("negative radicand")
     if q == 0:
         return Fraction(0), Fraction(0)
-    scale = max(1, int(1 / width) + 1)
-    den = q.denominator * scale
-    r = math.isqrt(q.numerator * q.denominator * scale * scale)
-    return Fraction(r, den), Fraction(r + 1, den)
+    return _isqrt_bracket(q.numerator, q.denominator, max(1, int(1 / width) + 1))
+
+
+def _isqrt_bracket(num: int, den: int, scale: int) -> tuple[Fraction, Fraction]:
+    """(r, r + 1) / (den scale) with r = isqrt(num den scale^2): a bracket of
+    sqrt(num / den) of width 1 / (den scale)."""
+    r = math.isqrt(num * den * scale * scale)
+    return Fraction(r, den * scale), Fraction(r + 1, den * scale)
 
 
 def _interp_resultant(deg_bound: int, res_at) -> Poly:
@@ -463,7 +493,7 @@ def _select_root(defining: Poly, value_range, *operands: AlgebraicReal) -> Algeb
         for x in operands:
             a, b = x._iv
             if a != b:
-                x.refine_below((b - a) / 8)
+                x._refine((b - a) / 8)
 
 
 def _arith(x: AlgebraicReal, y: AlgebraicReal, op: str) -> AlgebraicReal:

@@ -227,6 +227,9 @@ def compose_linear(p: Poly, a: int, b: int, c: int = 1) -> Poly:
     n = degree(p)
     if n < 0:
         return ZERO
+    if b == 0:
+        # a pure rescaling: coefficient k is p_k a^k c^(n - k)
+        return tuple(p[k] * a**k * c ** (n - k) for k in range(n + 1))
     out: Poly = ZERO
     lin: Poly = (b, a)
     cp = 1

@@ -4,16 +4,20 @@ reduction, kernels, solves, interpolation and rational square roots.
 ``char_poly`` and ``det`` share one core, Berkowitz's algorithm (Inf.
 Process. Lett. 18, 1984), which uses only ring operations: it serves
 Fraction, AlgebraicReal, number-field elements, MPoly and float entries
-alike.  ``det_int`` is fraction-free Bareiss elimination (Math. Comp. 22,
-1968), the faster route for integer matrices.  The remaining exact routines
-work over any field whose elements support the plain operators: Fraction,
-AlgebraicReal (which mixes with Fraction), or float.  Integers are promoted
-to Fraction first, because int / int is a float.  Zero tests use ``not x``,
-which is O(1) on AlgebraicReal where ``x != 0`` would refine an enclosure;
-``rref`` leaves zero entries as they are rather than spend an AlgebraicReal
-operation on each.  In ``rref`` a float pivot must exceed FLOAT_PIVOT in
-magnitude.  The float routines (``cholesky``, ``unit_normal``) serve the
-coordinate output of reconstructed and framed simplices, dimension <= 4.
+alike, and keeps an integer matrix in integers.  ``det_int`` is
+fraction-free Bareiss elimination (Math. Comp. 22, 1968), the faster route
+for integer matrices; ``rref_int`` is its Gauss-Jordan form, which gives
+the integer kernel (``kernel_int``) of the realizability check and the
+integer solves (``solve_int``) of the Hill margin program.  The remaining
+exact routines work over any field whose elements support the plain
+operators: Fraction, AlgebraicReal (which mixes with Fraction), or float.
+Integers are promoted to Fraction first, because int / int is a float.
+Zero tests use ``not x``, which is O(1) on AlgebraicReal where ``x != 0``
+would refine an enclosure; ``rref`` leaves zero entries as they are rather
+than spend an AlgebraicReal operation on each.  In ``rref`` a float pivot
+must exceed FLOAT_PIVOT in magnitude.  The float routines (``cholesky``,
+``unit_normal``) serve the coordinate output of reconstructed and framed
+simplices, dimension <= 4.
 
 This module imports nothing from the package.
 """
@@ -41,7 +45,11 @@ def _berkowitz(rows: list[list]) -> list:
     lambda^(n-1) + ... + c_0, by Berkowitz's algorithm: the characteristic
     polynomial of each leading k x k block is a Toeplitz matrix, built from
     the block's new row and column, times that of the block before it."""
-    m = [[_promote(x) for x in r] for r in rows]
+    # ring operations keep integers exact; anything else is promoted
+    if all(type(x) is int for r in rows for x in r):
+        m = rows
+    else:
+        m = [[_promote(x) for x in r] for r in rows]
     p: list = []  # the coefficients below the leading 1, high first
     for k in range(len(m)):
         row, col = m[k][:k], [m[i][k] for i in range(k)]
@@ -73,7 +81,7 @@ def det(rows: list[list]):
     p = _berkowitz(rows)
     if not p:
         return Fraction(1)
-    return -p[-1] if len(p) % 2 else p[-1]
+    return _promote(-p[-1] if len(p) % 2 else p[-1])
 
 
 def det_int(a: list[list[int]]) -> int:
@@ -104,7 +112,7 @@ def det_int(a: list[list[int]]) -> int:
 
 def char_poly(m: list[list]) -> list:
     """det(lambda I - M) over the entries' ring, low coefficients first."""
-    return _berkowitz(m)[::-1] + [Fraction(1)]
+    return [_promote(c) for c in _berkowitz(m)[::-1]] + [Fraction(1)]
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
@@ -147,6 +155,65 @@ def nullspace(rows: list[list]) -> list:
     for i, pc in enumerate(pivots):
         v[pc] = -a[i][fc]
     return v
+
+
+def rref_int(rows: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
+    """(R, D, pivots) with R / D the reduced row echelon form of an integer
+    matrix, D > 0, by fraction-free Gauss-Jordan elimination (Bareiss,
+    Math. Comp. 1968): every entry stays a minor of the input, so each
+    division is exact, and at the end each pivot entry is D.  Pivots are
+    chosen as ``rref`` chooses them."""
+    a = [list(r) for r in rows]
+    m = len(a)
+    width = len(a[0]) if a else 0
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(width):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p, pivot_row = a[r][c], a[r]
+        for i in range(m):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+        pivots.append(c)
+        r += 1
+    if prev < 0:
+        a = [[-x for x in row] for row in a]
+        prev = -prev
+    return a, prev, pivots
+
+
+def kernel_int(rows: list[list[int]]) -> tuple[list[int], int]:
+    """(W, D) with W / D the vector ``nullspace`` gives for an integer matrix
+    whose kernel is one-dimensional (free coordinate D), D > 0."""
+    width = len(rows[0])
+    a, den, pivots = rref_int(rows)
+    free = [c for c in range(width) if c not in pivots]
+    if len(free) != 1:
+        raise ValueError("nullity is not 1 (degenerate facet)")
+    fc = free[0]
+    w = [0] * width
+    w[fc] = den
+    for i, pc in enumerate(pivots):
+        w[pc] = -a[i][fc]
+    return w, den
+
+
+def solve_int(rows: list[list[int]]) -> tuple[int, list[int]] | None:
+    """(D, X) with D > 0 and X / D the solution of the square integer
+    system whose augmented rows are [A | b], or None when A is singular."""
+    n = len(rows)
+    a, den, pivots = rref_int(rows)
+    if pivots != list(range(n)):
+        return None
+    return den, [r[n] for r in a]
 
 
 def solve(rows: list[list], rhs: list) -> list | None:

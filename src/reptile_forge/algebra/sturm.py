@@ -2,13 +2,16 @@
 
 Sequences are kept as primitive integer polynomials; each pseudo-remainder
 step divides out content (a positive factor, so the sign pattern that
-Sturm's theorem relies on is untouched).
+Sturm's theorem relies on is untouched).  Refinement bisects integer
+numerators, except that an irreducible quadratic, such as the minimal
+polynomial of a square root, gets the bracket bisection would end on in
+closed form from one isqrt.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from . import intpoly as ip
 from .intpoly import Poly
@@ -121,7 +124,9 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[F
 
     The endpoints are kept as integer numerators a < b over one shared
     denominator d, which doubles at each step, so the midpoint is a + b over
-    2d and its gap b - a never changes; signs come from sign_at_ratio.
+    2d and its gap b - a never changes; signs come from sign_at_ratio.  An
+    irreducible quadratic gets the bracket bisection ends on in closed form
+    (``_quadratic_bracket``).
     """
     if lo == hi:
         return lo, hi
@@ -134,6 +139,11 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[F
         raise ValueError("not a sign-isolating interval")
     # (b - a) / d >= width, with the gap b - a fixed as d doubles
     gap = (b - a) * width.denominator
+    if len(p) == 3:
+        steps = (gap // (width.numerator * d)).bit_length()
+        bracket = _quadratic_bracket(p, a, b, d, shi, steps)
+        if bracket is not None:
+            return bracket
     while gap >= width.numerator * d:
         m = a + b
         d *= 2
@@ -146,6 +156,33 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[F
         else:
             a, b = 2 * a, m
     return Fraction(a, d), Fraction(b, d)
+
+
+def _quadratic_bracket(p: Poly, a: int, b: int, d: int, shi: int, steps: int):
+    """The bracket that ``steps`` bisections of (a/d, b/d) end on, for a
+    quadratic p with one root there and p's sign shi at b/d; None when the
+    root is rational, since bisection may land on it.
+
+    Over the final denominator D = 2^steps d the bracket is (A + j g, A +
+    (j + 1) g) / D with A = 2^steps a and g = b - a, and j is the floor of
+    (r D - A) / g for the root r = (-c1 + shi sqrt(disc)) / (2 c2), as c2
+    and shi change sign together.  With c2 > 0 that floor is an integer
+    floor of an integer floor, and the floor of +-sqrt(disc D^2) is one
+    isqrt, as disc is not a square.
+    """
+    c0, c1, c2 = p
+    disc = c1 * c1 - 4 * c0 * c2
+    if isqrt(disc) ** 2 == disc:
+        return None
+    if c2 < 0:
+        c1, c2, shi = -c1, -c2, -shi
+    big_d, big_a, g = d << steps, a << steps, b - a
+    root = isqrt(disc * big_d * big_d)
+    if shi < 0:
+        root = -root - 1
+    j = (root - c1 * big_d - 2 * c2 * big_a) // (2 * c2 * g)
+    left = big_a + j * g
+    return Fraction(left, big_d), Fraction(left + g, big_d)
 
 
 def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:

@@ -6,11 +6,15 @@ positive semidefinite of rank d with a strictly positive kernel direction.
 The accept/reject decision is always exact and takes one path: a
 congruence elimination and a kernel of a working matrix B.  Measured
 matrices carry (or admit) a diagonal scaling q that makes B rational;
-any other matrix is its own B in exact algebraic arithmetic.  The scaling
-decides only what exists under it (the similar rational matrix, the
-witness's determinant and scaling, and the map from B's kernel to A's).
-Only the coordinate output of reconstruction uses floating point, with a
-residual bound of 1e-9 on each reconstructed cosine.
+any other matrix is its own B in exact algebraic arithmetic.  A rational B
+is decided in integers, as one integer matrix over the lcm of its
+denominators: fraction-free congruence, kernel and re-check, and an integer
+similar matrix, read as Fractions only in the verdict.  The algebraic B
+keeps field arithmetic.  The scaling decides only what exists under it (the
+similar rational matrix, the witness's determinant and scaling, and the
+map from B's kernel to A's).  Only the coordinate output of reconstruction
+uses floating point, with a residual bound of 1e-9 on each reconstructed
+cosine.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from .algebra import INV_PHI, PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, linalg
-from .algebra.linalg import cholesky, det, nullspace, rational_sqrt, solve
+from .algebra.linalg import cholesky, det_int, kernel_int, nullspace, solve
 from .simplex import DihedralData, Simplex, dihedral_data
 
 SYM_VARS = ("s", "t")
@@ -56,14 +61,14 @@ class CosMatrix:
         dim = n - 1
         if dim < 1 or any(len(r) != n for r in rows):
             raise MalformedMatrixError("square matrix of size d+1 required")
-        vals = [[as_algebraic(x) if not isinstance(x, AlgebraicReal) else x for x in r] for r in rows]
+        vals = [[x if isinstance(x, AlgebraicReal) else as_algebraic(x) for x in r] for r in rows]
         for i in range(n):
-            if vals[i][i].compare(Fraction(-1)) != 0:
+            if vals[i][i].compare(-1) != 0:
                 raise MalformedMatrixError("diagonal entries must equal -1 exactly")
             for j in range(i + 1, n):
                 if vals[i][j].compare(vals[j][i]) != 0:
                     raise MalformedMatrixError("matrix must be symmetric")
-                if not (vals[i][j].compare(Fraction(-1)) > 0 and vals[i][j].compare(Fraction(1)) < 0):
+                if not (vals[i][j].compare(-1) > 0 and vals[i][j].compare(1) < 0):
                     raise MalformedMatrixError("off-diagonal cosines must lie in (-1, 1)")
         return CosMatrix(dim, tuple(tuple(r) for r in vals), gram)
 
@@ -98,21 +103,33 @@ class RealizabilityVerdict:
     On failure the witness names the defect: ``nonsingular`` (rank d+1),
     ``rank_defect`` (rank < d), ``indefinite`` (an explicit direction x with
     x^T A x > 0), or ``kernel_not_positive``.  ``similar_matrix`` is a
-    rational matrix similar to A when A descales to one, else None.
+    rational matrix similar to A when A descales to one, else None; it is
+    kept as an integer matrix N and a denominator E, ``similar = (N, E)``,
+    and read as N / E.
     """
 
     valid: bool
     kernel: tuple | None
     failure_witness: dict | None
-    similar_matrix: tuple | None
+    similar: tuple | None = None
+
+    @cached_property
+    def similar_matrix(self) -> tuple | None:
+        if self.similar is None:
+            return None
+        rows, den = self.similar
+        return tuple(tuple(Fraction(x, den) for x in r) for r in rows)
 
     @cached_property
     def char_poly(self) -> tuple | None:
         """det(lambda I - A), low coefficients first, computed on first read;
-        None when A does not descale."""
-        if self.similar_matrix is None:
+        None when A does not descale.  The coefficient of lambda^k is that
+        of N's characteristic polynomial over E^(n-k)."""
+        if self.similar is None:
             return None
-        return tuple(linalg.char_poly(self.similar_matrix))
+        rows, den = self.similar
+        n = len(rows)
+        return tuple(c / den ** (n - k) for k, c in enumerate(linalg.char_poly(rows)))
 
 
 def _sign(x) -> int:
@@ -164,16 +181,61 @@ def _congruence_analysis(m: list[list]) -> dict:
     return {"psd": True, "rank": rank, "negative_direction": None}
 
 
+def _congruence_int(m: list[list[int]], den: int) -> dict:
+    """``_congruence_analysis`` of the rational matrix m / den, den > 0, in
+    integers: the same psd flag, rank and direction.
+
+    Fraction-free symmetric elimination (Bareiss, Math. Comp. 1968): with c
+    the product of the pivots so far, ``a`` holds c times the Schur
+    complement and ``e`` c times the basis rows, and every entry of either
+    is a minor of m (the basis rows by the adjugate), so each division by
+    the previous c is exact.  Elimination factors are ratios, so the
+    scaling by c and by den leaves the basis rows as the rational routine
+    has them; only the 2 x 2 block's t = -(c' + 1) / (2 b') reads the
+    scale, as c' and b' are entries of m / den.
+    """
+    n = len(m)
+    a = [list(r) for r in m]
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    c = 1
+    rank = 0
+    for k in range(n):
+        p = a[k][k]
+        if p < 0:
+            return {"psd": False, "rank": None, "negative_direction": tuple(Fraction(x, c) for x in e[k])}
+        if p == 0:
+            bad = next((j for j in range(k + 1, n) if a[k][j]), None)
+            if bad is not None:
+                t = Fraction(-(a[bad][bad] + c * den), 2 * a[k][bad])
+                x = tuple(t * Fraction(u, c) + Fraction(v, c) for u, v in zip(e[k], e[bad]))
+                return {"psd": False, "rank": None, "negative_direction": x}
+            continue
+        rank += 1
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * row_k[j]) // c
+            e[i] = [(p * x - f * y) // c for x, y in zip(e[i], e[k])]
+        c = p
+    return {"psd": True, "rank": rank, "negative_direction": None}
+
+
 def _squarefree_int(n: int) -> int:
     """A divisor s of n > 0 with n / s a square: the squarefree part of n, or
-    n itself above 10^14, where trial division would be slow."""
+    n itself above 10^14.
+
+    Trial division runs only to the cube root of what is left: then the
+    cofactor has at most two prime factors, all beyond the last trial
+    divisor, so it is 1, p, p^2 or p q, and one isqrt tells p^2 apart.
+    """
     if n <= 0:
         raise ValueError("positive integer required")
     if n > 10**14:
         return n
     out = 1
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -182,63 +244,80 @@ def _squarefree_int(n: int) -> int:
             if e % 2:
                 out *= p
         p += 1 if p == 2 else 2
-    return out * n
+    r = math.isqrt(n)
+    return out if r * r == n else out * n
 
 
-def _descale(a: CosMatrix) -> tuple[list[list[Fraction]], list[Fraction]] | None:
-    """Positive rationals q_i and a rational matrix B with
-    a_ij = b_ij / sqrt(q_i q_j); None when the entries do not admit one."""
+def _descale(a: CosMatrix) -> tuple[list[list[int]], int, list[Fraction]] | None:
+    """An integer matrix M, an integer L > 0 and positive rationals q_i with
+    a_ij = b_ij / sqrt(q_i q_j) for B = M / L; None when the entries do not
+    admit one.  Without a Gram matrix the q_i are integers and every
+    rational is kept as a numerator and a denominator."""
     n = a.dim + 1
     if a.gram is not None:
         g = [[Fraction(x) for x in row] for row in a.gram]
-        q = [g[i][i] for i in range(n)]
-        b = [[-g[i][j] if i != j else -q[i] for j in range(n)] for i in range(n)]
-        return b, q
-    sq: dict = {}
+        big = math.lcm(*(x.denominator for row in g for x in row))
+        m = [[-x.numerator * (big // x.denominator) for x in row] for row in g]
+        return m, big, [g[i][i] for i in range(n)]
+    sq: dict = {}  # (i, j) -> (num, den) of a_ij^2, in lowest terms
     sign: dict = {}
     for i in range(n):
         for j in range(i + 1, n):
             x = a.entries[i][j]
-            if x.is_rational:
-                v = x.as_fraction()
-                sq[(i, j)] = v * v
-                sign[(i, j)] = (v > 0) - (v < 0)
+            mp = x.minpoly
+            if len(mp) == 2:  # the rational -mp[0] / mp[1]
+                sq[(i, j)] = (mp[0] * mp[0], mp[1] * mp[1])
+                sign[(i, j)] = (mp[0] < 0) - (mp[0] > 0)
+            elif len(mp) == 3 and mp[1] == 0:
+                sq[(i, j)] = (-mp[0], mp[2])
+                sign[(i, j)] = x.sign()
             else:
-                mp = x.minpoly
-                if len(mp) == 3 and mp[1] == 0:
-                    sq[(i, j)] = Fraction(-mp[0], mp[2])
-                    sign[(i, j)] = x.sign()
-                else:
-                    return None
-    q: list[Fraction | None] = [None] * n
+                return None
+    q: list[int | None] = [None] * n
     for start in range(n):
         if q[start] is not None:
             continue
-        q[start] = Fraction(1)
+        q[start] = 1
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if j == i:
+                if j == i or q[j] is not None:
                     continue
-                key = (min(i, j), max(i, j))
-                if sq.get(key, Fraction(0)) == 0 or q[j] is not None:
+                num, den = sq[(min(i, j), max(i, j))]
+                if num == 0:
                     continue
-                r = q[i] * sq[key]
-                # with r = num / den and num den = s * square, q_j = s makes
-                # q_i q_j a_ij^2 = num den s / den^2 a rational square
-                q[j] = Fraction(_squarefree_int(r.numerator * r.denominator))
+                # with q_i a_ij^2 = r / t in lowest terms and r t = s * square,
+                # q_j = s makes q_i q_j a_ij^2 = r t s / t^2 a rational square
+                r = q[i] * num
+                g = math.gcd(r, den)
+                q[j] = _squarefree_int((r // g) * (den // g))
                 stack.append(j)
-    b = [[Fraction(0)] * n for _ in range(n)]
+    roots = {}  # (i, j) -> (signed numerator, denominator) of b_ij
+    for (i, j), (num, den) in sq.items():
+        r = num * q[i] * q[j]
+        g = math.gcd(r, den)
+        r, den = r // g, den // g
+        top, bottom = math.isqrt(r), math.isqrt(den)
+        if top * top != r or bottom * bottom != den:
+            return None
+        roots[(i, j)] = (sign[(i, j)] * top, bottom)
+    big = math.lcm(*(bottom for _, bottom in roots.values()))
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
-        b[i][i] = -q[i]
-        for j in range(i + 1, n):
-            key = (i, j)
-            root = rational_sqrt(sq[key] * q[i] * q[j])
-            if root is None:
-                return None
-            b[i][j] = b[j][i] = sign[key] * root
-    return b, q
+        m[i][i] = -q[i] * big
+    for (i, j), (top, bottom) in roots.items():
+        m[i][j] = m[j][i] = top * (big // bottom)
+    return m, big, [Fraction(x) for x in q]
+
+
+def _similar_int(m: list[list[int]], den: int, q: list[Fraction]) -> tuple[list[list[int]], int]:
+    """(N, E) with N / E = B diag(q)^(-1) for B = m / den: column j is
+    divided by q_j = u_j / v_j, so it is multiplied by v_j lcm(u) / u_j
+    over E = den lcm(u)."""
+    top = math.lcm(*(x.numerator for x in q))
+    cols = [x.denominator * (top // x.numerator) for x in q]
+    return [[x * f for x, f in zip(row, cols)] for row in m], den * top
 
 
 def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
@@ -246,49 +325,69 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
 
     Valid iff -A is positive semidefinite of rank exactly d and the
     one-dimensional kernel is generated by a strictly positive vector.
-    One path decides every matrix.  Its working matrix B is the congruent
-    rational matrix of a diagonal square-root scaling q when A descales to
-    one (a_ij = b_ij / sqrt(q_i q_j)), else A itself in exact algebraic
-    arithmetic.  The scaling only adds what exists under it: the similar
-    rational matrix, the witness's ``scaling`` and ``det`` fields, and the
-    map w -> (sqrt(q_i) w_i) from B's kernel to A's.
+    Every matrix is decided the same way: a congruence elimination of -B
+    and a kernel of B.  The working matrix B is the congruent rational
+    matrix of a diagonal square-root scaling q when A descales to one
+    (a_ij = b_ij / sqrt(q_i q_j)), decided in integers as M / L
+    (``_descale``); else it is A itself in exact algebraic arithmetic
+    (``_algebraic_check``).  The scaling only adds what exists under it:
+    the similar rational matrix, the witness's ``scaling`` and ``det``
+    fields, and the map w -> (sqrt(q_i) w_i) from B's kernel to A's.
     """
-    d = a.dim
-    n = d + 1
     descaled = _descale(a)
-    b, q = descaled if descaled is not None else (a.entries, None)
-    analysis = _congruence_analysis([[-x for x in row] for row in b])
+    if descaled is None:
+        return _algebraic_check(a)
+    m, den, q = descaled
+    n = len(m)
+    analysis = _congruence_int([[-x for x in row] for row in m], den)
     # A = D B D with D = diag(q)^(-1/2) is similar to B diag(q)^(-1)
-    similar = None if q is None else tuple(tuple(b[i][j] / q[j] for j in range(n)) for i in range(n))
+    similar = _similar_int(m, den, q)
     rank = analysis["rank"]
     witness = None
     if not analysis["psd"]:
         # x^T(-B)x < 0 certifies y^T(-A)y < 0 for y_i = sqrt(q_i) x_i:
         # the direction is reported in B's coordinates, with the scaling
+        witness = {"kind": "indefinite", "direction": analysis["negative_direction"], "scaling": tuple(q)}
+    elif rank == n:
+        # det(A); det(B) is det(A) * prod(q)
+        witness = {"kind": "nonsingular", "det": Fraction(det_int(similar[0]), similar[1] ** n)}
+    elif rank < n - 1:
+        witness = {"kind": "rank_defect", "rank": rank}
+    else:
+        # the free coordinate is D > 0, so a positive kernel needs no sign flip
+        w, wden = kernel_int(m)
+        if min(w) <= 0:
+            witness = {"kind": "kernel_not_positive", "kernel": tuple(Fraction(x, wden) for x in w)}
+    if witness is not None:
+        return RealizabilityVerdict(False, None, witness, similar)
+    # re-verify B w = 0 exactly; this is A z = 0 under the scaling
+    if any(sum(map(mul, row, w)) for row in m):
+        raise AssertionError("kernel verification failed")
+    kernel = tuple(AlgebraicReal.sqrt_rational(qi) * Fraction(wi, wden) for qi, wi in zip(q, w))
+    return RealizabilityVerdict(True, kernel, None, similar)
+
+
+def _algebraic_check(a: CosMatrix) -> RealizabilityVerdict:
+    """``realizability_check`` of a matrix that does not descale, in exact
+    algebraic arithmetic on A itself."""
+    d = a.dim
+    n = d + 1
+    analysis = _congruence_analysis([[-x for x in row] for row in a.entries])
+    rank = analysis["rank"]
+    if not analysis["psd"]:
         witness = {"kind": "indefinite", "direction": analysis["negative_direction"]}
-        if q is not None:
-            witness["scaling"] = tuple(q)
     elif rank == n:
         witness = {"kind": "nonsingular"}
-        if q is not None:
-            witness["det"] = det(similar)  # det(A); det(B) is det(A) * prod(q)
     elif rank < d:
         witness = {"kind": "rank_defect", "rank": rank}
     else:
         # the free coordinate is 1, so a positive kernel needs no sign flip;
         # min reads every sign, refining each algebraic entry alike
-        w = nullspace(b)
-        if min(_sign(x) for x in w) <= 0:
-            witness = {"kind": "kernel_not_positive", "kernel": tuple(w)}
-    if witness is not None:
-        return RealizabilityVerdict(False, None, witness, similar)
-    if q is None:
-        return RealizabilityVerdict(True, tuple(as_algebraic(x) for x in w), None, None)
-    # re-verify B w = 0 exactly; this is A z = 0 under the scaling
-    if any(sum(b[i][j] * w[j] for j in range(n)) != 0 for i in range(n)):
-        raise AssertionError("kernel verification failed")
-    kernel = tuple(AlgebraicReal.sqrt_rational(qi) * wi for qi, wi in zip(q, w))
-    return RealizabilityVerdict(True, kernel, None, similar)
+        w = nullspace(a.entries)
+        if min(_sign(x) for x in w) > 0:
+            return RealizabilityVerdict(True, tuple(as_algebraic(x) for x in w), None)
+        witness = {"kind": "kernel_not_positive", "kernel": tuple(w)}
+    return RealizabilityVerdict(False, None, witness)
 
 
 def nonneg_rowspace_certificate(a: CosMatrix):
@@ -305,7 +404,8 @@ def nonneg_rowspace_certificate(a: CosMatrix):
     if not all(isinstance(x, Fraction) for r in rows for x in r):
         descaled = _descale(a)
         if descaled is not None:
-            rows, scaling = descaled
+            m, den, scaling = descaled
+            rows = [[Fraction(x, den) for x in row] for row in m]
     for flip in (1, -1):
         for size in range(0, n):
             for tight in combinations(range(n), size):

@@ -32,7 +32,7 @@ from itertools import combinations, islice, permutations, product
 from operator import mul
 
 from .algebra import AlgebraicReal, FieldElement
-from .algebra.linalg import rational_sqrt
+from .algebra.linalg import rational_sqrt, solve_int
 from .jsonio import InputFormatError, load_simplex
 from .simplex import Simplex, _orientation_sign, as_frame, congruent, frame_dot, similar, volume
 
@@ -274,31 +274,6 @@ def _sweep_candidates(pieces):
             yield i, j
 
 
-def _solve_fraction_free(a: list[list[int]]):
-    """(D, X) with D > 0 and x = X / D the solution of the integer system
-    whose augmented rows are a = [A | b], or None when A is singular.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968):
-    every entry stays a minor of the input, so each division is exact and
-    at the end every diagonal entry is the last pivot, +-det A.
-    """
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        p, pivot_row = a[k][k], a[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
-    sign = 1 if prev > 0 else -1
-    return sign * prev, [sign * r[n] for r in a]
-
-
 def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int):
     """Maximize tau subject to n.x - tau >= b over all constraints.
 
@@ -315,7 +290,7 @@ def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int):
         rows.append([x.numerator * (q // x.denominator) for x in row])
     best = None  # (D, X): tau = X[dim] / D with D > 0
     for subset in combinations(rows, nvar):
-        sol = _solve_fraction_free(list(subset))
+        sol = solve_int(subset)
         if sol is None:
             continue  # singular: not a basic solution
         den, xs = sol
@@ -330,15 +305,21 @@ def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int):
     return Fraction(xs[dim], den), tuple(Fraction(x, den) for x in xs[:dim])
 
 
-def _vertex_outside(parent: Simplex, piece: Simplex):
+def _vertex_outside(parent: Simplex, piece: Simplex, tested: dict | None = None):
     """The first vertex of piece outside parent, or None; in integers,
-    vertex V / D is outside (n, b) when Dp (n.V) < D b."""
+    vertex V / D is outside (n, b) when Dp (n.V) < D b.  ``tested`` keeps
+    that verdict per (D, V) across the pieces of one parent, so a vertex
+    the pieces share is tested once."""
+    if tested is None:
+        tested = {}
     dp, (d, verts) = parent.lattice[0], piece.lattice
     for v, big_v in zip(piece.vertices, verts):
-        if any(
-            dp * sum(x * y for x, y in zip(n, big_v)) < d * b
-            for n, b in parent.lattice_facets
-        ):
+        out = tested.get((d, big_v))
+        if out is None:
+            out = tested[d, big_v] = any(
+                dp * sum(map(mul, n, big_v)) < d * b for n, b in parent.lattice_facets
+            )
+        if out:
             return v
     return None
 
@@ -521,8 +502,9 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
             break
 
     containment_ok = True
+    tested: dict = {}
     for idx, p in enumerate(pieces):
-        v = _vertex_outside(parent, p)
+        v = _vertex_outside(parent, p, tested)
         if v is not None:
             containment_ok = False
             witnesses["containment"] = {"piece": idx, "vertex": v}

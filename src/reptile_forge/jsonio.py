@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraicReal, FactorError
 from .fiedler import CosMatrix
-from .simplex import Simplex, as_frame
+from .simplex import Simplex, _coordinate, as_frame
 
 _SQRT_RE = re.compile(
     r"^(?P<sign>[+-]?)(?:(?P<coef>\d+(?:/\d+)?)\*)?sqrt\((?P<rad>\d+(?:/\d+)?)\)(?:/(?P<den>\d+))?$"
@@ -52,12 +52,12 @@ def parse_real(spec):
             # no resultant: a sign is an exact negation, and c sqrt(r) keeps
             # the enclosure c [lo, hi] of sqrt(r), which sqrt(c^2 r) would
             # not; reconstruction and the generic path read enclosures
-            root = AlgebraicReal.sqrt_rational(Fraction(m.group("rad")))
-            coef = Fraction(m.group("coef") or 1) / int(m.group("den") or 1)
+            root = AlgebraicReal.sqrt_rational(_coordinate(m.group("rad")))
+            coef = _coordinate(m.group("coef") or "1") / int(m.group("den") or 1)
             if coef != 1:
                 root = root * coef
             return -root if m.group("sign") == "-" else root
-        return Fraction(s)
+        return _coordinate(s)
     except (ValueError, ZeroDivisionError) as e:
         raise InputFormatError(f"cannot parse exact value {s!r}") from e
 

@@ -28,7 +28,7 @@ from .algebra.linalg import cholesky, det, det_int, nullspace, rational_sqrt, un
 
 FLOAT_TOL = 1e-10
 
-_RATIO_RE = re.compile(r"-?[0-9]+/[0-9]+")
+_RATIO_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _dot(u, v):
@@ -51,11 +51,11 @@ def _fraction(x) -> Fraction:
 
 
 def _coordinate(x) -> Fraction:
-    """An exact JSON coordinate: the plain "p/q" form by an integer split,
-    every other form as Fraction(str(x)) reads it."""
+    """An exact JSON coordinate or cosine: the plain "p" and "p/q" forms by
+    an integer split, every other form as Fraction(str(x)) reads it."""
     if isinstance(x, str) and _RATIO_RE.fullmatch(x):
-        num, den = x.split("/")
-        return Fraction(int(num), int(den))
+        num, _, den = x.partition("/")
+        return Fraction(int(num), int(den or 1))
     return Fraction(str(x))
 
 

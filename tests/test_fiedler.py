@@ -1,5 +1,6 @@
 """Realizability decisions, row-space certificates, reconstruction."""
 
+import hashlib
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from reptile_forge.fiedler import (
     MalformedMatrixError,
     ReconstructionError,
     _descale,
+    _squarefree_int,
     char_poly,
     char_poly_symbolic,
     complement_matrix_symbolic,
@@ -593,3 +595,306 @@ class TestCharPolyOnRead:
         assert calls == []
         assert v.char_poly == (0, 2, 5, 4, 1) and v.char_poly == (0, 2, 5, 4, 1)
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the integer decision of square-class matrices against the Fraction one
+# ---------------------------------------------------------------------------
+
+
+def _ref_squarefree_int(n: int) -> int:
+    """_squarefree_int by trial division up to sqrt(n), as it was."""
+    if n <= 0:
+        raise ValueError("positive integer required")
+    if n > 10**14:
+        return n
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if e % 2:
+                out *= p
+        p += 1 if p == 2 else 2
+    return out * n
+
+
+class TestSquarefreeInt:
+    def test_small_range_matches_trial_division(self):
+        assert all(_squarefree_int(n) == _ref_squarefree_int(n) for n in range(1, 10**5 + 1))
+
+    def test_large_forms_match_trial_division(self):
+        def next_prime(n):
+            while any(n % p == 0 for p in range(2, math.isqrt(n) + 1)):
+                n += 1
+            return n
+
+        rng = random.Random(20261019)
+        primes = [next_prime(rng.randint(10**6, 4 * 10**6)) for _ in range(6)]
+        cases = [99999999999973, primes[0] ** 2, 2 * primes[1] ** 2, primes[2] * primes[3]]
+        cases += [12 * primes[4] * primes[5]]
+        cases += [10**14, 10**14 + 1, 2**46 * 3, 10**15 + 7]
+        for n in cases:
+            assert _squarefree_int(n) == _ref_squarefree_int(n), n
+
+
+def _ref_congruence(m: list[list]) -> dict:
+    """The Fraction congruence analysis of the descaled path, as it was."""
+    n = len(m)
+    a = [list(r) for r in m]
+    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rank = 0
+    for k in range(n):
+        sk = (a[k][k] > 0) - (a[k][k] < 0)
+        if sk < 0:
+            return {"psd": False, "rank": None, "negative_direction": tuple(basis[k])}
+        if sk == 0:
+            bad = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+            if bad is not None:
+                b = a[k][bad]
+                c = a[bad][bad]
+                t = -(c + 1) / (b * 2)
+                x = [t * basis[k][i] + basis[bad][i] for i in range(n)]
+                return {"psd": False, "rank": None, "negative_direction": tuple(x)}
+            continue
+        rank += 1
+        for i in range(k + 1, n):
+            if a[i][k] == 0:
+                continue
+            f = a[i][k] / a[k][k]
+            for j in range(n):
+                a[i][j] -= f * a[k][j]
+            for j in range(n):
+                a[j][i] -= f * a[j][k]
+            for j in range(n):
+                basis[i][j] -= f * basis[k][j]
+    return {"psd": True, "rank": rank, "negative_direction": None}
+
+
+def _symmetric_cases(rng: random.Random):
+    """Rational symmetric 3x3 and 4x4 matrices: Gram matrices of integer
+    vectors over a rational scale (PSD, rank deficient when the vectors
+    span less), the same with one entry moved (negative pivots, and zero
+    pivots with a nonzero row: the 2x2 block), and random entries."""
+    for n in (3, 4):
+        for kind in range(3):
+            for _ in range(60):
+                span = rng.randint(1, n)
+                vecs = [[rng.randint(-3, 3) for _ in range(span)] for _ in range(n)]
+                if kind == 1 and n == 4:
+                    vecs[2] = [2 * x - y for x, y in zip(vecs[0], vecs[1])]  # a singular leading block
+                scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                m = [[scale * sum(x * y for x, y in zip(u, v)) for v in vecs] for u in vecs]
+                if kind == 1:
+                    i = n - 1
+                    j = rng.randrange(n - 1)
+                    m[i][j] = m[j][i] = m[i][j] + Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                if kind == 2:
+                    for i in range(n):
+                        for j in range(i, n):
+                            m[i][j] = m[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                yield m
+
+
+class TestIntegerCongruence:
+    def test_matches_the_fraction_routine(self):
+        from reptile_forge.fiedler import _congruence_int
+
+        seen = set()
+        for m in _symmetric_cases(random.Random(5)):
+            den = math.lcm(*(x.denominator for row in m for x in row))
+            ints = [[int(x * den) for x in row] for row in m]
+            got = _congruence_int(ints, den)
+            want = _ref_congruence(m)
+            assert got == want
+            assert all(type(x) is Fraction for x in got["negative_direction"] or ())
+            direction = want["negative_direction"]
+            if direction is None:
+                seen.add(("psd", want["rank"] == len(m)))
+            else:
+                seen.add(("negative", direction[-1] == 0))  # the 2x2 block leaves e_bad's tail
+                assert sum(direction[i] * m[i][j] * direction[j] for i in range(len(m)) for j in range(len(m))) < 0
+        assert seen == {("psd", True), ("psd", False), ("negative", True), ("negative", False)}
+
+
+# ---------------------------------------------------------------------------
+# fiedler check and reconstruct bytes on generated batches
+# ---------------------------------------------------------------------------
+
+
+def _unit_gram_entry(u, v) -> tuple[int, Fraction]:
+    """(sign, square) of -u.v / (|u| |v|), the cosine whose negated matrix
+    is the Gram matrix of the unit vectors along u and v."""
+    dot = sum(x * y for x, y in zip(u, v))
+    return (dot < 0) - (dot > 0), Fraction(dot * dot, sum(x * x for x in u) * sum(x * x for x in v))
+
+
+def _square_class_text(sign: int, s: Fraction, style: int) -> str:
+    """sign * sqrt(s) as the CLI reads it: "p/q" for a square, else
+    "sqrt(p/q)" (style 0) or "[k*]sqrt(m)[/den]" (style 1)."""
+    if sign == 0:
+        return "0"
+    minus = "-" if sign < 0 else ""
+    top, bottom = math.isqrt(s.numerator), math.isqrt(s.denominator)
+    if top * top == s.numerator and bottom * bottom == s.denominator:
+        return f"{minus}{top}/{bottom}"
+    if style == 0:
+        return f"{minus}sqrt({s.numerator}/{s.denominator})"
+    m, k = s.numerator * s.denominator, 1
+    f = 2
+    while f < 50 and f * f <= m:
+        while m % (f * f) == 0:
+            m //= f * f
+            k *= f
+        f += 1
+    body = f"sqrt({m})" if k == 1 else f"{k}*sqrt({m})"
+    return minus + (body if s.denominator == 1 else f"{body}/{s.denominator}")
+
+
+def square_class_matrices(count: int = 100, seed: int = 20261019) -> list[dict]:
+    """Matrix JSON with rational and signed square-root entries that
+    descale: Gram matrices of unit vectors along integer vectors.  Kinds by
+    index mod 5: 0 positively dependent vectors (valid), 1 one entry's
+    square scaled by a rational square (indefinite, nonsingular), 2 vectors
+    in a smaller space (rank defect), 3 the first three vectors in a plane
+    and an entry of a later row moved (a zero pivot, the 2x2 block), 4
+    random vectors (mostly kernel not positive).  Last, a matrix whose
+    descaling meets a prime near 10^14."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 5
+        dim = rng.choice((2, 3, 3, 4))
+        n = dim + 1
+        space = dim - 1 if kind == 2 else dim
+        vecs = [[rng.randint(-3, 3) for _ in range(space)] for _ in range(n)]
+        if kind == 0:
+            coef = [rng.randint(1, 3) for _ in range(dim)]
+            vecs[dim] = [-sum(c * v[k] for c, v in zip(coef, vecs)) for k in range(space)]
+        if kind == 3 and dim >= 3:
+            vecs[2] = [2 * x - y for x, y in zip(vecs[0], vecs[1])]
+        if not all(any(v) for v in vecs):
+            continue
+        vals = {(i, j): _unit_gram_entry(vecs[i], vecs[j]) for i in range(n) for j in range(i + 1, n)}
+        if any(s >= 1 for _, s in vals.values()):
+            continue  # parallel vectors: a cosine of +-1
+        if kind in (1, 3):
+            i = rng.randrange(3, n) if kind == 3 and n > 3 else rng.randrange(n)
+            j = rng.choice([k for k in range(n) if k != i])
+            key = (min(i, j), max(i, j))
+            sign, s = vals[key]
+            s = s * Fraction(rng.choice((1, 2, 3, 5)), rng.choice((2, 3, 4, 7))) ** 2
+            if not 0 < s < 1:
+                continue
+            vals[key] = (sign or rng.choice((1, -1)), s)
+        style = rng.randint(0, 1)
+        rows = [["-1"] * n for _ in range(n)]
+        for (i, j), (sign, s) in vals.items():
+            rows[i][j] = rows[j][i] = _square_class_text(sign, s, style)
+        out.append({"dim": dim, "cos": rows})
+    big = "sqrt(1/99999999999973)"
+    out.append({"dim": 2, "cos": [["-1", big, "0"], [big, "-1", "0"], ["0", "0", "-1"]]})
+    return out
+
+
+def _quadratic_json(a: Fraction, b: Fraction, r: int) -> dict:
+    """{"minpoly", "interval"} of a + b sqrt(r), for b != 0 and r no square."""
+    c = [a * a - b * b * r, -2 * a, Fraction(1)]  # (x - a)^2 - b^2 r
+    den = math.lcm(*(x.denominator for x in c))
+    ints = [int(x * den) for x in c]
+    g = math.gcd(*ints)
+    root = math.isqrt(r * 2**40)
+    lo, hi = sorted((a + b * Fraction(root, 2**20), a + b * Fraction(root + 1, 2**20)))
+    interval = [f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"]
+    return {"minpoly": [x // g for x in ints], "interval": interval}
+
+
+def _generic_entry(rng: random.Random, radicand: int) -> dict:
+    """A random a + b sqrt(2), or a + b phi = (a + b/2) + (b/2) sqrt(5), in (-1, 1)."""
+    while True:
+        a = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        b = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 8))
+        if radicand == 5:
+            a, b = a + b / 2, b / 2
+        if a != 0 and -0.97 < float(a) + float(b) * math.sqrt(radicand) < 0.97:
+            return _quadratic_json(a, b, radicand)
+
+
+# cos(k pi / 5) = a + b sqrt(5)
+COS_FIFTHS = {
+    1: (Fraction(1, 4), Fraction(1, 4)),
+    2: (Fraction(-1, 4), Fraction(1, 4)),
+    3: (Fraction(1, 4), Fraction(-1, 4)),
+    4: (Fraction(-1, 4), Fraction(-1, 4)),
+}
+
+
+def generic_matrices(count: int = 100, seed: int = 5) -> list[dict]:
+    """Matrix JSON that no scaling makes rational, so the generic path
+    decides it: by index mod 10, 3x3 matrices over Q(sqrt 2) (0-2) and
+    Q(phi) (3-5), triangles of angles k pi / 5 (6-8, valid for (1, 2, 2)
+    and (1, 1, 3)), and a 4x4 matrix over one field (9, every other one
+    of them a 3x3 over Q(phi))."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 10
+        if kind in (6, 7, 8):
+            angles = rng.sample(rng.choice(((1, 2, 2), (1, 1, 3), (2, 2, 2), (1, 1, 2), (1, 3, 3))), 3)
+            e = [_quadratic_json(*COS_FIFTHS[k], 5) for k in angles]
+            out.append({"dim": 2, "cos": [["-1", e[2], e[1]], [e[2], "-1", e[0]], [e[1], e[0], "-1"]]})
+            continue
+        radicand = 2 if kind < 3 or (kind == 9 and len(out) % 40 == 9) else 5
+        n = 4 if kind == 9 and len(out) % 20 == 9 else 3
+        same_field = ("sqrt(2)/2", "-sqrt(1/2)", "sqrt(2)/3") if radicand == 2 else ("1/3",)
+        rows = [["-1"] * n for _ in range(n)]
+        generic = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                pick = rng.random()
+                if pick < 0.25 or (n == 4 and generic >= 2):
+                    x = rng.choice(("0", "1/2", "-1/3", "1/4", "-1/2"))
+                elif pick < 0.4:
+                    x = rng.choice(same_field)
+                else:
+                    x = _generic_entry(rng, radicand)
+                    generic += 1
+                rows[i][j] = rows[j][i] = x
+        if generic:
+            out.append({"dim": n - 1, "cos": rows})
+    return out
+
+
+def _batch_digest(matrices, tmp_path, capsys) -> str:
+    """sha256 of (exit code, stdout, stderr) of check then reconstruct on each matrix."""
+    path = tmp_path / "m.json"
+    record = []
+    for m in matrices:
+        path.write_text(json.dumps(m), encoding="utf-8")
+        for command in ("check", "reconstruct"):
+            rc = main(["fiedler", command, str(path)])
+            captured = capsys.readouterr()
+            record.append([rc, captured.out, captured.err])
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest()
+
+
+class TestFiedlerBatchesPinned:
+    """Bytes of fiedler check and reconstruct, pinned before the descaled
+    path moved to integers and square roots to closed-form brackets."""
+
+    def test_square_class_batch(self, tmp_path, capsys):
+        mats = square_class_matrices()
+        assert all(_descale(load_matrix(m)) is not None for m in mats)
+        assert _batch_digest(mats, tmp_path, capsys) == SQUARE_CLASS_DIGEST
+
+    def test_generic_batch(self, tmp_path, capsys):
+        mats = generic_matrices()
+        assert all(_descale(load_matrix(m)) is None for m in mats)
+        assert _batch_digest(mats, tmp_path, capsys) == GENERIC_DIGEST
+
+
+SQUARE_CLASS_DIGEST = "e5a00682661ff867a016b46beecae5f060f00642bb8a1617481d4ef2110287cc"
+GENERIC_DIGEST = "143c369522d6db9c168928da47cf3bc389f381195fce60f4334187f7bdb6bd21"

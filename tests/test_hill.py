@@ -625,6 +625,27 @@ def _corrupted(sub, how, rng):
     return Subdivision(sub.parent, tuple(pieces), m)
 
 
+class TestContainment:
+    def test_each_distinct_vertex_is_tested_once(self):
+        sub = _subdivision(4, "0", 4)
+        tested: dict = {}
+        assert all(_vertex_outside(sub.parent, p, tested) is None for p in sub.pieces)
+        assert len(tested) == len({v for p in sub.pieces for v in p.vertices}) == 70
+
+    @pytest.mark.parametrize("dim,cos,m", [(2, "3/5", 3), (3, "2/5", 2), (3, "1/4", 2), (4, "0", 2)])
+    def test_shared_memo_finds_the_first_outside_vertex(self, dim, cos, m):
+        sub = _subdivision(dim, cos, m)
+        rng = random.Random(dim * 10 + m)
+        for how in ("translate", "scale", "vertex") * 3:
+            doc = _corrupted(sub, how, rng)
+            tested: dict = {}
+            got = next(((i, v) for i, p in enumerate(doc.pieces)
+                        if (v := _vertex_outside(doc.parent, p, tested)) is not None), None)
+            want = next(((i, v) for i, p in enumerate(doc.pieces)
+                         if (v := _ref_vertex_outside(doc.parent, p)) is not None), None)
+            assert got == want
+
+
 class TestFacetMatching:
     @pytest.mark.parametrize("dim,cos,m", CYCLE + FRAMED_SPECS)
     def test_certificate_holds_and_reports_match_the_sweep(self, dim, cos, m, monkeypatch):

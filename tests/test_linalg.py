@@ -16,10 +16,13 @@ from reptile_forge.algebra.linalg import (
     det,
     det_int,
     interpolate,
+    kernel_int,
     nullspace,
     rational_sqrt,
     rref,
+    rref_int,
     solve,
+    solve_int,
     unit_normal,
 )
 
@@ -194,6 +197,55 @@ def test_solve_agrees_with_sympy_on_consistency(a, data):
 
 def test_solve_inconsistent():
     assert solve([[1, 2], [2, 4]], [1, 3]) is None
+
+
+integers = st.integers(-20, 20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(entries=st.one_of(st.just(0), integers)))
+def test_rref_int_matches_rref(a):
+    before = [list(r) for r in a]
+    red, den, pivots = rref_int(a)
+    want, want_pivots = rref(a)
+    assert den > 0 and pivots == want_pivots
+    assert [[Fraction(x, den) for x in r] for r in red] == want
+    assert all(red[i][c] == den for i, c in enumerate(pivots))
+    assert a == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.one_of(matrices(n - 1, n, integers), matrices(n, n, integers))))
+def test_kernel_int_matches_nullspace(a):
+    try:
+        want = nullspace(a)
+    except ValueError:
+        with pytest.raises(ValueError, match="degenerate facet"):
+            kernel_int(a)
+        return
+    w, den = kernel_int(a)
+    assert den > 0 and [Fraction(x, den) for x in w] == want
+    assert all(x == 0 for x in mat_vec(a, w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: matrices(n, n + 1, integers)))
+def test_solve_int_matches_solve(a):
+    sol = solve_int(a)
+    if sym([[Fraction(x) for x in r[:-1]] for r in a]).rank() < len(a):
+        assert sol is None
+        return
+    den, xs = sol
+    assert den > 0 and [Fraction(x, den) for x in xs] == solve([r[:-1] for r in a], [r[-1] for r in a])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: matrices(n, n, integers)))
+def test_char_poly_of_an_integer_matrix_is_that_of_its_fractions(a):
+    got = char_poly(a)
+    assert got == char_poly([[Fraction(x) for x in r] for r in a])
+    assert all(type(c) is Fraction for c in got)
+    assert type(det(a)) is Fraction
 
 
 @settings(max_examples=60, deadline=None)

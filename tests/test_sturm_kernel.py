@@ -94,6 +94,66 @@ class TestRefineRoot:
             sturm.refine_root((-2, 0, 1), Fraction(2), Fraction(3), Fraction(1, 8))
 
 
+quadratics = st.tuples(
+    st.integers(-10**4, 10**4), st.integers(-10**4, 10**4), st.integers(1, 10**3), st.sampled_from((1, -1))
+).map(lambda t: ip.poly((t[0], t[1], t[2] * t[3])))
+QUADRATIC_WIDTHS = st.one_of(
+    st.sampled_from((Fraction(1, 10**12), Fraction(1, 10**17))),
+    st.integers(0, 90).map(lambda k: Fraction(1, 2**k)),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**24)),
+)
+
+
+class TestQuadraticBracket:
+    """An irreducible quadratic's bracket comes in closed form; every other
+    polynomial is bisected.  _fraction_bisection is the reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(quadratics, QUADRATIC_WIDTHS)
+    def test_isolated_roots_match_bisection(self, p, width):
+        assume(ip.degree(p) == 2 and p[1] * p[1] != 4 * p[0] * p[2])  # squarefree
+        for lo, hi in sturm.isolate_roots(p):
+            assert sturm.refine_root(p, lo, hi, width) == _fraction_bisection(p, lo, hi, width)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10**9), st.integers(1, 10**9), QUADRATIC_WIDTHS, st.sampled_from((1, -1)))
+    def test_square_root_brackets_match_bisection(self, num, den, width, lead):
+        q = Fraction(num, den)
+        assume(math.isqrt(q.numerator) ** 2 != q.numerator or math.isqrt(q.denominator) ** 2 != q.denominator)
+        p = (-lead * q.numerator, 0, lead * q.denominator)
+        for lo, hi in (algebraic._sqrt_bounds(q, Fraction(1, 16)), algebraic._sqrt_bounds(q, Fraction(1, 2**24))):
+            assert sturm.refine_root(p, lo, hi, width) == _fraction_bisection(p, lo, hi, width)
+            # the negative root, through the mirrored bracket
+            assert sturm.refine_root(p, -hi, -lo, width) == _fraction_bisection(p, -hi, -lo, width)
+
+    def test_two_signs_and_no_bisection(self, monkeypatch):
+        calls = []
+        real = ip.sign_at_ratio
+        monkeypatch.setattr(ip, "sign_at_ratio", lambda *args: calls.append(args) or real(*args))
+        lo, hi = Fraction(1), Fraction(2)
+        got = sturm.refine_root((-2, 0, 1), lo, hi, Fraction(1, 10**17))
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert got == _fraction_bisection((-2, 0, 1), lo, hi, Fraction(1, 10**17))
+
+    @pytest.mark.parametrize(
+        "p,lo,hi",
+        [
+            ((-3, 11, 4), Fraction(0), Fraction(1)),  # (4x - 1)(x + 3): bisection hits 1/4
+            ((3, -11, -4), Fraction(0), Fraction(1)),
+            ((-1, 0, 4), Fraction(0), Fraction(1)),  # 1/2, the first midpoint
+            ((-6, 1, 1), Fraction(1), Fraction(5)),  # (x - 2)(x + 3): 2 is no midpoint
+        ],
+    )
+    @pytest.mark.parametrize("width", [Fraction(1, 3), Fraction(1, 10**12), Fraction(1, 10**17)])
+    def test_reducible_quadratics_keep_bisection(self, p, lo, hi, width):
+        got = sturm.refine_root(p, lo, hi, width)
+        assert got == _fraction_bisection(p, lo, hi, width)
+        if p[0] in (-3, 3, -1) and width < Fraction(1, 4):
+            root = Fraction(1, 4) if p[0] != -1 else Fraction(1, 2)
+            assert got == (root, root)
+
+
 def _angles_over(q: int) -> list[RationalAngle]:
     return [RationalAngle.of(p, q) for p in range(1, q) if math.gcd(p, q) == 1]
 
