@@ -4,9 +4,12 @@ A candidate angle assignment enters as a symmetric cosine matrix with
 diagonal -1.  It is realizable by a simplex exactly when its negation is
 positive semidefinite of rank d with a strictly positive kernel direction.
 The accept/reject decision is always exact and takes one path: a
-congruence elimination and a kernel of a working matrix B.  Measured
-matrices carry (or admit) a diagonal scaling q that makes B rational;
-any other matrix is its own B in exact algebraic arithmetic.  A rational B
+congruence elimination and a kernel of a working matrix B.  A matrix whose
+entries are rationals and square roots of rationals, as every measured
+matrix is, admits a diagonal scaling q that makes B rational; it is read
+from the entries alone, so a matrix built from a simplex's dihedral data
+and the same matrix read from JSON get one verdict.  Any other matrix is
+its own B in exact algebraic arithmetic.  A rational B
 is decided in integers, as one integer matrix over the lcm of its
 denominators: fraction-free congruence, kernel and re-check, and an integer
 similar matrix, read as Fractions only in the verdict.  The algebraic B
@@ -53,10 +56,9 @@ class CosMatrix:
 
     dim: int
     entries: tuple
-    gram: tuple | None = None  # rational Gram of unnormalized inward normals
 
     @staticmethod
-    def from_rows(rows, gram=None) -> "CosMatrix":
+    def from_rows(rows) -> "CosMatrix":
         n = len(rows)
         dim = n - 1
         if dim < 1 or any(len(r) != n for r in rows):
@@ -70,16 +72,13 @@ class CosMatrix:
                     raise MalformedMatrixError("matrix must be symmetric")
                 if not (vals[i][j].compare(-1) > 0 and vals[i][j].compare(1) < 0):
                     raise MalformedMatrixError("off-diagonal cosines must lie in (-1, 1)")
-        return CosMatrix(dim, tuple(tuple(r) for r in vals), gram)
+        return CosMatrix(dim, tuple(tuple(r) for r in vals))
 
     @staticmethod
     def from_dihedral(dd: DihedralData) -> "CosMatrix":
         if dd.mode != "exact":
             raise ValueError("exact dihedral data required (float mode has no exact matrix)")
-        return CosMatrix.from_rows(dd.matrix(), gram=dd.gram)
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
+        return CosMatrix.from_rows(dd.matrix())
 
     def to_json(self) -> dict:
         rows = []
@@ -248,17 +247,12 @@ def _squarefree_int(n: int) -> int:
     return out if r * r == n else out * n
 
 
-def _descale(a: CosMatrix) -> tuple[list[list[int]], int, list[Fraction]] | None:
-    """An integer matrix M, an integer L > 0 and positive rationals q_i with
-    a_ij = b_ij / sqrt(q_i q_j) for B = M / L; None when the entries do not
-    admit one.  Without a Gram matrix the q_i are integers and every
-    rational is kept as a numerator and a denominator."""
+def _descale(a: CosMatrix) -> tuple[list[list[int]], int, list[int]] | None:
+    """An integer matrix M, an integer L > 0 and positive integers q_i with
+    a_ij = b_ij / sqrt(q_i q_j) for B = M / L, read from the entries alone;
+    None when they do not admit one.  Every rational is kept as a numerator
+    and a denominator."""
     n = a.dim + 1
-    if a.gram is not None:
-        g = [[Fraction(x) for x in row] for row in a.gram]
-        big = math.lcm(*(x.denominator for row in g for x in row))
-        m = [[-x.numerator * (big // x.denominator) for x in row] for row in g]
-        return m, big, [g[i][i] for i in range(n)]
     sq: dict = {}  # (i, j) -> (num, den) of a_ij^2, in lowest terms
     sign: dict = {}
     for i in range(n):
@@ -308,16 +302,14 @@ def _descale(a: CosMatrix) -> tuple[list[list[int]], int, list[Fraction]] | None
         m[i][i] = -q[i] * big
     for (i, j), (top, bottom) in roots.items():
         m[i][j] = m[j][i] = top * (big // bottom)
-    return m, big, [Fraction(x) for x in q]
+    return m, big, q
 
 
-def _similar_int(m: list[list[int]], den: int, q: list[Fraction]) -> tuple[list[list[int]], int]:
+def _similar_int(m: list[list[int]], den: int, q: list[int]) -> tuple[list[list[int]], int]:
     """(N, E) with N / E = B diag(q)^(-1) for B = m / den: column j is
-    divided by q_j = u_j / v_j, so it is multiplied by v_j lcm(u) / u_j
-    over E = den lcm(u)."""
-    top = math.lcm(*(x.numerator for x in q))
-    cols = [x.denominator * (top // x.numerator) for x in q]
-    return [[x * f for x, f in zip(row, cols)] for row in m], den * top
+    multiplied by lcm(q) / q_j over E = den lcm(q)."""
+    top = math.lcm(*q)
+    return [[x * (top // f) for x, f in zip(row, q)] for row in m], den * top
 
 
 def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
@@ -347,7 +339,8 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
     if not analysis["psd"]:
         # x^T(-B)x < 0 certifies y^T(-A)y < 0 for y_i = sqrt(q_i) x_i:
         # the direction is reported in B's coordinates, with the scaling
-        witness = {"kind": "indefinite", "direction": analysis["negative_direction"], "scaling": tuple(q)}
+        scaling = tuple(map(Fraction, q))
+        witness = {"kind": "indefinite", "direction": analysis["negative_direction"], "scaling": scaling}
     elif rank == n:
         # det(A); det(B) is det(A) * prod(q)
         witness = {"kind": "nonsingular", "det": Fraction(det_int(similar[0]), similar[1] ** n)}

@@ -16,9 +16,9 @@ when the pieces meet facet to facet, as staircase cells do: every facet is
 shared by two pieces on opposite sides of it or lies in the parent's
 boundary (the pseudomanifold-plus-volume characterization of
 triangulations; De Loera, Rambau and Santos, Triangulations, 2010).  Where
-that certificate fails, a pairwise sweep decides, with an exact rational
-feasibility program per pair whose boxes and facet planes do not separate
-it, and names the first overlapping pair and a common interior point.
+that certificate fails, every pair is decided in combinations order: a box
+or facet-plane screen, else an exact rational feasibility program, and the
+first overlapping pair is named with a common interior point.
 """
 
 from __future__ import annotations
@@ -75,11 +75,6 @@ class HillSpec:
         # positive definiteness of (n - p) I + p J
         if not _positive(n + (d - 1) * p):
             raise ValueError("Gram matrix is not positive definite")
-
-    @property
-    def pair_cos(self):
-        b = self.basis
-        return frame_dot(b[0], b[1], self.frame) / frame_dot(b[0], b[0], self.frame)
 
     @staticmethod
     def from_basis(vectors) -> "HillSpec":
@@ -246,32 +241,6 @@ def _bbox_disjoint(s1: Simplex, s2: Simplex, strict: bool = False) -> bool:
         hi1 * d2 < lo2 * d1 + slack or hi2 * d1 < lo1 * d2 + slack
         for (lo1, hi1), (lo2, hi2) in zip(s1.lattice_bounds, s2.lattice_bounds)
     )
-
-
-def _sweep_candidates(pieces):
-    """Yield the index pairs i < j, in lexicographic order, whose bounding
-    boxes overlap.
-
-    Sweep-and-prune on axis 0 (Cohen et al., I-COLLIDE, 1995), in integers
-    over the lcm of the denominators: pieces are visited by their lower
-    bound, a piece leaves the active list once its upper bound is at most
-    the current lower bound, and each pair met is box-tested.
-    """
-    big = math.lcm(*(p.lattice[0] for p in pieces))
-    extent = [[x * (big // p.lattice[0]) for x in p.lattice_bounds[0]] for p in pieces]
-    order = sorted(range(len(pieces)), key=lambda i: extent[i][0])
-    later: list[list[int]] = [[] for _ in pieces]  # later[i]: partners j > i
-    active: list[int] = []
-    for j in order:
-        lo = extent[j][0]
-        active = [i for i in active if extent[i][1] > lo]
-        for i in active:
-            if not _bbox_disjoint(pieces[i], pieces[j]):
-                later[min(i, j)].append(max(i, j))
-        active.append(j)
-    for i, partners in enumerate(later):
-        for j in sorted(partners):
-            yield i, j
 
 
 def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int):
@@ -465,8 +434,8 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
     Interior disjointness is certified by facet matching (``_facets_match``)
     when the volumes and containment hold: pieces that meet facet to facet
     inside the parent and fill its volume cover each interior point once.
-    Otherwise every pair whose boxes meet is decided exactly
-    (``interiors_disjoint``), and the first overlapping pair in
+    Otherwise every pair is decided exactly (``interiors_disjoint``, whose
+    box screen drops most pairs at once), and the first overlapping pair in
     lexicographic order is the witness with a common interior point.
     """
     parent, pieces, m = sub.parent, sub.pieces, sub.m
@@ -511,12 +480,10 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
             break
 
     # facet matching certifies disjointness in one pass; where it does not
-    # hold, the sweep decides: it drops only box-disjoint pairs and keeps
-    # combinations order, so the first overlap found, and its witness, is
-    # the all-pairs loop's
+    # hold, every pair is decided
     disjointness_ok = True
     if not (volume_ok and containment_ok and _facets_match(parent, pieces)):
-        for i, j in _sweep_candidates(pieces):
+        for i, j in combinations(range(len(pieces)), 2):
             ok, point = interiors_disjoint(pieces[i], pieces[j])
             if not ok:
                 disjointness_ok = False
@@ -594,6 +561,10 @@ def grow_space_tiling(
     """
     if generations < 1:
         raise ValueError("need at least one generation")
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     d = spec.dim
     big = m**generations
     total = big**d

@@ -1,10 +1,10 @@
 """Simplices, dihedral angles, volume, congruence and similarity.
 
-Exact mode keeps every coordinate a Fraction: facet normals, Gram data,
-squared edge lengths, and dihedral cosines (one square root per facet
-pair, held as an exact algebraic number), and an integer form: one
-denominator D and integer vertices D * x, which give the determinant,
-cofactor facet normals, bounds and squared edge lengths in integers.
+Exact mode keeps every coordinate a Fraction and computes its geometry
+from one integer form: a denominator D and integer vertices D * x, which
+give the determinant, the cofactor facet normals (and from them the
+Fraction facets and the dihedral cosines, one square root per facet pair
+held as an exact algebraic number), bounds and squared edge lengths.
 
 An exact simplex may take its coordinates in a frame: d unit vectors with
 one pairwise cosine c (a Fraction, or the generator of a NumberField when c
@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 
 from .algebra import AlgebraicReal, FieldElement, NumberField
-from .algebra.linalg import cholesky, det, det_int, nullspace, rational_sqrt, unit_normal
+from .algebra.linalg import cholesky, det, det_int, rational_sqrt, unit_normal
 
 FLOAT_TOL = 1e-10
 
@@ -196,11 +196,15 @@ class Simplex:
         )
 
     def facet_normal(self, i: int) -> list:
-        """Inward normal (unnormalized; rational in exact mode) of the facet
-        opposite vertex i."""
+        """Inward normal of the facet opposite vertex i: in exact mode the
+        integer cofactor normal of ``lattice_facets`` over the absolute
+        value of its last nonzero entry, in float mode a unit vector."""
+        if self.mode == "exact":
+            n = self.lattice_facets[i][0]
+            a = abs(next(x for x in reversed(n) if x))
+            return [Fraction(x, a) for x in n]
         base, *rest = [v for j, v in enumerate(self.vertices) if j != i]
-        rows = _edges(base, rest)
-        n = nullspace(rows) if self.mode == "exact" else unit_normal(rows)
+        n = unit_normal(_edges(base, rest))
         orient = _dot(n, [x - y for x, y in zip(self.vertices[i], base)])
         if orient == 0:
             raise ValueError("degenerate facet")
@@ -299,17 +303,11 @@ def right_isosceles_triangle() -> Simplex:
 
 @dataclass(frozen=True)
 class DihedralData:
-    """Dihedral cosines of a simplex, facet-pair and edge indexed.
-
-    ``gram`` retains the exact rational Gram matrix of the (unnormalized)
-    inward normals in exact mode; realizability checks exploit it.
-    """
+    """Dihedral cosines of a simplex, facet-pair and edge indexed."""
 
     dim: int
     mode: str
     facet_cos: dict
-    sq_lengths: dict
-    gram: tuple | None
 
     def ridge(self, i: int, j: int) -> tuple[int, ...]:
         """Vertex indices shared by facets i and j (the edge, for d = 3)."""
@@ -327,38 +325,38 @@ class DihedralData:
         return rows
 
 
-def _exact_cos(num: Fraction, norm_product: Fraction) -> AlgebraicReal | Fraction:
+def _exact_cos(num: int, norm_product: int) -> AlgebraicReal:
     """num / sqrt(norm_product) as an exact value."""
     if num == 0:
         return AlgebraicReal.from_rational(0)
-    q = num * num / norm_product
-    root = AlgebraicReal.sqrt_rational(q)
+    root = AlgebraicReal.sqrt_rational(Fraction(num * num, norm_product))
     return root if num > 0 else -root
 
 
 def dihedral_data(s: Simplex) -> DihedralData:
     """Dihedral cosines from inward normals: cos(i,j) = -<u_i, u_j>, for a
-    Cartesian simplex (the normals' dot products ignore any frame)."""
+    Cartesian simplex (the normals' dot products ignore any frame).  An
+    exact simplex reads its integer normals (``lattice_facets``); the
+    cosine does not change under a positive scaling of either normal."""
     if s.frame:
         raise ValueError("dihedral data needs Cartesian coordinates, not a framed simplex")
     n = s.dim + 1
-    normals = [s.facet_normal(i) for i in range(n)]
     cos: dict = {}
-    gram = None
     if s.mode == "exact":
+        normals = [nrm for nrm, _ in s.lattice_facets]
         g = [[_dot(normals[i], normals[j]) for j in range(n)] for i in range(n)]
-        gram = tuple(tuple(r) for r in g)
         for i, j in combinations(range(n), 2):
             c = _exact_cos(-g[i][j], g[i][i] * g[j][j])
             if not (-1 < c < 1):
                 raise ValueError("dihedral cosine outside (-1, 1)")
             cos[(i, j)] = c
     else:
+        normals = [s.facet_normal(i) for i in range(n)]
         for i, j in combinations(range(n), 2):
             ni, nj = normals[i], normals[j]
             c = -_dot(ni, nj) / math.sqrt(_dot(ni, ni) * _dot(nj, nj))
             cos[(i, j)] = float(c)
-    return DihedralData(s.dim, s.mode, cos, s.squared_lengths(), gram)
+    return DihedralData(s.dim, s.mode, cos)
 
 
 def volume(s: Simplex) -> Fraction | AlgebraicReal | float:

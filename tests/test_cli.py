@@ -261,6 +261,26 @@ class TestHillCommands:
         text = obj_path.read_text()
         assert sum(1 for line in text.splitlines() if line.startswith("f ")) == 256
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--m", "0"], "m must be at least 2"),
+            (["--m", "1"], "m must be at least 2"),
+            (["--m", "-2"], "m must be at least 2"),
+            (["--budget", "-1"], "budget must be nonnegative"),
+        ],
+    )
+    def test_grow_refuses_out_of_range_arguments(self, flags, message, capsys):
+        assert main(["hill", "grow", "--dim", "3", "--generations", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_grow_with_an_empty_budget_emits_no_cell(self, capsys):
+        assert main(["hill", "grow", "--dim", "2", "--generations", "1", "--budget", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cells_emitted"] == 0 and report["truncated"]
+
     def test_rational_cos_subdivide(self, capsys):
         assert main(["hill", "subdivide", "--dim", "3", "--cos", "1/2", "--m", "2"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -133,6 +133,19 @@ class TestRealizability:
             a = CosMatrix.from_dihedral(dihedral_data(s))
             assert realizability_check(a).valid
 
+    def test_dihedral_and_json_routes_give_one_verdict(self):
+        # a matrix built from a simplex descales from its entries, as the
+        # same matrix read from its JSON does: one scaling, one verdict
+        rng = random.Random(606)
+        for _ in range(12):
+            s = random_rational_tetrahedron(rng)
+            measured = realizability_check(CosMatrix.from_dihedral(dihedral_data(s)))
+            read = realizability_check(load_matrix(cos_matrix_json(s.vertices)))
+            assert measured.valid and read.valid
+            assert measured.kernel == read.kernel
+            assert measured.failure_witness == read.failure_witness
+            assert measured.similar == read.similar
+
     def test_matrix_json_past_the_factoring_cap_takes_the_rational_path(self, monkeypatch):
         import reptile_forge.algebra.algebraic as algebraic_mod
 
@@ -398,7 +411,7 @@ class TestReconstruction:
             reconstruct_simplex(a)
         assert exc.value.verdict.failure_witness is not None
 
-    @pytest.mark.parametrize("route", [lambda a: a, via_json], ids=["gram", "json"])
+    @pytest.mark.parametrize("route", [lambda a: a, via_json], ids=["dihedral", "json"])
     def test_unnormalised_kernel(self, route):
         a = route(matrix_of(DRAW_14))
         rec = reconstruct_simplex(a)
@@ -419,7 +432,7 @@ class TestReconstruction:
 
 
 class TestCharPoly:
-    @pytest.mark.parametrize("route", [lambda a: a, via_json], ids=["gram", "json"])
+    @pytest.mark.parametrize("route", [lambda a: a, via_json], ids=["dihedral", "json"])
     def test_verdict_holds_char_poly_of_a(self, route):
         a = route(matrix_of(ORTHO_235))
         assert realizability_check(a).char_poly == (0, 2, 5, 4, 1)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptile_forge.algebra import AlgebraicReal
-from reptile_forge.algebra.linalg import det
+from reptile_forge.algebra.linalg import det, nullspace
+from reptile_forge.hill import HillSpec, subdivide
 from reptile_forge.jsonio import parse_real
 from reptile_forge.simplex import (
     Simplex,
@@ -127,6 +128,76 @@ class TestDihedralData:
             dd = dihedral_data(random_rational_tetrahedron(rng))
             for c in dd.facet_cos.values():
                 assert -1 < float(c) < 1
+
+
+def nullspace_facets(s: Simplex):
+    """The reference facets: a Fraction nullspace vector of each facet's
+    edges, its free coordinate 1, turned toward the opposite vertex, and
+    the offset through a facet vertex."""
+    out = []
+    for i in range(s.dim + 1):
+        base, *rest = [v for j, v in enumerate(s.vertices) if j != i]
+        n = nullspace([[x - y for x, y in zip(v, base)] for v in rest])
+        if sum(a * (x - y) for a, x, y in zip(n, s.vertices[i], base)) < 0:
+            n = [-a for a in n]
+        out.append((tuple(n), sum(a * x for a, x in zip(n, base))))
+    return tuple(out)
+
+
+def nullspace_cosines(s: Simplex) -> dict:
+    """The reference dihedral cosines, -<n_i, n_j> / (|n_i| |n_j|), from
+    the reference normals, as exact-number JSON."""
+    normals = [n for n, _ in nullspace_facets(s)]
+
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    out = {}
+    for i, j in combinations(range(s.dim + 1), 2):
+        num = -dot(normals[i], normals[j])
+        root = AlgebraicReal.sqrt_rational(num * num / (dot(normals[i], normals[i]) * dot(normals[j], normals[j])))
+        out[(i, j)] = (root if num >= 0 else -root).to_json()
+    return out
+
+
+_rational = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 7)))
+
+
+@st.composite
+def exact_simplices(draw):
+    dim = draw(st.sampled_from((2, 3, 4)))
+    verts = draw(
+        st.lists(st.tuples(*[_rational] * dim), min_size=dim + 1, max_size=dim + 1).filter(
+            lambda vs: det([[x - y for x, y in zip(v, vs[0])] for v in vs[1:]]) != 0
+        )
+    )
+    return Simplex.exact(verts)
+
+
+# framed Hill pieces: facets are affine, so they stay in coordinates
+FRAMED_PIECES = [
+    *subdivide(HillSpec.from_pair_cos(4, Fraction(1, 3)), 2).pieces,
+    *subdivide(HillSpec.from_pair_cos(3, parse_real("sqrt(2)/4")), 3).pieces,
+]
+
+
+class TestIntegerFacets:
+    """Facets and dihedral cosines from the integer form agree with the
+    Fraction nullspace route."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(exact_simplices())
+    def test_facets_and_cosines_match_the_nullspace_route(self, s):
+        assert s.facets == nullspace_facets(s)
+        assert [s.facet_normal(i) for i in range(s.dim + 1)] == [list(n) for n, _ in s.facets]
+        got = {k: c.to_json() for k, c in dihedral_data(s).facet_cos.items()}
+        assert got == nullspace_cosines(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FRAMED_PIECES))
+    def test_framed_piece_facets_match_the_nullspace_route(self, s):
+        assert s.frame
+        assert s.facets == nullspace_facets(s)
 
 
 class TestVolume:
