@@ -3,20 +3,19 @@ reduction, kernels, solves, interpolation and rational square roots.
 
 ``char_poly`` and ``det`` share one core, Berkowitz's algorithm (Inf.
 Process. Lett. 18, 1984), which uses only ring operations: it serves
-Fraction, AlgebraicReal, number-field elements, MPoly and float entries
-alike, and keeps an integer matrix in integers.  ``det_int`` is
+Fraction, AlgebraicReal, number-field elements and MPoly entries alike,
+and keeps an integer matrix in integers.  ``det_int`` is
 fraction-free Bareiss elimination (Math. Comp. 22, 1968), the faster route
 for integer matrices; ``rref_int`` is its Gauss-Jordan form, which gives
 the integer kernel (``kernel_int``) of the realizability check and the
 integer solves (``solve_int``) of the Hill margin program.  The remaining
 exact routines work over any field whose elements support the plain
-operators: Fraction, AlgebraicReal (which mixes with Fraction), or float.
+operators: Fraction, or AlgebraicReal (which mixes with Fraction).
 Integers are promoted to Fraction first, because int / int is a float.
 Zero tests use ``not x``, which is O(1) on AlgebraicReal where ``x != 0``
 would refine an enclosure; ``rref`` leaves zero entries as they are rather
-than spend an AlgebraicReal operation on each.  In ``rref`` a float pivot
-must exceed FLOAT_PIVOT in magnitude.  The float routines (``cholesky``,
-``unit_normal``) serve the coordinate output of reconstructed and framed
+than spend an AlgebraicReal operation on each.  The one float routine,
+``cholesky``, serves the coordinate output of reconstructed and framed
 simplices, dimension <= 4.
 
 This module imports nothing from the package.
@@ -27,17 +26,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-FLOAT_PIVOT = 1e-12
-
 
 def _promote(x):
     return Fraction(x) if isinstance(x, int) else x
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, float):
-        return abs(x) <= FLOAT_PIVOT
-    return not x
 
 
 def _berkowitz(rows: list[list]) -> list:
@@ -126,7 +117,7 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     for c in range(width):
         if r == m:
             break
-        piv = next((i for i in range(r, m) if not _is_zero(a[i][c])), None)
+        piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
@@ -278,16 +269,3 @@ def cholesky(g: list[list[float]]) -> list[list[float]]:
                 low[i][j] = s / low[j][j]
     return low
 
-
-def unit_normal(rows: list[list[float]]) -> list[float]:
-    """Unit vector orthogonal to the d - 1 rows of a (d - 1) x d float
-    matrix: the cofactors of the rows, the minors taken by ``det``."""
-    width = len(rows[0])
-    n = [
-        (-1) ** k * det([r[:k] + r[k + 1 :] for r in rows])
-        for k in range(width)
-    ]
-    norm = math.sqrt(sum(x * x for x in n))
-    if norm == 0:
-        raise ValueError("degenerate facet")
-    return [x / norm for x in n]

@@ -114,7 +114,7 @@ def cmd_fiedler_reconstruct(args) -> int:
         _log(f"not realizable: {e.verdict.failure_witness}")
         _emit({"error": "not realizable", "witness": str(e.verdict.failure_witness)}, args.out)
         return EXIT_VERIFICATION
-    _emit(s.to_json(), args.out)
+    _emit({"dim": s.dim, "mode": "float", "vertices": s.as_float()}, args.out)
     _log("reconstructed simplex (longest edge normalized to 1)")
     return EXIT_OK
 

@@ -15,9 +15,9 @@ denominators: fraction-free congruence, kernel and re-check, and an integer
 similar matrix, read as Fractions only in the verdict.  The algebraic B
 keeps field arithmetic.  The scaling decides only what exists under it (the
 similar rational matrix, the witness's determinant and scaling, and the
-map from B's kernel to A's).  Only the coordinate output of reconstruction
-uses floating point, with a residual bound of 1e-9 on each reconstructed
-cosine.
+map from B's kernel to A's).  Only the coordinates of a reconstruction are
+computed in floating point; the simplex they make is read exactly, and
+each of its dihedral cosines is held to a residual bound of 1e-9.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import mul
 
 from .algebra import INV_PHI, PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, linalg
 from .algebra.linalg import cholesky, det_int, kernel_int, nullspace, solve
-from .simplex import DihedralData, Simplex, dihedral_data
+from .simplex import DihedralData, Simplex, _pair_lengths, normal_gram
 
 SYM_VARS = ("s", "t")
 SYM_VARS_L = ("s", "t", "L")
@@ -76,8 +76,6 @@ class CosMatrix:
 
     @staticmethod
     def from_dihedral(dd: DihedralData) -> "CosMatrix":
-        if dd.mode != "exact":
-            raise ValueError("exact dihedral data required (float mode has no exact matrix)")
         return CosMatrix.from_rows(dd.matrix())
 
     def to_json(self) -> dict:
@@ -439,12 +437,28 @@ def char_poly(a: CosMatrix) -> list:
     return [as_algebraic(c) for c in linalg.char_poly(rows)]
 
 
+def _forward_substitute(low: list[list[float]], j: int, t: float) -> list[float]:
+    """The float solution y of L y = t e_j for a lower-triangular L with a
+    positive diagonal, in the operation order of Gauss-Jordan elimination
+    on [L | t e_j]: a zero product is left out of each row's sum."""
+    y: list[float] = []
+    for k, row in enumerate(low):
+        x = t if k == j else 0.0
+        for lk, ym in zip(row, y):
+            if lk and ym:
+                x = x - lk * ym
+        y.append(x / row[k] if x else x)
+    return y
+
+
 def reconstruct_simplex(a: CosMatrix) -> Simplex:
     """A simplex whose dihedral cosine matrix equals A, normalized so the
     longest edge has length 1 (the similarity class is all the data fixes).
 
-    The accept decision is exact; coordinates come from a floating Cholesky
-    factor and each dihedral cosine is verified against A within 1e-9.
+    The accept decision is exact.  The coordinates come from a float
+    Cholesky factor and are read exactly, so the simplex returned is the one
+    ``as_float`` prints; each of its dihedral cosines, from its integer facet
+    normals, is verified against A within 1e-9.
     """
     verdict = realizability_check(a)
     if not verdict.valid:
@@ -454,11 +468,13 @@ def reconstruct_simplex(a: CosMatrix) -> Simplex:
     # row i of the Cholesky factor of -A's leading block is the unit normal u_i
     normals = cholesky([[-float(x) for x in row[:d]] for row in a.entries[:d]])
     # vertex j solves u_i . v_j = [i == j] / z_j; vertex d is the origin
-    verts = [solve(normals, [1.0 / z[j] if i == j else 0.0 for i in range(d)]) for j in range(d)]
-    s = Simplex.floating(verts + [[0.0] * d])
-    s = s.scaled(1 / math.sqrt(max(s.squared_lengths().values())))
-    dd = dihedral_data(s)
-    for (i, j), c in dd.facet_cos.items():
+    verts = [_forward_substitute(normals, j, 1.0 / z[j]) for j in range(d)] + [[0.0] * d]
+    r = 1 / math.sqrt(max(_pair_lengths(verts).values()))
+    s = Simplex.exact([[r * x for x in v] for v in verts])
+    g = normal_gram(s)
+    for i, j in combinations(range(d + 1), 2):
+        # int / int rounds correctly, however large the entries
+        c = math.copysign(math.sqrt(g[i][j] ** 2 / (g[i][i] * g[j][j])), -g[i][j])
         want = float(as_algebraic(a.entries[i][j]))
         if abs(c - want) > 1e-9:
             raise AssertionError(

@@ -121,15 +121,11 @@ def hill_simplex(spec: HillSpec) -> Simplex:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """A parent simplex cut into m^d candidate reptile pieces, all exact."""
+    """A parent simplex cut into m^d candidate reptile pieces."""
 
     parent: Simplex
     pieces: tuple
     m: int
-
-    def __post_init__(self):
-        if any(s.mode != "exact" for s in (self.parent, *self.pieces)):
-            raise ValueError("the reptile verifier is exact: a subdivision takes no float-mode simplex")
 
     def to_json(self) -> dict:
         return {
@@ -141,7 +137,9 @@ class Subdivision:
     @staticmethod
     def from_json(obj: dict) -> "Subdivision":
         """The subdivision of ``obj``; the parent's frame is parsed once and
-        every piece must carry the same raw "frame" value."""
+        every piece must carry the same raw "frame" value.  No simplex may
+        be marked "mode": "float": its rounded coordinates would be read
+        exactly."""
         if not isinstance(obj, dict):
             raise InputFormatError("subdivision JSON must be an object")
         for key in ("m", "parent", "pieces"):
@@ -161,7 +159,10 @@ class Subdivision:
                 raise InputFormatError(
                     f"piece {i} has frame {json.dumps(p.get('frame'))}, the parent {json.dumps(raw)}"
                 )
-        return Subdivision(parent, tuple(load_simplex(p, parent.frame) for p in obj["pieces"]), m)
+        pieces = tuple(load_simplex(p, parent.frame) for p in obj["pieces"])
+        if any(s.get("mode") == "float" for s in (obj["parent"], *obj["pieces"])):
+            raise ValueError("the reptile verifier is exact: a subdivision takes no float-mode simplex")
+        return Subdivision(parent, pieces, m)
 
 
 def _staircase_cells(dim: int, m: int):

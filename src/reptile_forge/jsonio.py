@@ -2,7 +2,9 @@
 
 Exact values cross the JSON boundary as strings: rationals as "p/q",
 radicals as "a*sqrt(n)/d" shorthand, and general algebraic numbers as
-{"minpoly": [...], "interval": ["lo", "hi"]} objects.
+{"minpoly": [...], "interval": ["lo", "hi"]} objects.  A simplex document
+of mode "float" (as ``fiedler reconstruct`` writes) is read exactly too,
+each coordinate by its repr; OBJ export writes float coordinates.
 """
 
 from __future__ import annotations
@@ -125,30 +127,28 @@ def read_json_document(text: str):
         raise InputFormatError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
 
 
-def export_obj(simplices, path: str, names=None, dedupe_tol: float = 1e-12) -> dict:
+def export_obj(simplices, path: str, names=None) -> dict:
     """Write tetrahedra to a Wavefront OBJ file (d = 3 only), in Cartesian
     float coordinates (``Simplex.as_float``).
 
-    Vertices within the tolerance are merged; each simplex emits its four
-    triangular faces under a named group.  Returns counting stats.
+    Vertices with equal exact coordinates are merged; each simplex emits its
+    four triangular faces under a named group.  Returns counting stats.
     """
-    items = [s.as_float() for s in simplices]
+    items = list(simplices)
     if any(s.dim != 3 for s in items):
         raise ValueError("OBJ export is defined for d = 3")
-    verts: list[tuple[float, float, float]] = []
-    index: dict[tuple[int, int, int], int] = {}
+    verts: list[tuple[float, ...]] = []
+    index: dict[tuple, int] = {}
 
-    def vid(p) -> int:
-        fp = tuple(float(x) for x in p)
-        key = tuple(round(c / dedupe_tol) for c in fp)
-        if key not in index:
+    def vid(p, fp) -> int:
+        if p not in index:
             verts.append(fp)
-            index[key] = len(verts)
-        return index[key]
+            index[p] = len(verts)
+        return index[p]
 
     groups = []
     for n, s in enumerate(items):
-        ids = [vid(v) for v in s.vertices]
+        ids = [vid(p, fp) for p, fp in zip(s.vertices, s.as_float())]
         name = names[n] if names else f"piece_{n:03d}"
         faces = [
             (ids[0], ids[1], ids[2]),

@@ -1,16 +1,17 @@
 """Simplices, dihedral angles, volume, congruence and similarity.
 
-Exact mode keeps every coordinate a Fraction and computes its geometry
+A simplex keeps every coordinate a Fraction and computes its geometry
 from one integer form: a denominator D and integer vertices D * x, which
 give the determinant, the cofactor facet normals (and from them the
 Fraction facets and the dihedral cosines, one square root per facet pair
 held as an exact algebraic number), bounds and squared edge lengths.
 
-An exact simplex may take its coordinates in a frame: d unit vectors with
+A simplex may take its coordinates in a frame: d unit vectors with
 one pairwise cosine c (a Fraction, or the generator of a NumberField when c
 is irrational).  Only squared lengths and volumes read the frame; facets,
-bounds and containment are affine and stay in coordinates.  Float mode
-compares within FLOAT_TOL and is used for reconstructed simplices.
+bounds and containment are affine and stay in coordinates.  Floats are
+only an output format (``Simplex.as_float``); a float read in is read
+exactly.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 
 from .algebra import AlgebraicReal, FieldElement, NumberField
-from .algebra.linalg import cholesky, det, det_int, rational_sqrt, unit_normal
-
-FLOAT_TOL = 1e-10
+from .algebra.linalg import cholesky, det_int, rational_sqrt
 
 _RATIO_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -75,9 +74,10 @@ def _pair_lengths(verts, c=0) -> dict:
 
 @dataclass(frozen=True)
 class Simplex:
-    """d+1 affinely independent vertices in d-space (2 <= d <= 4).
+    """d+1 affinely independent vertices in d-space (2 <= d <= 4), with
+    Fraction coordinates.
 
-    The coordinates of an exact simplex are taken in the frame of pairwise
+    The coordinates are taken in the frame of pairwise
     cosine ``frame`` (0, the default, is Cartesian).  The edge-matrix
     determinant, facets, per-axis bounds, squared edge lengths and integer
     form are computed once per instance; equality and hashing use the
@@ -86,7 +86,6 @@ class Simplex:
 
     dim: int
     vertices: tuple[tuple, ...]
-    mode: str = "exact"
     frame: Fraction | FieldElement = Fraction(0)
 
     def __post_init__(self):
@@ -96,41 +95,23 @@ class Simplex:
             raise ValueError("a d-simplex needs d+1 vertices")
         if any(len(v) != self.dim for v in self.vertices):
             raise ValueError("vertex arity mismatch")
-        if self.mode not in ("exact", "float"):
-            raise ValueError("mode must be 'exact' or 'float'")
-        if self.frame and self.mode == "float":
-            raise ValueError("a float-mode simplex is Cartesian: it takes no frame")
-        d = self.signed_det
-        if self.mode == "exact":
-            if d == 0:
-                raise ValueError("degenerate simplex (coplanar vertices)")
-        else:
-            # |det| of a well-shaped simplex scales as (longest edge)^dim
-            longest = math.sqrt(max(self.squared_lengths().values()))
-            if abs(d) <= FLOAT_TOL * longest**self.dim:
-                raise ValueError("degenerate simplex (determinant below tolerance)")
+        if self.signed_det == 0:
+            raise ValueError("degenerate simplex (coplanar vertices)")
 
     @staticmethod
     def exact(vertices, frame=Fraction(0)) -> "Simplex":
         vs = tuple(tuple(_fraction(x) for x in v) for v in vertices)
-        return Simplex(len(vs) - 1, vs, "exact", frame)
-
-    @staticmethod
-    def floating(vertices) -> "Simplex":
-        vs = tuple(tuple(float(x) for x in v) for v in vertices)
-        return Simplex(len(vs) - 1, vs, "float")
+        return Simplex(len(vs) - 1, vs, frame)
 
     @cached_property
-    def signed_det(self) -> Fraction | float:
+    def signed_det(self) -> Fraction:
         """Determinant of the edge matrix: d! times the signed volume."""
-        if self.mode == "float":
-            return det(_edges(self.vertices[0], self.vertices[1:]))
         den, (v0, *rest) = self.lattice
         return Fraction(det_int(_edges(v0, rest)), den**self.dim)
 
     @cached_property
     def lattice(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, D * vertices) of an exact simplex: D > 0 is the lcm of the
+        """(D, D * vertices): D > 0 is the lcm of the
         coordinate denominators, so the scaled vertices are integers."""
         den = math.lcm(*(x.denominator for v in self.vertices for x in v))
         return den, tuple(
@@ -163,57 +144,44 @@ class Simplex:
         """D^2 times the squared edge lengths, keyed by (i, j); read only."""
         return _pair_lengths(self.lattice[1], self.frame)
 
-    def squared_lengths(self) -> dict[tuple[int, int], Fraction | float]:
+    def squared_lengths(self) -> dict[tuple[int, int], Fraction | FieldElement]:
         """Squared edge lengths keyed by vertex pair (i < j); a fresh dict."""
         return dict(self._squared_lengths)
 
     @cached_property
-    def _squared_lengths(self) -> dict[tuple[int, int], Fraction | float]:
+    def _squared_lengths(self) -> dict[tuple[int, int], Fraction | FieldElement]:
         return _pair_lengths(self.vertices, self.frame)
 
     def scaled(self, r) -> "Simplex":
-        if self.mode == "exact":
-            r = Fraction(r)
-        else:
-            r = float(r)
-        return Simplex(self.dim, tuple(tuple(r * x for x in v) for v in self.vertices), self.mode, self.frame)
+        r = Fraction(r)
+        return Simplex(self.dim, tuple(tuple(r * x for x in v) for v in self.vertices), self.frame)
 
     def translated(self, t) -> "Simplex":
         vs = tuple(tuple(x + dx for x, dx in zip(v, t)) for v in self.vertices)
-        return Simplex(self.dim, vs, self.mode, self.frame)
+        return Simplex(self.dim, vs, self.frame)
 
-    def as_float(self) -> "Simplex":
-        """Cartesian float coordinates: a framed simplex goes through the
-        rows of a float Cholesky factor of the frame's Gram matrix."""
-        if self.mode == "float":
-            return self
+    def as_float(self) -> tuple[tuple[float, ...], ...]:
+        """The vertices as Cartesian float coordinates: a framed simplex goes
+        through the rows of a float Cholesky factor of the frame's Gram
+        matrix."""
         if not self.frame:
-            return Simplex.floating(self.vertices)
+            return tuple(tuple(map(float, v)) for v in self.vertices)
         c, d = float(self.frame), self.dim
         rows = cholesky([[1.0 if i == j else c for j in range(d)] for i in range(d)])
-        return Simplex.floating(
-            [[sum(float(y) * r[k] for y, r in zip(v, rows)) for k in range(d)] for v in self.vertices]
+        return tuple(
+            tuple(sum(float(y) * r[k] for y, r in zip(v, rows)) for k in range(d)) for v in self.vertices
         )
 
-    def facet_normal(self, i: int) -> list:
-        """Inward normal of the facet opposite vertex i: in exact mode the
-        integer cofactor normal of ``lattice_facets`` over the absolute
-        value of its last nonzero entry, in float mode a unit vector."""
-        if self.mode == "exact":
-            n = self.lattice_facets[i][0]
-            a = abs(next(x for x in reversed(n) if x))
-            return [Fraction(x, a) for x in n]
-        base, *rest = [v for j, v in enumerate(self.vertices) if j != i]
-        n = unit_normal(_edges(base, rest))
-        orient = _dot(n, [x - y for x, y in zip(self.vertices[i], base)])
-        if orient == 0:
-            raise ValueError("degenerate facet")
-        if orient < 0:
-            n = [-x for x in n]
-        return n
+    def facet_normal(self, i: int) -> list[Fraction]:
+        """Inward normal of the facet opposite vertex i: the integer cofactor
+        normal of ``lattice_facets`` over the absolute value of its last
+        nonzero entry."""
+        n = self.lattice_facets[i][0]
+        a = abs(next(x for x in reversed(n) if x))
+        return [Fraction(x, a) for x in n]
 
     @cached_property
-    def facets(self) -> tuple[tuple[tuple, Fraction | float], ...]:
+    def facets(self) -> tuple[tuple[tuple, Fraction], ...]:
         """(inward normal, offset) per facet, opposite vertex i in order:
         interior points satisfy n.x > b."""
         out = []
@@ -241,11 +209,8 @@ class Simplex:
         return True
 
     def to_json(self) -> dict:
-        if self.mode == "exact":
-            verts = [[f"{q.numerator}/{q.denominator}" for q in map(_fraction, v)] for v in self.vertices]
-        else:
-            verts = [[float(x) for x in v] for v in self.vertices]
-        out = {"dim": self.dim, "mode": self.mode, "vertices": verts}
+        verts = [[f"{q.numerator}/{q.denominator}" for q in v] for v in self.vertices]
+        out = {"dim": self.dim, "mode": "exact", "vertices": verts}
         c = self.frame
         if isinstance(c, FieldElement):  # the field's fixed bracket, never a refined one
             out["frame"] = AlgebraicReal(c.field.minpoly, (c.field.lo, c.field.hi), _trusted=True).to_json()
@@ -255,11 +220,20 @@ class Simplex:
 
     @staticmethod
     def from_json(obj: dict, frame=Fraction(0)) -> "Simplex":
-        """The simplex of ``obj``, in the already parsed ``frame``."""
-        exact = obj.get("mode", "exact") == "exact"
-        # one Fraction per exact coordinate; str() reads a float by its repr
-        vs = tuple(tuple(_coordinate(x) if exact else float(x) for x in v) for v in obj["vertices"])
-        return Simplex(len(vs) - 1, vs, "exact" if exact else "float", frame)
+        """The simplex of ``obj``, in the already parsed ``frame``.  A
+        "float" document is read exactly, each float by its repr; a "dim",
+        when present, must be the vertex count less one."""
+        vs = tuple(tuple(map(_coordinate, v)) for v in obj["vertices"])
+        mode = obj.get("mode", "exact")
+        if mode not in ("exact", "float"):
+            raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+        s = Simplex(len(vs) - 1, vs, frame)
+        dim = obj.get("dim", s.dim)
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError(f"dim must be a JSON integer, got {dim!r}")
+        if dim != s.dim:
+            raise ValueError(f"expected {dim + 1} vertices for dim {dim}, got {len(vs)}")
+        return s
 
 
 def as_frame(c) -> Fraction | FieldElement:
@@ -306,7 +280,6 @@ class DihedralData:
     """Dihedral cosines of a simplex, facet-pair and edge indexed."""
 
     dim: int
-    mode: str
     facet_cos: dict
 
     def ridge(self, i: int, j: int) -> tuple[int, ...]:
@@ -318,8 +291,7 @@ class DihedralData:
 
     def matrix(self) -> list[list]:
         n = self.dim + 1
-        minus_one = Fraction(-1) if self.mode == "exact" else -1.0
-        rows = [[minus_one] * n for _ in range(n)]
+        rows = [[Fraction(-1)] * n for _ in range(n)]
         for (i, j), c in self.facet_cos.items():
             rows[i][j] = rows[j][i] = c
         return rows
@@ -333,35 +305,34 @@ def _exact_cos(num: int, norm_product: int) -> AlgebraicReal:
     return root if num > 0 else -root
 
 
+def normal_gram(s: Simplex) -> list[list[int]]:
+    """The integer Gram matrix of the facet normals of ``lattice_facets``:
+    the dihedral cosine of facets i and j is -g_ij / sqrt(g_ii g_jj) for a
+    Cartesian simplex."""
+    normals = [n for n, _ in s.lattice_facets]
+    return [[_dot(u, v) for v in normals] for u in normals]
+
+
 def dihedral_data(s: Simplex) -> DihedralData:
     """Dihedral cosines from inward normals: cos(i,j) = -<u_i, u_j>, for a
-    Cartesian simplex (the normals' dot products ignore any frame).  An
-    exact simplex reads its integer normals (``lattice_facets``); the
-    cosine does not change under a positive scaling of either normal."""
+    Cartesian simplex (the normals' dot products ignore any frame), read
+    from the integer normals (``normal_gram``); the cosine does not change
+    under a positive scaling of either normal."""
     if s.frame:
         raise ValueError("dihedral data needs Cartesian coordinates, not a framed simplex")
-    n = s.dim + 1
+    g = normal_gram(s)
     cos: dict = {}
-    if s.mode == "exact":
-        normals = [nrm for nrm, _ in s.lattice_facets]
-        g = [[_dot(normals[i], normals[j]) for j in range(n)] for i in range(n)]
-        for i, j in combinations(range(n), 2):
-            c = _exact_cos(-g[i][j], g[i][i] * g[j][j])
-            if not (-1 < c < 1):
-                raise ValueError("dihedral cosine outside (-1, 1)")
-            cos[(i, j)] = c
-    else:
-        normals = [s.facet_normal(i) for i in range(n)]
-        for i, j in combinations(range(n), 2):
-            ni, nj = normals[i], normals[j]
-            c = -_dot(ni, nj) / math.sqrt(_dot(ni, ni) * _dot(nj, nj))
-            cos[(i, j)] = float(c)
-    return DihedralData(s.dim, s.mode, cos)
+    for i, j in combinations(range(s.dim + 1), 2):
+        c = _exact_cos(-g[i][j], g[i][i] * g[j][j])
+        if not (-1 < c < 1):
+            raise ValueError("dihedral cosine outside (-1, 1)")
+        cos[(i, j)] = c
+    return DihedralData(s.dim, cos)
 
 
-def volume(s: Simplex) -> Fraction | AlgebraicReal | float:
+def volume(s: Simplex) -> Fraction | AlgebraicReal:
     """The Euclidean volume: |det| / d! of the edge matrix, times sqrt(det G)
-    in a frame with Gram matrix G; exact in exact mode."""
+    in a frame with Gram matrix G."""
     v, c, d = abs(s.signed_det) / math.factorial(s.dim), s.frame, s.dim
     # det G = (1 + (d - 1) c) (1 - c)^(d - 1) for G = (1 - c) I + c J
     return v * _exact_sqrt(math.prod([1 + (d - 1) * c] + [1 - c] * (d - 1))) if c else v
@@ -373,39 +344,32 @@ def volume(s: Simplex) -> Fraction | AlgebraicReal | float:
 
 
 def _weighted_lengths(s1: Simplex, s2: Simplex, w1, w2) -> tuple[dict, dict]:
-    """s1's squared lengths times w1 and s2's times w2; an exact simplex
-    gives D^2 times its squared lengths (``lattice_lengths``)."""
-    l1, l2 = (s.lattice_lengths if s.mode == "exact" else s._squared_lengths for s in (s1, s2))
-    return {k: v * w1 for k, v in l1.items()}, {k: v * w2 for k, v in l2.items()}
+    """D^2 times the squared lengths (``lattice_lengths``), s1's times w1
+    and s2's times w2."""
+    if s1.dim != s2.dim:
+        raise ValueError("dimension mismatch")
+    return (
+        {k: v * w1 for k, v in s1.lattice_lengths.items()},
+        {k: v * w2 for k, v in s2.lattice_lengths.items()},
+    )
 
 
-def _perm_matches(target: dict, sq2: dict, perm, tol: float | None) -> bool:
+def _perm_matches(target: dict, sq2: dict, perm) -> bool:
     """Whether relabeling vertex i as perm[i] carries target onto sq2."""
     for (i, j), a in target.items():
         p, q = perm[i], perm[j]
-        b = sq2[(p, q) if p < q else (q, p)]
-        if tol is None:
-            if a != b:
-                return False
-        elif abs(float(a) - float(b)) > tol * max(abs(float(a)), abs(float(b)), 1.0):
+        if a != sq2[(p, q) if p < q else (q, p)]:
             return False
     return True
 
 
-def _match_permutation(target: dict, sq2: dict, n: int, tol: float | None):
+def _match_permutation(target: dict, sq2: dict, n: int):
     """A relabeling of the n vertices carrying the lengths target onto sq2,
-    or None.  Exact lengths are compared as multisets first, which needs no
+    or None.  The lengths are compared as multisets first, which needs no
     ordering, so number-field lengths work too."""
-    if tol is None:
-        if Counter(target.values()) != Counter(sq2.values()):
-            return None
-    else:
-        m1 = sorted(float(v) for v in target.values())
-        m2 = sorted(float(v) for v in sq2.values())
-        scale = max(abs(m1[-1]), abs(m2[-1]), 1.0)
-        if any(abs(a - b) > tol * scale for a, b in zip(m1, m2)):
-            return None
-    return next((p for p in permutations(range(n)) if _perm_matches(target, sq2, p, tol)), None)
+    if Counter(target.values()) != Counter(sq2.values()):
+        return None
+    return next((p for p in permutations(range(n)) if _perm_matches(target, sq2, p)), None)
 
 
 def _orientation_sign(s: Simplex, order: tuple[int, ...]) -> int:
@@ -416,33 +380,22 @@ def _orientation_sign(s: Simplex, order: tuple[int, ...]) -> int:
     return ((d > 0) - (d < 0)) * (-1) ** inversions
 
 
-def _common_mode(s1: Simplex, s2: Simplex) -> tuple[Simplex, Simplex, float | None]:
-    """The pair in one mode, and the tolerance of that mode (None: exact)."""
-    if s1.dim != s2.dim:
-        raise ValueError("dimension mismatch")
-    if s1.mode != s2.mode:
-        s1, s2 = s1.as_float(), s2.as_float()
-    return s1, s2, None if s1.mode == "exact" else FLOAT_TOL
-
-
 def congruent(s1: Simplex, s2: Simplex, allow_reflection: bool = True) -> bool:
     """Exact congruence via squared-length matching over vertex relabelings.
 
     Reflections count as congruences by default; pass allow_reflection=False
     to demand an orientation-preserving isometry.
     """
-    s1, s2, tol = _common_mode(s1, s2)
-    w1, w2 = (1, 1) if tol else (s2.lattice[0] ** 2, s1.lattice[0] ** 2)
-    target, sq2 = _weighted_lengths(s1, s2, w1, w2)
+    target, sq2 = _weighted_lengths(s1, s2, s2.lattice[0] ** 2, s1.lattice[0] ** 2)
     n = s1.dim + 1
-    if _match_permutation(target, sq2, n, tol) is None:
+    if _match_permutation(target, sq2, n) is None:
         return False
     if allow_reflection:
         return True
     # an orientation-preserving matching may differ from the first one found
     base_sign = _orientation_sign(s1, tuple(range(n)))
     return any(
-        _orientation_sign(s2, p) == base_sign and _perm_matches(target, sq2, p, tol)
+        _orientation_sign(s2, p) == base_sign and _perm_matches(target, sq2, p)
         for p in permutations(range(n))
     )
 
@@ -461,16 +414,12 @@ def similar(s1: Simplex, s2: Simplex):
     """Ratio r with s2 congruent to r * s1, or None.
 
     r^2 is the quotient of the sums of squared lengths, and a relabeling
-    must carry s1's lengths times r^2 onto s2's.  In exact mode r is a
-    Fraction when r^2 is a rational square and an exact algebraic root
-    otherwise.
+    must carry s1's lengths times r^2 onto s2's.  r is a Fraction when r^2
+    is a rational square and an exact algebraic root otherwise.
     """
-    s1, s2, tol = _common_mode(s1, s2)
     l1, l2 = _weighted_lengths(s1, s2, 1, 1)
     sum1, sum2 = sum(l1.values()), sum(l2.values())
     target, sq2 = _weighted_lengths(s1, s2, sum2, sum1)
-    if _match_permutation(target, sq2, s1.dim + 1, tol) is None:
+    if _match_permutation(target, sq2, s1.dim + 1) is None:
         return None
-    if tol:
-        return math.sqrt(sum2 / sum1)
     return _exact_sqrt(sum2 * Fraction(s1.lattice[0] ** 2) / (sum1 * s2.lattice[0] ** 2))

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 from reptile_forge.simplex import Simplex
 
@@ -24,6 +25,21 @@ def random_rational_tetrahedron(rng: random.Random) -> Simplex:
             return Simplex.exact(verts)
         except ValueError:
             continue
+
+
+def similar_coordinates(a, b, tol: float = 1e-10) -> bool:
+    """Whether the float vertex lists a and b are similar under a relabeling
+    of b: each squared edge length over the sum of them agrees within tol."""
+
+    def shape(vs, order):
+        sq = [sum((x - y) ** 2 for x, y in zip(vs[order[i]], vs[order[j]])) for i, j in combinations(range(len(vs)), 2)]
+        total = sum(sq)
+        return [v / total for v in sq]
+
+    want = shape(a, range(len(a)))
+    return len(a) == len(b) and any(
+        all(abs(x - y) <= tol for x, y in zip(want, shape(b, p))) for p in permutations(range(len(b)))
+    )
 
 
 def _rational_sqrt(x: Fraction):

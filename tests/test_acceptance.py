@@ -21,8 +21,10 @@ from reptile_forge.audit import canonical_json, final_cases_step, run_full_audit
 from reptile_forge.cli import main as cli_main
 from reptile_forge.fiedler import CosMatrix, realizability_check, reconstruct_simplex
 from reptile_forge.hill import HillSpec, subdivide, verify_reptile
-from reptile_forge.simplex import Simplex, congruent, dihedral_data, similar, volume
+from reptile_forge.simplex import Simplex, congruent, dihedral_data, volume
 from reptile_forge.trig import RationalAngle, catalog, cosine_degree, cosine_of
+
+from helpers import similar_coordinates
 
 REPORT = []
 
@@ -93,10 +95,10 @@ def test_criterion_3_fiedler_soundness_200():
         ok = ok and verdict.valid
         ok = ok and all(as_algebraic(k).sign() > 0 for k in verdict.kernel)
         rec = reconstruct_simplex(a)
-        ok = ok and similar(s.as_float(), rec) is not None
+        ok = ok and similar_coordinates(s.as_float(), rec.as_float())
         measured = dihedral_data(rec).facet_cos
         for (i, j), c in measured.items():
-            r = abs(c - float(as_algebraic(a.entries[i][j])))
+            r = abs(float(c) - float(as_algebraic(a.entries[i][j])))
             worst_residual = max(worst_residual, r)
         ok = ok and worst_residual < 1e-10
         if not ok:

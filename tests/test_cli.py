@@ -64,8 +64,9 @@ class TestFiedlerCommands:
             ["fiedler", "reconstruct", write(tmp_path, "m.json", REGULAR), "--out", str(out_path)]
         )
         assert rc == 0
-        s = Simplex.from_json(json.loads(out_path.read_text()))
-        assert s.dim == 3 and s.mode == "float"
+        doc = json.loads(out_path.read_text())
+        assert doc["dim"] == 3 and doc["mode"] == "float"
+        assert Simplex.from_json(doc).dim == 3
 
     def test_reconstruct_invalid(self, tmp_path, capsys):
         rc = main(["fiedler", "reconstruct", write(tmp_path, "m.json", TRIPOD_BAD)])
@@ -240,6 +241,21 @@ class TestHillCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "where, dim, message",
+        [
+            ("parent", 7, "expected 8 vertices for dim 7, got 4"),
+            ("pieces", "x", "dim must be a JSON integer, got 'x'"),
+        ],
+    )
+    def test_verify_refuses_a_wrong_dim(self, where, dim, message, tmp_path, capsys):
+        assert main(["hill", "subdivide", "--dim", "3", "--m", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for s in [doc["parent"]] if where == "parent" else doc["pieces"]:
+            s["dim"] = dim
+        assert main(["hill", "verify", write(tmp_path, "sub.json", doc)]) == 2
+        assert capsys.readouterr() == ("", f"input error: bad simplex JSON: {message}\n")
 
     def test_grow_with_obj(self, tmp_path, capsys):
         obj_path = tmp_path / "grow.obj"
@@ -545,6 +561,27 @@ class TestFiedlerOutputsPinned:
         assert got == FIEDLER_PINS[name, command]
 
 
+# sha256 of the OBJ file that `export` writes from `fiedler reconstruct`'s
+# output, for the d = 3 inputs that reconstruct
+RECONSTRUCT_OBJ_PINS = {
+    "coefficient-radicals": "a0bb4f586ed4a5c467b9769767aadc3b2bff0b5f46b5ea8890c8e1ab5acb19e2",
+    "draw-1": "011345dd58d8202b621e9a46837c51805fc60ac78251178fd2064321c6dcf75d",
+    "draw-14": "85d2068b7e891739e18ccba8aac594ea3402c766684330f7f297efcb413a98fd",
+    "integer-radicals": "54924715109642803ccdf1aea66eab6737e0c13ca67ac1d9ea9af90f610ae0b8",
+    "minpoly-object": "9d11d066d8e710ef3e7a6c8368cd33c793ca9dfc00f8a3281b8ba85b1d19192c",
+    "regular": "623a76adfb6c086df47f88409dc65d55067997396ea0d99d7f68e7697551b74e",
+}
+
+
+def test_reconstruct_then_export_writes_the_pinned_obj(tmp_path, capsys):
+    for name, want in RECONSTRUCT_OBJ_PINS.items():
+        assert main(["fiedler", "reconstruct", write(tmp_path, "m.json", FIEDLER_INPUTS[name])]) == 0
+        simplex = write_text(tmp_path, "s.json", capsys.readouterr().out)
+        assert main(["export", simplex, "--obj", str(tmp_path / "s.obj")]) == 0
+        capsys.readouterr()
+        assert sha256((tmp_path / "s.obj").read_text()) == want, name
+
+
 class TestAnglesCommands:
     def test_classify_half(self, capsys):
         assert main(["angles", "classify", "1/2"]) == 0
@@ -667,6 +704,34 @@ class TestExport:
     def test_document_not_an_object(self, tmp_path, capsys):
         assert main(["export", write(tmp_path, "x.json", 5), "--obj", str(tmp_path / "x.obj")]) == 2
         assert capsys.readouterr().err == "input error: bad simplex JSON: expected an object, got 5\n"
+
+    def test_near_flat_float_document_is_read_exactly(self, tmp_path, capsys):
+        doc = {"dim": 3, "mode": "float", "vertices": [[0, 0, 0], [1, 0, 0], [2, 1e-13, 0], [0, 0, 1]]}
+        obj = tmp_path / "s.obj"
+        assert main(["export", write(tmp_path, "s.json", doc), "--obj", str(obj)]) == 0
+        assert "v 2 1e-13 0\n" in obj.read_text()
+
+    def test_collinear_float_document_refused(self, tmp_path, capsys):
+        doc = {"dim": 3, "mode": "float", "vertices": [[0, 0, 0], [1, 0, 0], [2.5, 0, 0], [0, 0, 1]]}
+        assert main(["export", write(tmp_path, "s.json", doc), "--obj", str(tmp_path / "s.obj")]) == 2
+        err = "input error: bad simplex JSON: degenerate simplex (coplanar vertices)\n"
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("mode", "bogus", "mode must be 'exact' or 'float', got 'bogus'"),
+            ("mode", None, "mode must be 'exact' or 'float', got None"),
+            ("dim", 7, "expected 8 vertices for dim 7, got 4"),
+            ("dim", "3", "dim must be a JSON integer, got '3'"),
+            ("dim", True, "dim must be a JSON integer, got True"),
+        ],
+    )
+    def test_bad_mode_or_dim_refused(self, key, value, message, tmp_path, capsys):
+        doc = {"dim": 3, "mode": "exact", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], key: value}
+        assert main(["export", write(tmp_path, "s.json", doc), "--obj", str(tmp_path / "s.obj")]) == 2
+        assert capsys.readouterr() == ("", f"input error: bad simplex JSON: {message}\n")
+        assert not (tmp_path / "s.obj").exists()
 
     def test_dimension_guard(self, tmp_path, capsys):
         from reptile_forge.simplex import right_isosceles_triangle
@@ -825,8 +890,9 @@ class TestRuntimeWithoutNumpy:
     def test_reconstruct(self, tmp_path):
         done = run_without_numpy(["fiedler", "reconstruct", write(tmp_path, "m.json", REGULAR)])
         assert done.returncode == 0, done.stderr
-        s = Simplex.from_json(json.loads(done.stdout))
-        assert s.mode == "float" and s.dim == 3
+        doc = json.loads(done.stdout)
+        assert doc["mode"] == "float" and doc["dim"] == 3
+        assert Simplex.from_json(doc).dim == 3
 
     def test_float_hill_subdivide_and_verify(self):
         sub = run_without_numpy(["hill", "subdivide", "--dim", "3", "--cos", "1/4", "--m", "2"])

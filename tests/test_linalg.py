@@ -6,7 +6,7 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptile_forge.algebra import QPHI, AlgebraicReal, FieldElement, MPoly, NumberField
@@ -23,7 +23,6 @@ from reptile_forge.algebra.linalg import (
     rref_int,
     solve,
     solve_int,
-    unit_normal,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -298,13 +297,3 @@ def test_cholesky_reproduces_the_matrix():
     with pytest.raises(ValueError, match="positive definite"):
         cholesky([[1.0, 2.0], [2.0, 1.0]])
 
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 4).flatmap(lambda n: matrices(n - 1, n)))
-def test_unit_normal_is_orthogonal(a):
-    assume(len(a[0]) - sym(a).rank() == 1)
-    rows = [[float(x) for x in r] for r in a]
-    n = unit_normal(rows)
-    assert abs(sum(x * x for x in n) - 1) < 1e-12
-    scale = max(abs(x) for r in rows for x in r)
-    assert all(abs(v) <= 1e-12 * scale for v in mat_vec(rows, n))

@@ -60,29 +60,30 @@ class TestConstruction:
     def test_json_round_trip(self):
         s = regular_tetrahedron()
         t = Simplex.from_json(s.to_json())
-        assert t.vertices == s.vertices and t.mode == "exact"
-        f = s.as_float()
-        g = Simplex.from_json(f.to_json())
-        assert g.mode == "float"
+        assert t.vertices == s.vertices and s.to_json()["mode"] == "exact"
+        # a float document is read exactly, each float by its repr
+        f = {"dim": 3, "mode": "float", "vertices": [list(v) for v in s.as_float()]}
+        assert Simplex.from_json(f) == s
 
     def test_small_float_simplex_accepted(self):
-        s = Simplex.floating([(0, 0), (1e-5, 0), (0, 1e-5)])
-        assert volume(s) == pytest.approx(5e-11)
+        s = Simplex.exact([(0, 0), (1e-5, 0), (0, 1e-5)])
+        assert float(volume(s)) == pytest.approx(5e-11)
 
     def test_far_translated_float_simplex_accepted(self):
-        s = Simplex.floating([(1e6, 1e6), (1e6 + 1, 1e6), (1e6, 1e6 + 1)])
-        assert volume(s) == pytest.approx(0.5)
+        s = Simplex.exact([(1e6, 1e6), (1e6 + 1, 1e6), (1e6, 1e6 + 1)])
+        assert volume(s) == Fraction(1, 2)
 
     @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e6])
     def test_collinear_float_points_refused(self, scale):
+        # float coordinates are read exactly: only exact degeneracy is refused
         with pytest.raises(ValueError, match="degenerate"):
-            Simplex.floating([(0, 0), (scale, scale), (3 * scale, 3 * scale)])
+            Simplex.exact([(0, 0), (scale, scale), (3 * scale, 3 * scale)])
         with pytest.raises(ValueError, match="degenerate"):
-            Simplex.floating([(0, 0, 0), (scale, 0, 0), (0, scale, 0), (scale, scale, 0)])
+            Simplex.exact([(0, 0, 0), (scale, 0, 0), (0, scale, 0), (scale, scale, 0)])
 
     def test_symmetric_pyramid_has_at_most_two_lengths(self):
         # equilateral base, apex on the axis: base angle edges + tripod edges
-        s = Simplex.floating(
+        s = Simplex.exact(
             [
                 (1.0, 0.0, 0.0),
                 (-0.5, math.sqrt(3) / 2, 0.0),
@@ -90,7 +91,7 @@ class TestConstruction:
                 (0.0, 0.0, 1.25),
             ]
         )
-        lengths = sorted(set(round(v, 9) for v in s.squared_lengths().values()))
+        lengths = sorted(set(round(float(v), 9) for v in s.squared_lengths().values()))
         assert len(lengths) <= 2
 
 
@@ -230,22 +231,22 @@ class TestVolume:
         from itertools import permutations
 
         for p in permutations(range(4)):
-            assert volume(Simplex(3, tuple(s.vertices[i] for i in p), "exact")) == volume(s)
+            assert volume(Simplex(3, tuple(s.vertices[i] for i in p))) == volume(s)
 
     def test_determinant_computed_once(self, monkeypatch):
         import reptile_forge.simplex as simplex_mod
         from reptile_forge.simplex import _orientation_sign
 
         vertices = random_rational_tetrahedron(random.Random(5)).vertices
-        calls, rational_calls = [], []
+        calls = []
         real = simplex_mod.det_int
         monkeypatch.setattr(simplex_mod, "det_int", lambda rows: calls.append(1) or real(rows))
-        monkeypatch.setattr(simplex_mod, "det", lambda rows: rational_calls.append(1))
         s = Simplex.exact(vertices)
         assert volume(s) == volume(s) == abs(s.signed_det) / 6
         assert _orientation_sign(s, (0, 1, 2, 3)) == (1 if s.signed_det > 0 else -1)
-        # one integer determinant of the scaled edge matrix, no Fraction one
-        assert len(calls) == 1 and not rational_calls
+        # one integer determinant of the scaled edge matrix; the module has
+        # no Fraction determinant to call
+        assert len(calls) == 1 and not hasattr(simplex_mod, "det")
         assert s.signed_det == det([[x - y for x, y in zip(v, vertices[0])] for v in vertices[1:]])
 
     def test_orientation_sign_matches_reordered_determinant(self):
@@ -255,7 +256,7 @@ class TestVolume:
 
         s = random_rational_tetrahedron(random.Random(8))
         for p in permutations(range(4)):
-            d = Simplex(3, tuple(s.vertices[i] for i in p), "exact").signed_det
+            d = Simplex(3, tuple(s.vertices[i] for i in p)).signed_det
             assert _orientation_sign(s, p) == (1 if d > 0 else -1)
 
 
