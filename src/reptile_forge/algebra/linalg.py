@@ -1,20 +1,18 @@
 """The one elimination layer: determinants, characteristic polynomials, row
-reduction, kernels, solves, interpolation and rational square roots.
+reduction, solves, interpolation and rational square roots.
 
 ``char_poly`` and ``det`` share one core, Berkowitz's algorithm (Inf.
 Process. Lett. 18, 1984), which uses only ring operations: it serves
 Fraction, AlgebraicReal, number-field elements and MPoly entries alike,
 and keeps an integer matrix in integers.  ``det_int`` is
 fraction-free Bareiss elimination (Math. Comp. 22, 1968), the faster route
-for integer matrices; ``rref_int`` is its Gauss-Jordan form, which gives
-the integer kernel (``kernel_int``) of the realizability check and the
-integer solves (``solve_int``) of the Hill margin program.  The remaining
-exact routines work over any field whose elements support the plain
-operators: Fraction, or AlgebraicReal (which mixes with Fraction).
-Integers are promoted to Fraction first, because int / int is a float.
-Zero tests use ``not x``, which is O(1) on AlgebraicReal where ``x != 0``
-would refine an enclosure; ``rref`` leaves zero entries as they are rather
-than spend an AlgebraicReal operation on each.  The one float routine,
+for integer matrices; ``rref`` is its Gauss-Jordan form.  On integers it
+stays in integers; any other exact ring divides with ``/``, with integers
+promoted to Fraction first, because int / int is a float.  The Hill
+margin program reads its pivots; ``solve`` scales rational rows to
+integers before it, for number-field inverses and the rowspace
+certificate.  Zero tests use ``not x``, which is O(1) on AlgebraicReal
+where ``x != 0`` would refine an enclosure.  The one float routine,
 ``cholesky``, serves the coordinate output of reconstructed and framed
 simplices, dimension <= 4.
 
@@ -106,55 +104,15 @@ def char_poly(m: list[list]) -> list:
     return [_promote(c) for c in _berkowitz(m)[::-1]] + [Fraction(1)]
 
 
-def rref(rows: list[list]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form by Gauss-Jordan elimination, and its pivot
-    columns.  Each pivot is the first usable entry of its column."""
-    a = [[_promote(x) for x in r] for r in rows]
-    m = len(a)
-    width = len(a[0]) if a else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        a[r] = [x / p if x else x for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def nullspace(rows: list[list]) -> list:
-    """The kernel vector, with its free coordinate 1, of a matrix whose
-    kernel is one-dimensional; ValueError otherwise."""
-    width = len(rows[0])
-    a, pivots = rref(rows)
-    free = [c for c in range(width) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError("nullity is not 1 (degenerate facet)")
-    fc = free[0]
-    v = [Fraction(0)] * width
-    v[fc] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        v[pc] = -a[i][fc]
-    return v
-
-
-def rref_int(rows: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
-    """(R, D, pivots) with R / D the reduced row echelon form of an integer
-    matrix, D > 0, by fraction-free Gauss-Jordan elimination (Bareiss,
-    Math. Comp. 1968): every entry stays a minor of the input, so each
-    division is exact, and at the end each pivot entry is D.  Pivots are
-    chosen as ``rref`` chooses them."""
-    a = [list(r) for r in rows]
+def rref(rows: list[list]) -> tuple[list[list], object, list[int]]:
+    """(R, D, pivots) with R / D the reduced row echelon form, D > 0, by
+    fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 1968), and
+    its pivot columns, each the first usable entry of its column.  On
+    integers every entry stays a minor of the input, so each division is
+    exact and R and D are integers; other exact rings divide with ``/``.
+    At the end each pivot entry is D."""
+    exact = all(type(x) is int for r in rows for x in r)
+    a = [list(r) if exact else [_promote(x) for x in r] for r in rows]
     m = len(a)
     width = len(a[0]) if a else 0
     pivots: list[int] = []
@@ -171,7 +129,10 @@ def rref_int(rows: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
         for i in range(m):
             if i != r:
                 f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+                if exact:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+                else:
+                    a[i] = [(p * x - f * y) / prev for x, y in zip(a[i], pivot_row)]
         prev = p
         pivots.append(c)
         r += 1
@@ -181,43 +142,27 @@ def rref_int(rows: list[list[int]]) -> tuple[list[list[int]], int, list[int]]:
     return a, prev, pivots
 
 
-def kernel_int(rows: list[list[int]]) -> tuple[list[int], int]:
-    """(W, D) with W / D the vector ``nullspace`` gives for an integer matrix
-    whose kernel is one-dimensional (free coordinate D), D > 0."""
-    width = len(rows[0])
-    a, den, pivots = rref_int(rows)
-    free = [c for c in range(width) if c not in pivots]
-    if len(free) != 1:
-        raise ValueError("nullity is not 1 (degenerate facet)")
-    fc = free[0]
-    w = [0] * width
-    w[fc] = den
-    for i, pc in enumerate(pivots):
-        w[pc] = -a[i][fc]
-    return w, den
-
-
-def solve_int(rows: list[list[int]]) -> tuple[int, list[int]] | None:
-    """(D, X) with D > 0 and X / D the solution of the square integer
-    system whose augmented rows are [A | b], or None when A is singular."""
-    n = len(rows)
-    a, den, pivots = rref_int(rows)
-    if pivots != list(range(n)):
-        return None
-    return den, [r[n] for r in a]
-
-
 def solve(rows: list[list], rhs: list) -> list | None:
     """One solution of rows . x = rhs, with every free coordinate 0, or None
-    when the system is inconsistent."""
+    when the system is inconsistent.  Rational rows are scaled to integers
+    first, which changes no solution, so ``rref`` runs in integers."""
     width = len(rows[0])
-    a, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    aug = [[*r, b] for r, b in zip(rows, rhs)]
+    if all(isinstance(x, (int, Fraction)) for r in aug for x in r):
+        aug = [_integer_row(r) for r in aug]
+    a, den, pivots = rref(aug)
     if pivots and pivots[-1] == width:
         return None
     x = [Fraction(0)] * width
     for i, pc in enumerate(pivots):
-        x[pc] = a[i][width]
+        x[pc] = _promote(a[i][width]) / den
     return x
+
+
+def _integer_row(row: list) -> list[int]:
+    """A rational row times the lcm of its denominators."""
+    q = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (q // x.denominator) for x in row]
 
 
 def interpolate(xs: list, ys: list) -> list:

@@ -83,40 +83,41 @@ def isolate_roots(
     if left >= right:
         return []
 
+    # bisect (a, b], holding the roots of f in it, with an explicit stack
+    # rather than recursion: roots that need more halvings than Python's
+    # recursion limit allows still separate
     out: set[tuple[Fraction, Fraction]] = set()
-
-    def walk(a: Fraction, b: Fraction, va: int, vb: int) -> None:
-        # roots of f in the half-open interval (a, b]
+    stack = [(left, right, variations_at(seq, left), variations_at(seq, right))]
+    while stack:
+        a, b, va, vb = stack.pop()
         n = va - vb
-        if n == 0:
-            return
         if n == 1:
-            if ip.sign_at(f, b) == 0:
-                out.add((b, b))
-                return
-            while ip.sign_at(f, a) == 0:
-                m = (a + b) / 2
-                sm = ip.sign_at(f, m)
-                if sm == 0:
-                    out.add((m, m))
-                    return
-                vm = variations_at(seq, m)
-                if vm - vb == 1:
-                    a, va = m, vm
-                else:
-                    b, vb = m, vm
-            out.add((a, b))
-            return
-        m = (a + b) / 2
-        vm = variations_at(seq, m)
-        walk(a, m, va, vm)
-        walk(m, b, vm, vb)
-
-    walk(left, right, variations_at(seq, left), variations_at(seq, right))
+            out.add(_one_root(f, seq, a, b, vb))
+        elif n > 1:
+            m = (a + b) / 2
+            vm = variations_at(seq, m)
+            stack += [(m, b, vm, vb), (a, m, va, vm)]
     # roots exactly at the requested endpoints are excluded (open range)
     return sorted(
         (a, b) for a, b in out if not (a == b and (a == left or a == right))
     )
+
+
+def _one_root(f: Poly, seq: list[Poly], a: Fraction, b: Fraction, vb: int) -> tuple:
+    """The isolating interval of the one root of f in (a, b]: the point (r,
+    r) for a root r met exactly, else (a, b) once f(a) != 0."""
+    if ip.sign_at(f, b) == 0:
+        return b, b
+    while ip.sign_at(f, a) == 0:
+        m = (a + b) / 2
+        if ip.sign_at(f, m) == 0:
+            return m, m
+        vm = variations_at(seq, m)
+        if vm - vb == 1:
+            a = m
+        else:
+            b, vb = m, vm
+    return a, b
 
 
 def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:

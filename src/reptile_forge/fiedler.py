@@ -3,16 +3,19 @@
 A candidate angle assignment enters as a symmetric cosine matrix with
 diagonal -1.  It is realizable by a simplex exactly when its negation is
 positive semidefinite of rank d with a strictly positive kernel direction.
-The accept/reject decision is always exact and takes one path: a
-congruence elimination and a kernel of a working matrix B.  A matrix whose
+The accept/reject decision is always exact and takes one path: one
+congruence elimination of a working matrix B, which also gives its kernel
+(the basis row at the one zero pivot) and, in integers, its determinant
+(the last fraction-free pivot); nothing else eliminates.  A matrix whose
 entries are rationals and square roots of rationals, as every measured
 matrix is, admits a diagonal scaling q that makes B rational; it is read
 from the entries alone, so a matrix built from a simplex's dihedral data
 and the same matrix read from JSON get one verdict.  Any other matrix is
 its own B in exact algebraic arithmetic.  A rational B
 is decided in integers, as one integer matrix over the lcm of its
-denominators: fraction-free congruence, kernel and re-check, and an integer
-similar matrix, read as Fractions only in the verdict.  The algebraic B
+denominators: fraction-free congruence with its kernel, re-check and
+determinant, and an integer similar matrix, read as Fractions only in the
+verdict.  The algebraic B
 keeps field arithmetic.  The scaling decides only what exists under it (the
 similar rational matrix, the witness's determinant and scaling, and the
 map from B's kernel to A's).  Only the coordinates of a reconstruction are
@@ -30,7 +33,7 @@ from itertools import combinations
 from operator import mul
 
 from .algebra import INV_PHI, PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, linalg
-from .algebra.linalg import cholesky, det_int, kernel_int, nullspace, solve
+from .algebra.linalg import cholesky, solve
 from .simplex import DihedralData, Simplex, _pair_lengths, normal_gram
 
 SYM_VARS = ("s", "t")
@@ -136,12 +139,20 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _indefinite(direction: tuple) -> dict:
+    """The analysis of a matrix that is not PSD, with x^T M x < 0 for x =
+    direction."""
+    return {"psd": False, "rank": None, "negative_direction": direction, "kernel": None}
+
+
 def _congruence_analysis(m: list[list]) -> dict:
     """Exact PSD analysis of a symmetric matrix by rational/algebraic
     congruence elimination.
 
-    Returns psd flag, rank, and (when not PSD) a direction x with
-    x^T M x < 0, expressed in original coordinates.
+    Returns psd flag, rank, (when not PSD) a direction x with x^T M x < 0,
+    and (when PSD of nullity 1) the kernel, all in original coordinates.
+    The kernel is the basis row at the one zero pivot k, whose coordinate k
+    is 1: as M is PSD, x^T M x = 0 makes M x = 0.
     """
     n = len(m)
     a = [list(r) for r in m]
@@ -151,7 +162,7 @@ def _congruence_analysis(m: list[list]) -> dict:
     for k in range(n):
         sk = _sign(a[k][k])
         if sk < 0:
-            return {"psd": False, "rank": None, "negative_direction": tuple(basis[k])}
+            return _indefinite(tuple(basis[k]))
         if sk == 0:
             bad = next((j for j in range(k + 1, n) if _sign(a[k][j]) != 0), None)
             if bad is not None:
@@ -160,8 +171,8 @@ def _congruence_analysis(m: list[list]) -> dict:
                 b = a[k][bad]
                 c = a[bad][bad]
                 t = -(c + 1) / (b * 2)
-                x = [t * basis[k][i] + basis[bad][i] for i in range(n)]
-                return {"psd": False, "rank": None, "negative_direction": tuple(x)}
+                return _indefinite(tuple(t * basis[k][i] + basis[bad][i] for i in range(n)))
+            zero = k
             continue
         rank += 1
         for i in range(k + 1, n):
@@ -175,12 +186,18 @@ def _congruence_analysis(m: list[list]) -> dict:
                 a[j][i] -= f * a[j][k]
             for j in range(n):
                 basis[i][j] -= f * basis[k][j]
-    return {"psd": True, "rank": rank, "negative_direction": None}
+    kernel = None
+    if rank == n - 1:
+        # coordinate k of row k stays 1, though an algebraic update may
+        # have made it an AlgebraicReal
+        kernel = (*basis[zero][:zero], Fraction(1), *basis[zero][zero + 1 :])
+    return {"psd": True, "rank": rank, "negative_direction": None, "kernel": kernel}
 
 
 def _congruence_int(m: list[list[int]], den: int) -> dict:
     """``_congruence_analysis`` of the rational matrix m / den, den > 0, in
-    integers: the same psd flag, rank and direction.
+    integers: the same psd flag, rank, direction and kernel, and ``det``,
+    the determinant of m / den when it is PSD, else None.
 
     Fraction-free symmetric elimination (Bareiss, Math. Comp. 1968): with c
     the product of the pivots so far, ``a`` holds c times the Schur
@@ -189,7 +206,9 @@ def _congruence_int(m: list[list[int]], den: int) -> dict:
     the previous c is exact.  Elimination factors are ratios, so the
     scaling by c and by den leaves the basis rows as the rational routine
     has them; only the 2 x 2 block's t = -(c' + 1) / (2 b') reads the
-    scale, as c' and b' are entries of m / den.
+    scale, as c' and b' are entries of m / den.  Basis row k has c in
+    coordinate k, and the last c is the leading minor of m at the last
+    nonzero pivot, which is det(m) when every pivot is nonzero.
     """
     n = len(m)
     a = [list(r) for r in m]
@@ -199,13 +218,14 @@ def _congruence_int(m: list[list[int]], den: int) -> dict:
     for k in range(n):
         p = a[k][k]
         if p < 0:
-            return {"psd": False, "rank": None, "negative_direction": tuple(Fraction(x, c) for x in e[k])}
+            return {**_indefinite(tuple(Fraction(x, c) for x in e[k])), "det": None}
         if p == 0:
             bad = next((j for j in range(k + 1, n) if a[k][j]), None)
             if bad is not None:
                 t = Fraction(-(a[bad][bad] + c * den), 2 * a[k][bad])
                 x = tuple(t * Fraction(u, c) + Fraction(v, c) for u, v in zip(e[k], e[bad]))
-                return {"psd": False, "rank": None, "negative_direction": x}
+                return {**_indefinite(x), "det": None}
+            zero = k
             continue
         rank += 1
         row_k = a[k]
@@ -215,7 +235,15 @@ def _congruence_int(m: list[list[int]], den: int) -> dict:
                 row[j] = (p * row[j] - f * row_k[j]) // c
             e[i] = [(p * x - f * y) // c for x, y in zip(e[i], e[k])]
         c = p
-    return {"psd": True, "rank": rank, "negative_direction": None}
+    kernel = None
+    if rank == n - 1:
+        w = e[zero]
+        # re-verify m w = 0 exactly, in integers
+        if any(sum(map(mul, row, w)) for row in m):
+            raise AssertionError("kernel verification failed")
+        kernel = tuple(Fraction(x, w[zero]) for x in w)
+    det = Fraction(c, den**n) if rank == n else Fraction(0)
+    return {"psd": True, "rank": rank, "negative_direction": None, "kernel": kernel, "det": det}
 
 
 def _squarefree_int(n: int) -> int:
@@ -315,9 +343,9 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
 
     Valid iff -A is positive semidefinite of rank exactly d and the
     one-dimensional kernel is generated by a strictly positive vector.
-    Every matrix is decided the same way: a congruence elimination of -B
-    and a kernel of B.  The working matrix B is the congruent rational
-    matrix of a diagonal square-root scaling q when A descales to one
+    Every matrix is decided the same way: one congruence elimination of
+    -B, which gives B's kernel too.  The working matrix B is the congruent
+    rational matrix of a diagonal square-root scaling q when A descales to one
     (a_ij = b_ij / sqrt(q_i q_j)), decided in integers as M / L
     (``_descale``); else it is A itself in exact algebraic arithmetic
     (``_algebraic_check``).  The scaling only adds what exists under it:
@@ -333,6 +361,7 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
     # A = D B D with D = diag(q)^(-1/2) is similar to B diag(q)^(-1)
     similar = _similar_int(m, den, q)
     rank = analysis["rank"]
+    z = analysis["kernel"]
     witness = None
     if not analysis["psd"]:
         # x^T(-B)x < 0 certifies y^T(-A)y < 0 for y_i = sqrt(q_i) x_i:
@@ -340,21 +369,17 @@ def realizability_check(a: CosMatrix) -> RealizabilityVerdict:
         scaling = tuple(map(Fraction, q))
         witness = {"kind": "indefinite", "direction": analysis["negative_direction"], "scaling": scaling}
     elif rank == n:
-        # det(A); det(B) is det(A) * prod(q)
-        witness = {"kind": "nonsingular", "det": Fraction(det_int(similar[0]), similar[1] ** n)}
+        # det(A) = det(B) / prod(q), and det(B) = (-1)^n det(-B)
+        witness = {"kind": "nonsingular", "det": (-1) ** n * analysis["det"] / math.prod(q)}
     elif rank < n - 1:
         witness = {"kind": "rank_defect", "rank": rank}
-    else:
-        # the free coordinate is D > 0, so a positive kernel needs no sign flip
-        w, wden = kernel_int(m)
-        if min(w) <= 0:
-            witness = {"kind": "kernel_not_positive", "kernel": tuple(Fraction(x, wden) for x in w)}
+    elif min(z) <= 0:
+        # the free coordinate is 1, so a positive kernel needs no sign flip
+        witness = {"kind": "kernel_not_positive", "kernel": z}
     if witness is not None:
         return RealizabilityVerdict(False, None, witness, similar)
-    # re-verify B w = 0 exactly; this is A z = 0 under the scaling
-    if any(sum(map(mul, row, w)) for row in m):
-        raise AssertionError("kernel verification failed")
-    kernel = tuple(AlgebraicReal.sqrt_rational(qi) * Fraction(wi, wden) for qi, wi in zip(q, w))
+    # B z = 0, re-verified by the congruence, is A z' = 0 under the scaling
+    kernel = tuple(AlgebraicReal.sqrt_rational(qi) * zi for qi, zi in zip(q, z))
     return RealizabilityVerdict(True, kernel, None, similar)
 
 
@@ -374,10 +399,10 @@ def _algebraic_check(a: CosMatrix) -> RealizabilityVerdict:
     else:
         # the free coordinate is 1, so a positive kernel needs no sign flip;
         # min reads every sign, refining each algebraic entry alike
-        w = nullspace(a.entries)
+        w = analysis["kernel"]
         if min(_sign(x) for x in w) > 0:
             return RealizabilityVerdict(True, tuple(as_algebraic(x) for x in w), None)
-        witness = {"kind": "kernel_not_positive", "kernel": tuple(w)}
+        witness = {"kind": "kernel_not_positive", "kernel": w}
     return RealizabilityVerdict(False, None, witness)
 
 

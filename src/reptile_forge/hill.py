@@ -32,7 +32,7 @@ from itertools import combinations, islice, permutations, product
 from operator import mul
 
 from .algebra import AlgebraicReal, FieldElement
-from .algebra.linalg import rational_sqrt, solve_int
+from .algebra.linalg import rational_sqrt, rref
 from .jsonio import InputFormatError, load_simplex
 from .simplex import Simplex, _orientation_sign, as_frame, congruent, frame_dot, similar, volume
 
@@ -260,10 +260,10 @@ def _max_margin_point(constraints: list[tuple[tuple, object]], dim: int):
         rows.append([x.numerator * (q // x.denominator) for x in row])
     best = None  # (D, X): tau = X[dim] / D with D > 0
     for subset in combinations(rows, nvar):
-        sol = solve_int(subset)
-        if sol is None:
+        a, den, pivots = rref(subset)
+        if pivots != list(range(nvar)):
             continue  # singular: not a basic solution
-        den, xs = sol
+        xs = [r[nvar] for r in a]
         # zip stops at the nvar coefficients: r.x >= b, times D > 0
         if any(sum(c * v for c, v in zip(r, xs)) < r[nvar] * den for r in rows):
             continue

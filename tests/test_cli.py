@@ -133,6 +133,28 @@ class TestFiedlerCommands:
         assert captured.out == ""
         assert captured.err == "undecided: cannot factor degree-6 polynomial with complex conjugate roots\n"
 
+    def test_deep_bisection_in_a_two_radical_matrix_exit_three(self, tmp_path, capsys):
+        # entries in Q(sqrt 2) and Q(sqrt 3): factoring a product's resultant
+        # isolates roots that take over a thousand halvings to separate, and
+        # the congruence then needs a resultant beyond the degree cap
+        r = {"minpoly": [47, 98, 49], "interval": ["-95/119", "-94/119"]}
+        s = {"minpoly": [-1, -8, 16], "interval": ["-2/17", "-7/68"]}
+        t = {"minpoly": [-7, -12, 18], "interval": ["-41/102", "-19/51"]}
+        u = {"minpoly": [-27, 0, 49], "interval": ["87/119", "90/119"]}
+        m = {
+            "dim": 3,
+            "cos": [
+                ["-1/1", r, "-1/3", "1/4"],
+                [r, "-1/1", s, t],
+                ["-1/3", s, "-1/1", u],
+                ["1/4", t, u, "-1/1"],
+            ],
+        }
+        assert main(["fiedler", "check", write(tmp_path, "m.json", m)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "undecided: operand degrees 4 and 4 exceed the supported resultant bound 8\n"
+
     @pytest.mark.parametrize("command", ["check", "reconstruct"])
     @pytest.mark.parametrize(
         "doc, message",
@@ -520,12 +542,12 @@ FIEDLER_PINS = {
     ),
     ("minpoly-object", "check"): (
         0,
-        "25c19aa17db168532f0d46cf46d15f7076a5428b3093f3db43f27210ec323827",
+        "88af6eada21ce5f9191d081668ec0edac8072f611e46e3cb93ee1223bbe854f6",
         "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
     ),
     ("minpoly-object", "reconstruct"): (
         0,
-        "ab0bf3f200760887bc81d577042214871808aa9fcc9d364882c5c8597a83603b",
+        "c64412ec6cbb26fa67b88cacab81e36c59d629f3cc35f5851b670bdf33dc6828",
         "7b550c5a0aa2d169d4dddf0a3007763aeafcc09d900f6e696e81237e19de9e5b",
     ),
     ("raised", "check"): (
@@ -561,6 +583,30 @@ class TestFiedlerOutputsPinned:
         assert got == FIEDLER_PINS[name, command]
 
 
+# the kernel `fiedler check` printed for the golden-ratio matrix when it was
+# read off a separate row reduction, before the congruence gave it
+ROW_REDUCTION_GOLDEN_KERNEL = [
+    {"rational": "1/1"},
+    {"minpoly": [-1, 1, 1], "interval": ["1/2", "5/8"]},
+    {"minpoly": [-1, 1, 1], "interval": ["5/12", "5/8"]},
+    {"rational": "1/1"},
+]
+
+
+def test_golden_kernel_is_the_row_reduction_vector(tmp_path, capsys):
+    from reptile_forge.algebra import AlgebraicReal
+
+    assert main(["fiedler", "check", write(tmp_path, "m.json", FIEDLER_INPUTS["minpoly-object"])]) == 0
+    kernel = json.loads(capsys.readouterr().out)["kernel"]
+    assert len(kernel) == len(ROW_REDUCTION_GOLDEN_KERNEL)
+    for got, want in zip(kernel, ROW_REDUCTION_GOLDEN_KERNEL):
+        if "rational" in want:
+            assert got["rational"] == want["rational"]
+        else:
+            assert got["minpoly"] == want["minpoly"]
+            assert AlgebraicReal.from_json(got).compare(AlgebraicReal.from_json(want)) == 0
+
+
 # sha256 of the OBJ file that `export` writes from `fiedler reconstruct`'s
 # output, for the d = 3 inputs that reconstruct
 RECONSTRUCT_OBJ_PINS = {
@@ -568,7 +614,7 @@ RECONSTRUCT_OBJ_PINS = {
     "draw-1": "011345dd58d8202b621e9a46837c51805fc60ac78251178fd2064321c6dcf75d",
     "draw-14": "85d2068b7e891739e18ccba8aac594ea3402c766684330f7f297efcb413a98fd",
     "integer-radicals": "54924715109642803ccdf1aea66eab6737e0c13ca67ac1d9ea9af90f610ae0b8",
-    "minpoly-object": "9d11d066d8e710ef3e7a6c8368cd33c793ca9dfc00f8a3281b8ba85b1d19192c",
+    "minpoly-object": "11a56899fb4e2e4a47d781450f5e5c544812b78572ee2073fb8bf5cef81b6bc1",
     "regular": "623a76adfb6c086df47f88409dc65d55067997396ea0d99d7f68e7697551b74e",
 }
 
@@ -648,6 +694,17 @@ class TestAnglesCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"undecided: {reason}\n"
+
+    def test_classify_roots_a_thousand_halvings_apart_exit_two(self, capsys):
+        # x^4 - 2 10^200 x^2 + 4 10^100 x - 2 has two roots near 10^-100
+        # within 10^-298 of each other: isolating them is deep, and the value
+        # picked in the interval is no cosine
+        minpoly = [-2, 4 * 10**100, -2 * 10**200, 0, 1]
+        spec = json.dumps({"minpoly": minpoly, "interval": [str(-(10**105)), "-1"]})
+        assert main(["angles", "classify", "--", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cosine values lie in [-1, 1]\n"
 
     def test_unknown_option_still_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reptile_forge.algebra import PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, det, sturm
@@ -654,15 +654,19 @@ class TestSquarefreeInt:
 
 
 def _ref_congruence(m: list[list]) -> dict:
-    """The Fraction congruence analysis of the descaled path, as it was."""
+    """The Fraction congruence analysis of the descaled path, as it was,
+    with the basis row at the one zero pivot as the kernel and the product
+    of the pivots as the determinant."""
     n = len(m)
     a = [list(r) for r in m]
     basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     rank = 0
+    zeros = []
+    det = Fraction(1)
     for k in range(n):
         sk = (a[k][k] > 0) - (a[k][k] < 0)
         if sk < 0:
-            return {"psd": False, "rank": None, "negative_direction": tuple(basis[k])}
+            return {"psd": False, "rank": None, "negative_direction": tuple(basis[k]), "kernel": None, "det": None}
         if sk == 0:
             bad = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
             if bad is not None:
@@ -670,9 +674,12 @@ def _ref_congruence(m: list[list]) -> dict:
                 c = a[bad][bad]
                 t = -(c + 1) / (b * 2)
                 x = [t * basis[k][i] + basis[bad][i] for i in range(n)]
-                return {"psd": False, "rank": None, "negative_direction": tuple(x)}
+                return {"psd": False, "rank": None, "negative_direction": tuple(x), "kernel": None, "det": None}
+            zeros.append(k)
+            det = Fraction(0)
             continue
         rank += 1
+        det *= a[k][k]
         for i in range(k + 1, n):
             if a[i][k] == 0:
                 continue
@@ -683,7 +690,8 @@ def _ref_congruence(m: list[list]) -> dict:
                 a[j][i] -= f * a[j][k]
             for j in range(n):
                 basis[i][j] -= f * basis[k][j]
-    return {"psd": True, "rank": rank, "negative_direction": None}
+    kernel = tuple(basis[zeros[0]]) if len(zeros) == 1 else None
+    return {"psd": True, "rank": rank, "negative_direction": None, "kernel": kernel, "det": det}
 
 
 def _symmetric_cases(rng: random.Random):
@@ -730,6 +738,82 @@ class TestIntegerCongruence:
                 seen.add(("negative", direction[-1] == 0))  # the 2x2 block leaves e_bad's tail
                 assert sum(direction[i] * m[i][j] * direction[j] for i in range(len(m)) for j in range(len(m))) < 0
         assert seen == {("psd", True), ("psd", False), ("negative", True), ("negative", False)}
+
+
+@st.composite
+def gram_matrices(draw):
+    """(G, den): the Gram matrix G of n integer vectors, read as G / den.
+    Vectors in n - 1 dimensions make G singular, of rank n - 1 unless they
+    span less; one of them a combination of those before it puts the zero
+    pivot there rather than last.  Vectors in n dimensions mostly make G
+    nonsingular."""
+    n = draw(st.integers(2, 5))
+    full = draw(st.booleans())
+    space = n if full else n - 1
+    vecs = [draw(st.lists(st.integers(-3, 3), min_size=space, max_size=space)) for _ in range(n)]
+    if not full and n >= 3 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 2))
+        coef = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        vecs[k] = [sum(c * v[j] for c, v in zip(coef, vecs)) for j in range(space)]
+    g = [[sum(x * y for x, y in zip(u, v)) for v in vecs] for u in vecs]
+    return g, draw(st.integers(1, 6))
+
+
+class TestCongruenceKernel:
+    """The congruence of a PSD matrix gives its kernel and determinant: the
+    basis row at the one zero pivot, and the last fraction-free pivot."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gram_matrices())
+    # u, 2u, w: the zero pivot is the middle one
+    @example(([[2, 4, 1], [4, 8, 2], [1, 2, 5]], 3))
+    def test_kernel_and_determinant_match_sympy(self, case):
+        sympy = pytest.importorskip("sympy")
+        from reptile_forge.fiedler import _congruence_analysis, _congruence_int
+
+        g, den = case
+        n = len(g)
+        exact = _congruence_int(g, den)
+        field = _congruence_analysis([[Fraction(x, den) for x in row] for row in g])
+        sg = sympy.Matrix(g)
+        rank = sg.rank()
+        assert exact["psd"] and field["psd"] and exact["rank"] == field["rank"] == rank
+        assert exact["det"] == Fraction(int(sg.det()), den**n)
+        if rank != n - 1:
+            assert exact["kernel"] is None and field["kernel"] is None
+            return
+        (want,) = sg.nullspace()
+        want = tuple(Fraction(int(x.p), int(x.q)) for x in want)
+        assert exact["kernel"] == field["kernel"] == want
+        assert all(type(x) is Fraction for x in exact["kernel"] + field["kernel"])
+
+
+class TestOneElimination:
+    def test_each_verdict_takes_one_congruence_and_nothing_else(self, monkeypatch):
+        """With every other elimination refused, each matrix of both batches
+        is decided by exactly one congruence."""
+        from reptile_forge import fiedler as fiedler_mod
+        from reptile_forge.algebra import linalg
+
+        def refuse(*args):
+            raise AssertionError("a second elimination")
+
+        banned = (linalg.rref, linalg.solve, linalg.det, linalg.det_int)
+        for mod in (linalg, fiedler_mod):
+            for name, obj in list(vars(mod).items()):
+                if any(obj is f for f in banned):
+                    monkeypatch.setattr(mod, name, refuse)
+        calls = []
+        for name in ("_congruence_int", "_congruence_analysis"):
+            real = getattr(fiedler_mod, name)
+            monkeypatch.setattr(fiedler_mod, name, lambda *args, real=real: calls.append(1) or real(*args))
+        kinds = set()
+        for m in square_class_matrices() + generic_matrices():
+            calls.clear()
+            v = realizability_check(load_matrix(m))
+            assert len(calls) == 1
+            kinds.add("valid" if v.valid else v.failure_witness["kind"])
+        assert kinds == {"valid", "nonsingular", "rank_defect", "indefinite", "kernel_not_positive"}
 
 
 # ---------------------------------------------------------------------------

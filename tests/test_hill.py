@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from reptile_forge.algebra import as_algebraic
 from reptile_forge import hill as hill_mod
-from reptile_forge.algebra.linalg import det, rref
+from reptile_forge.algebra.linalg import det
 from reptile_forge.hill import (
     GrowthReport,
     HillSpec,
@@ -707,15 +707,17 @@ class TestFacetMatching:
 
 
 def _ref_max_margin_point(constraints, dim):
-    """The margin program by Fraction Gauss-Jordan on every basic system."""
+    """The margin program by sympy's rational Gauss-Jordan on every basic
+    system."""
+    sympy = pytest.importorskip("sympy")
     nvar = dim + 1
     rows = [list(n) + [-1, b] for n, b in constraints]
     best = None
     for subset in combinations(range(len(rows)), nvar):
-        a, pivots = rref([rows[i] for i in subset])
-        if pivots != list(range(nvar)):
+        a, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in rows[i]] for i in subset]).rref()
+        if pivots != tuple(range(nvar)):
             continue
-        sol = [r[nvar] for r in a]
+        sol = [Fraction(int(a[i, nvar].p), int(a[i, nvar].q)) for i in range(nvar)]
         if any(sum(c * v for c, v in zip(r[:nvar], sol)) < r[nvar] for r in rows):
             continue
         if best is None or sol[dim] > best[0]:

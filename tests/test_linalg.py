@@ -1,6 +1,7 @@
 """The elimination layer against sympy: determinants and characteristic
-polynomials over Q, number fields and Q(phi)[s, t], kernels, solves,
-interpolation and rational square roots on random small matrices."""
+polynomials over Q, number fields and Q(phi)[s, t], row reduction and the
+kernels read from it, solves, interpolation and rational square roots on
+random small matrices."""
 
 import functools
 from fractions import Fraction
@@ -16,13 +17,9 @@ from reptile_forge.algebra.linalg import (
     det,
     det_int,
     interpolate,
-    kernel_int,
-    nullspace,
     rational_sqrt,
     rref,
-    rref_int,
     solve,
-    solve_int,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -146,31 +143,51 @@ def test_det_promotes_integers():
     assert d == -1 and isinstance(d, Fraction)
 
 
+def as_fractions(red, den):
+    return [[Fraction(x) / den for x in r] for r in red]
+
+
+def sympy_rref(a):
+    want, pivots = sym(a).rref()
+    return [[to_fraction(x) for x in r] for r in want.tolist()], list(pivots)
+
+
+def rref_kernel(a) -> list | None:
+    """The kernel vector read off rref's one free column, that coordinate
+    1; None when the free columns are not one.  It checks their count
+    against sympy's nullspace."""
+    width = len(a[0])
+    red, den, pivots = rref(a)
+    free = [c for c in range(width) if c not in pivots]
+    assert len(free) == len(sym(a).nullspace())
+    if len(free) != 1:
+        return None
+    v = [Fraction(0)] * width
+    v[free[0]] = Fraction(1)
+    for i, pc in enumerate(pivots):
+        v[pc] = -Fraction(red[i][free[0]]) / den
+    assert all(x == 0 for x in mat_vec(a, v))
+    return v
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rref_matches_sympy(a):
-    red, pivots = rref(a)
-    want, want_pivots = sym(a).rref()
-    assert tuple(pivots) == want_pivots
-    assert [[to_fraction(x) for x in r] for r in want.tolist()] == red
+    red, den, pivots = rref(a)
+    assert den > 0 and (as_fractions(red, den), pivots) == sympy_rref(a)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5).flatmap(lambda n: matrices(n - 1, n)))
 def test_nullspace_of_nullity_one(a):
-    nullity = len(a[0]) - sym(a).rank()
-    if nullity != 1:
-        with pytest.raises(ValueError, match="degenerate facet"):
-            nullspace(a)
-        return
-    v = nullspace(a)
-    assert any(v)
-    assert all(x == 0 for x in mat_vec(a, v))
+    v = rref_kernel(a)
+    if v is not None:
+        assert v == [to_fraction(x) for x in sym(a).nullspace()[0]]
 
 
-def test_nullspace_refuses_a_full_rank_square_matrix():
-    with pytest.raises(ValueError, match="degenerate facet"):
-        nullspace([[1, 0], [0, 1]])
+def test_full_rank_square_matrix_has_no_free_column():
+    assert rref([[1, 0], [0, 1]]) == ([[1, 0], [0, 1]], 1, [0, 1])
+    assert rref_kernel([[1, 0], [0, 1]]) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,44 +215,46 @@ def test_solve_inconsistent():
     assert solve([[1, 2], [2, 4]], [1, 3]) is None
 
 
+def test_solve_over_square_roots():
+    # rows that are not rational are reduced with / in their own ring
+    r2 = AlgebraicReal.sqrt_rational(2)
+    y = solve([[r2, 1], [3, r2]], [1, 0])
+    assert [y[0].compare(-r2), y[1].compare(3)] == [0, 0]
+
+
 integers = st.integers(-20, 20)
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(entries=st.one_of(st.just(0), integers)))
-def test_rref_int_matches_rref(a):
+def test_rref_of_an_integer_matrix_matches_sympy(a):
     before = [list(r) for r in a]
-    red, den, pivots = rref_int(a)
-    want, want_pivots = rref(a)
-    assert den > 0 and pivots == want_pivots
-    assert [[Fraction(x, den) for x in r] for r in red] == want
+    red, den, pivots = rref(a)
+    assert type(den) is int and den > 0 and all(type(x) is int for r in red for x in r)
+    assert (as_fractions(red, den), pivots) == sympy_rref(a)
     assert all(red[i][c] == den for i, c in enumerate(pivots))
     assert a == before
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 5).flatmap(lambda n: st.one_of(matrices(n - 1, n, integers), matrices(n, n, integers))))
-def test_kernel_int_matches_nullspace(a):
-    try:
-        want = nullspace(a)
-    except ValueError:
-        with pytest.raises(ValueError, match="degenerate facet"):
-            kernel_int(a)
-        return
-    w, den = kernel_int(a)
-    assert den > 0 and [Fraction(x, den) for x in w] == want
-    assert all(x == 0 for x in mat_vec(a, w))
+def test_kernel_of_an_integer_matrix_matches_sympy(a):
+    v = rref_kernel(a)
+    if v is not None:
+        assert v == [to_fraction(x) for x in sym(a).nullspace()[0]]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: matrices(n, n + 1, integers)))
-def test_solve_int_matches_solve(a):
-    sol = solve_int(a)
-    if sym([[Fraction(x) for x in r[:-1]] for r in a]).rank() < len(a):
-        assert sol is None
-        return
-    den, xs = sol
-    assert den > 0 and [Fraction(x, den) for x in xs] == solve([r[:-1] for r in a], [r[-1] for r in a])
+def test_solve_of_a_square_integer_system_matches_sympy(a):
+    """A nonsingular system has sympy's one solution, and its rref has the
+    identity's pivots, which is how the Hill margin program skips the rest."""
+    rows, rhs = [r[:-1] for r in a], [r[-1] for r in a]
+    nonsingular = rref(a)[2] == list(range(len(a)))
+    assert nonsingular == (sym(rows).rank() == len(a))
+    if nonsingular:
+        want = sym(rows).LUsolve(sym([[c] for c in rhs]))
+        assert solve(rows, rhs) == [to_fraction(x) for x in want]
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptile_forge.algebra import AlgebraicReal
-from reptile_forge.algebra.linalg import det, nullspace
+from reptile_forge.algebra.linalg import det
 from reptile_forge.hill import HillSpec, subdivide
 from reptile_forge.jsonio import parse_real
 from reptile_forge.simplex import (
@@ -132,13 +132,16 @@ class TestDihedralData:
 
 
 def nullspace_facets(s: Simplex):
-    """The reference facets: a Fraction nullspace vector of each facet's
+    """The reference facets: sympy's nullspace vector of each facet's
     edges, its free coordinate 1, turned toward the opposite vertex, and
     the offset through a facet vertex."""
+    sympy = pytest.importorskip("sympy")
     out = []
     for i in range(s.dim + 1):
         base, *rest = [v for j, v in enumerate(s.vertices) if j != i]
-        n = nullspace([[x - y for x, y in zip(v, base)] for v in rest])
+        edges = sympy.Matrix([[sympy.Rational(x - y) for x, y in zip(v, base)] for v in rest])
+        (kernel,) = edges.nullspace()
+        n = [Fraction(int(x.p), int(x.q)) for x in kernel]
         if sum(a * (x - y) for a, x, y in zip(n, s.vertices[i], base)) < 0:
             n = [-a for a in n]
         out.append((tuple(n), sum(a * x for a, x in zip(n, base))))

@@ -60,6 +60,24 @@ class TestSignAt:
         assert ip.sign_at(p, Fraction(2, 5)) == -1
 
 
+class TestDeepIsolation:
+    def test_roots_that_take_thousands_of_halvings(self):
+        # x^4 - 2 10^200 x^2 + 4 10^100 x - 2: two roots near 10^-100 within
+        # 10^-298 of each other, inside a root bound above 10^200, so the
+        # bisection runs far deeper than Python's recursion limit
+        p = (-2, 4 * 10**100, -2 * 10**200, 0, 1)
+        seq = sturm.sturm_sequence(p)
+        ivs = sturm.isolate_roots(p)
+        assert len(ivs) == 4
+        for (a, b), (c, d) in zip(ivs, ivs[1:]):
+            assert a < b <= c < d
+        for a, b in ivs:
+            assert ip.sign_at(p, a) != 0 != ip.sign_at(p, b)
+            assert sturm.count_roots(seq, a, b) == 1
+        (a, _), (_, d) = ivs[1], ivs[2]
+        assert 0 < a and d - a < Fraction(1, 10**298)
+
+
 class TestRefineRoot:
     CASES = [
         ((-2, 0, 1), Fraction(1), Fraction(2)),  # sqrt 2
