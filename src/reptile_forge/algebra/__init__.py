@@ -11,6 +11,7 @@ Public surface:
 - ``NumberField`` / ``FieldElement`` / ``MPoly``: number fields Q[x]/(m), the
   golden-ratio field ``QPHI`` among them, and a small symbolic ring
 - ``det``: the determinant over any of these rings (``linalg.det``)
+- ``exact_json(x)``: the one JSON spelling of every exact value
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "eliminate",
     "enclosure",
     "euler_totient",
+    "exact_json",
     "intpoly",
     "irreducible_factors",
     "is_irreducible",
@@ -64,6 +66,34 @@ __all__ = [
     "sturm_isolate",
     "totient_inverse",
 ]
+
+
+def exact_json(x):
+    """The JSON form of an exact value, the same at every writer.
+
+    int, bool, None, str and float pass through: ranks, indices, counts and
+    ``approx``.  A Fraction is "p/q", "1/1" and "0/1" included; an
+    AlgebraicReal is "p/q" when rational, else its {"minpoly", "interval"}
+    object; a FieldElement is its literal, in ``NumberField.from_json``'s
+    grammar; an MPoly is its terms [[exponents, coefficient], ...], sorted.
+    A tuple or list becomes a list and a dict a dict of encoded values.
+    Anything else is a TypeError: nothing is printed by its repr.
+    """
+    if x is None or isinstance(x, (int, str, float)):
+        return x
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, AlgebraicReal):
+        return exact_json(x.as_fraction()) if x.is_rational else x.to_json()
+    if isinstance(x, FieldElement):
+        return x.to_json()
+    if isinstance(x, MPoly):
+        return [[list(e), exact_json(c)] for e, c in sorted(x.terms.items())]
+    if isinstance(x, (tuple, list)):
+        return [exact_json(v) for v in x]
+    if isinstance(x, dict):
+        return {k: exact_json(v) for k, v in x.items()}
+    raise TypeError(f"no exact JSON form for {type(x).__name__}")
 
 
 def sturm_isolate(p, interval: tuple | Interval | None = None) -> list[Interval]:

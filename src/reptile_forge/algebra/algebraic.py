@@ -320,11 +320,6 @@ class AlgebraicReal:
     def __rtruediv__(self, other) -> "AlgebraicReal":
         return _arith(as_algebraic(other), self, "/")
 
-    def __pow__(self, n) -> "AlgebraicReal":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        return self.poly_image(ip.pow_poly(ip.X, n))
-
     def inverse(self) -> "AlgebraicReal":
         if not self:
             raise ZeroDivisionError("inverse of zero")
@@ -335,18 +330,6 @@ class AlgebraicReal:
         mp = ip.primitive(ip.reverse(self.minpoly))
         new_lo, new_hi = sorted((1 / hi, 1 / lo))
         return AlgebraicReal(mp, (new_lo, new_hi), _trusted=True)
-
-    def poly_image(self, p) -> "AlgebraicReal":
-        """The exact value p(self) for an integer polynomial p."""
-        p = ip.poly(p)
-        if ip.degree(p) <= 0:
-            return AlgebraicReal.from_rational(p[0] if p else 0)
-        if self.is_rational:
-            return AlgebraicReal.from_rational(ip.eval_at(p, self.as_fraction()))
-        f = self.minpoly
-        m = ip.degree(f)
-        res = _interp_resultant(m, lambda x0: ip.sylvester_resultant(f, ip.sub((x0,), p)))
-        return _select_root(res, lambda iv: _poly_range(p, *iv), self)
 
     def sqrt(self) -> "AlgebraicReal":
         sgn = self.sign()

@@ -17,7 +17,6 @@ Poly = tuple[int, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (1,)
-X: Poly = (0, 1)
 
 
 def poly(coeffs) -> Poly:

@@ -147,12 +147,6 @@ class MPoly:
             total = term if total is None else total + term
         return total if total is not None else Fraction(0)
 
-    def to_json(self) -> list:
-        def enc(c):
-            return c.to_json() if hasattr(c, "to_json") else f"{c}"
-
-        return [[list(e), enc(c)] for e, c in sorted(self.terms.items())]
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"

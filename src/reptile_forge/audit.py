@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import INV_PHI, INV_PHI2, PHI, QPHI, AlgebraicReal, FieldElement, MPoly
+from .algebra import INV_PHI, INV_PHI2, PHI, QPHI, AlgebraicReal, MPoly, exact_json
 from .algebra import eliminate as algebra_eliminate
 from .algebra import intpoly as ip
 from .algebra import linalg
@@ -65,6 +65,11 @@ class AuditStep:
     inputs: dict
     certificate: dict
     verdict: str  # "pass" | "fail" | "inapplicable"
+
+    def __post_init__(self):
+        # exact values are kept in their printed spelling, which the checker reads
+        object.__setattr__(self, "inputs", exact_json(self.inputs))
+        object.__setattr__(self, "certificate", exact_json(self.certificate))
 
     def to_json(self) -> dict:
         return {
@@ -125,11 +130,6 @@ def dumps_reports(reports: list[AuditReport]) -> str:
     return dump([{**r.to_json(), "steps": list(r.steps)} for r in reports], "")
 
 
-def _frac(f) -> str:
-    f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _decimal(f, places: int = 6) -> str:
     f = Fraction(f)
     scaled = f * 10**places
@@ -137,17 +137,6 @@ def _decimal(f, places: int = 6) -> str:
     sign = "-" if n < 0 else ""
     n = abs(n)
     return f"{sign}{n // 10**places}.{n % 10**places:0{places}d}"
-
-
-def _golden_str(g) -> str:
-    return QPHI(g).to_json()
-
-
-def _mpoly_dump(p: MPoly) -> list:
-    return [
-        [list(e), c.to_json() if isinstance(c, FieldElement) else _frac(c)]
-        for e, c in sorted(p.terms.items())
-    ]
 
 
 def _icbrt(n: int) -> int:
@@ -181,7 +170,7 @@ def rho_degree_step(k: int) -> AuditStep:
             "rho-degree",
             "scaling factor degree",
             {"k": k, "polynomial": list(poly)},
-            {"cube_root": r, "rational_scaling": _frac(Fraction(1, r))},
+            {"cube_root": r, "rational_scaling": Fraction(1, r)},
             "inapplicable",
         )
     roots = sturm.rational_roots(poly)
@@ -191,7 +180,7 @@ def rho_degree_step(k: int) -> AuditStep:
         "scaling factor degree",
         {"k": k, "polynomial": list(poly)},
         {
-            "rational_roots": [_frac(r) for r in roots],
+            "rational_roots": roots,
             "irreducible": ok,
             "argument": "a reducible integer cubic has a linear factor, hence a rational root",
         },
@@ -212,9 +201,10 @@ def two_length_step(k: int, bound: int = TWO_LENGTH_DEFAULT_BOUND) -> AuditStep:
     """No nonnegative integer 2x2 system can force only two edge lengths:
     the induced quadratic in k^(-1/3) contradicts its degree 3, and a
     residual scan certifies a uniform numeric margin as well."""
-    if is_perfect_cube(k):
+    # rational root theorem: a rational root of k x^3 - 1 is 1/q with q^3 = k
+    irreducible = not is_perfect_cube(k)
+    if not irreducible:
         raise ValueError("two-length exclusion applies to non-cube k only")
-    irreducible = not sturm.rational_roots((-1, 0, 0, k))
     rho_lo, rho_hi = _rho_enclosure(k)
     scan = _two_length_scan(k, bound, rho_lo, rho_hi)
     ok = irreducible and scan["min_abs_residual_num"] > 0
@@ -228,12 +218,10 @@ def two_length_step(k: int, bound: int = TWO_LENGTH_DEFAULT_BOUND) -> AuditStep:
                 "if the edge system had rank deficiency, (n11 n22 - n12 n21) rho^2 "
                 "- (n11 + n22) rho + 1 = 0 would make rho quadratic over Q"
             ),
-            "rho_interval": [_frac(rho_lo), _frac(rho_hi)],
+            "rho_interval": [rho_lo, rho_hi],
             "systems_checked": scan["checked"],
             "degenerate_skipped": scan["degenerate"],
-            "min_abs_residual": _frac(
-                Fraction(scan["min_abs_residual_num"], scan["residual_den"])
-            ),
+            "min_abs_residual": Fraction(scan["min_abs_residual_num"], scan["residual_den"]),
         },
         "pass" if ok else "fail",
     )
@@ -340,13 +328,13 @@ def tripod_identity_step(rows=None) -> AuditStep:
     return AuditStep(
         "tripod-identity",
         "triangle-tripod determinant factorization",
-        {"matrix": [[_mpoly_dump(x) for x in r] for r in mat]},
+        {"matrix": mat},
         {
-            "determinant": _mpoly_dump(det),
-            "factored_form": _mpoly_dump(rhs),
+            "determinant": det,
+            "factored_form": rhs,
             "identical": equal,
-            "spot_point": [_frac(spot_s), _frac(spot_t)],
-            "spot_values": [_golden_str(lhs_spot), _golden_str(rhs_spot)],
+            "spot_point": [spot_s, spot_t],
+            "spot_values": [lhs_spot, rhs_spot],
         },
         "pass" if equal and lhs_spot == rhs_spot else "fail",
     )
@@ -380,11 +368,11 @@ def multiples_case_step(rows=None) -> AuditStep:
     return AuditStep(
         "multiples-case",
         "all-angles-multiples case exclusion",
-        {"matrix": [[_mpoly_dump(x) for x in r] for r in mat]},
+        {"matrix": mat},
         {
             "row_indices": [0, 3],
-            "row_sum": [_mpoly_dump(x) for x in row_sum],
-            "expected": [_mpoly_dump(x) for x in expected],
+            "row_sum": row_sum,
+            "expected": expected,
             "rows_match": rows_ok,
             "sign_fact": "t = cos(pi/n) < 1, so every entry of the sum is <= 0 and two are negative",
             "forced_multiplier": forced,
@@ -408,19 +396,20 @@ def path_complement_step(rows=None) -> AuditStep:
     expected = [zero, t - one, t - one, zero]
     rows_ok = all(a == b for a, b in zip(row_sum, expected))
     spot = {
-        "t": _frac(Fraction(2, 3)),
+        "t": Fraction(2, 3),
         "row_sum": [
-            _golden_str(x.evaluate({"t": QPHI(Fraction(2, 3))})) for x in row_sum
+            # the zero polynomial evaluates to the rational 0
+            QPHI(x.evaluate({"t": QPHI(Fraction(2, 3))})) for x in row_sum
         ],
     }
     return AuditStep(
         "path-complement",
         "supplementary path angles exclusion",
-        {"matrix": [[_mpoly_dump(x) for x in r] for r in mat]},
+        {"matrix": mat},
         {
             "row_indices": [1, 2],
-            "row_sum": [_mpoly_dump(x) for x in row_sum],
-            "expected": [_mpoly_dump(x) for x in expected],
+            "row_sum": row_sum,
+            "expected": expected,
             "rows_match": rows_ok,
             "sign_fact": "t = cos(beta_1) < 1 for a positive angle",
             "spot_check": spot,
@@ -510,7 +499,7 @@ def path_det_factorization_step() -> AuditStep:
     charpoly = char_poly_symbolic(mat, "L")
     remainder = charpoly.substitute({"L": lam1})
     divides = remainder.is_zero
-    spot = {"s": _frac(Fraction(1, 4)), "t": _frac(Fraction(1, 2))}
+    spot = {"s": Fraction(1, 4), "t": Fraction(1, 2)}
     at = {"s": QPHI(Fraction(1, 4)), "t": QPHI(Fraction(1, 2)), "L": QPHI.zero}
     lhs_spot = det.evaluate(at)
     rhs_spot = (-(phi2 * f1 * f2 * f3)).evaluate(at)
@@ -523,23 +512,23 @@ def path_det_factorization_step() -> AuditStep:
     return AuditStep(
         "path-det-factorization",
         "path determinant factorization and eigenvalue",
-        {"matrix": [[_mpoly_dump(x) for x in r] for r in mat]},
+        {"matrix": mat},
         {
-            "determinant": _mpoly_dump(det),
-            "factors": [_mpoly_dump(f1), _mpoly_dump(f2), _mpoly_dump(f3)],
+            "determinant": det,
+            "factors": [f1, f2, f3],
             "unit_note": (
                 "the displayed product -(F1 F2 F3) needs the unit phi^2 after clearing "
                 "1/phi and 1/phi^2; equivalently det = -F1 * lam1 * lam2"
             ),
             "identity_cleared_form": identity_cleared,
             "identity_eigen_form": identity_eigen,
-            "lambda1": _mpoly_dump(lam1),
+            "lambda1": lam1,
             "lambda1_divides_charpoly": divides,
-            "charpoly_remainder": _mpoly_dump(remainder),
+            "charpoly_remainder": remainder,
             "spot_point": spot,
-            "spot_values": [_golden_str(lhs_spot), _golden_str(rhs_spot)],
-            "lambda1_at_pi5_point": _golden_str(lam1_at),
-            "charpoly_at_lambda1": _golden_str(char_at),
+            "spot_values": [lhs_spot, rhs_spot],
+            "lambda1_at_pi5_point": lam1_at,
+            "charpoly_at_lambda1": char_at,
         },
         "pass" if ok else "fail",
     )
@@ -585,16 +574,16 @@ def bound_chain_step() -> AuditStep:
     return AuditStep(
         "bound-chain",
         "lower bound chain restricting the small path angle",
-        {"t_lower_bound": _frac(Fraction(1, 2))},
+        {"t_lower_bound": Fraction(1, 2)},
         {
-            "exact_bound": _golden_str(bound),
+            "exact_bound": bound,
             "bound_minpoly": list(bound_alg.minpoly),
-            "bound_enclosure": [_frac(iv.lo), _frac(iv.hi)],
+            "bound_enclosure": [iv.lo, iv.hi],
             "enclosure_in_(-0.428,-0.427)": enclosure_ok,
             "rounded_-0.43_consistent": rounded_bound_ok,
             "exceeds_-1/2": above_minus_half,
             "arccos_below_2pi/3": arccos_ok,
-            "arccos_interval": [_frac(alo), _frac(ahi)],
+            "arccos_interval": [alo, ahi],
             "lam1_rearrangement_identity": rearrange_ok,
             "monotone_in_t": monotone_ok,
             "small_angle_bound": "beta_1 > pi/6",
@@ -634,11 +623,11 @@ def exclude_pi_over_5_step() -> AuditStep:
             "t_minpoly": list(t_val.minpoly),
             "t_equals_phi_over_2": t_is_phi_half,
             "s_threshold_equals_-1/(2phi)": thresh_ok,
-            "lam1_at_t": _mpoly_dump(lam1_at_t),
+            "lam1_at_t": lam1_at_t,
             "lam1_substitution_ok": sub_ok,
-            "lam1_boundary_value": _golden_str(boundary),
+            "lam1_boundary_value": boundary,
             "boundary_is_zero": boundary_ok,
-            "slope": _golden_str(-PHI),
+            "slope": -PHI,
             "slope_negative": slope_negative,
             "conclusion": "s < -1/(2 phi) forces lam1 > 0, contradicting negative semidefiniteness",
         },
@@ -720,14 +709,14 @@ def final_cases_step() -> AuditStep:
             gaps = _catalog_gaps(root)
             root_rec = {
                 "minpoly": list(root.minpoly),
-                "interval": [_frac(iv.lo), _frac(iv.hi)],
+                "interval": [iv.lo, iv.hi],
                 "approx": _decimal(iv.mid),
                 "expected_decimal": _decimal(target, 3),
                 "within_0.001": within,
                 "rational_angle_match": None
                 if matched is None
                 else f"{matched.p}*pi/{matched.q}",
-                "min_catalog_gap": _frac(gaps["min_gap"]),
+                "min_catalog_gap": gaps["min_gap"],
                 "catalog_degrees_checked": gaps["degrees"],
             }
             case["roots"].append(root_rec)
@@ -984,7 +973,7 @@ def verify_step(step: AuditStep) -> bool:
                 target = Fraction(target)
                 within = target - Fraction(1, 1000) <= lo and hi <= target + Fraction(1, 1000)
                 gaps = _catalog_gaps(root)  # re-derived, not read from the file
-                fresh = [list(root.minpoly), _frac(gaps["min_gap"]), gaps["degrees"]]
+                fresh = [list(root.minpoly), exact_json(gaps["min_gap"]), gaps["degrees"]]
                 recorded = [rec["minpoly"], rec["min_catalog_gap"], rec["catalog_degrees_checked"]]
                 if not (within and rec["within_0.001"] and gaps["min_gap"] > 0) or fresh != recorded:
                     return False

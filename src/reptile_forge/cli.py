@@ -18,7 +18,7 @@ import sys
 
 from . import audit as audit_mod
 from . import hill as hill_mod
-from .algebra import DegreeOverflowError, FactorError
+from .algebra import DegreeOverflowError, FactorError, exact_json
 from .fiedler import ReconstructionError, realizability_check, reconstruct_simplex
 from .jsonio import (
     InputFormatError,
@@ -94,12 +94,8 @@ def cmd_fiedler_check(args) -> int:
     payload = {
         "valid": verdict.valid,
         "kernel": _kernel_json(verdict, digits),
-        "failure_witness": None
-        if verdict.failure_witness is None
-        else {k: str(v) for k, v in verdict.failure_witness.items()},
-        "char_poly": None
-        if verdict.char_poly is None
-        else [str(c) for c in verdict.char_poly],
+        "failure_witness": exact_json(verdict.failure_witness),
+        "char_poly": exact_json(verdict.char_poly),
     }
     _emit(payload, args.out)
     _log(f"realizability: {'valid' if verdict.valid else 'invalid'}")
@@ -112,7 +108,7 @@ def cmd_fiedler_reconstruct(args) -> int:
         s = reconstruct_simplex(matrix)
     except ReconstructionError as e:
         _log(f"not realizable: {e.verdict.failure_witness}")
-        _emit({"error": "not realizable", "witness": str(e.verdict.failure_witness)}, args.out)
+        _emit({"error": "not realizable", "witness": exact_json(e.verdict.failure_witness)}, args.out)
         return EXIT_VERIFICATION
     _emit({"dim": s.dim, "mode": "float", "vertices": s.as_float()}, args.out)
     _log("reconstructed simplex (longest edge normalized to 1)")

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
-from .algebra import INV_PHI, PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, linalg
+from .algebra import INV_PHI, PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, exact_json, linalg
 from .algebra.linalg import cholesky, solve
 from .simplex import DihedralData, Simplex, _pair_lengths, normal_gram
 
@@ -82,17 +82,7 @@ class CosMatrix:
         return CosMatrix.from_rows(dd.matrix())
 
     def to_json(self) -> dict:
-        rows = []
-        for r in self.entries:
-            row = []
-            for x in r:
-                row.append(
-                    f"{x.as_fraction().numerator}/{x.as_fraction().denominator}"
-                    if x.is_rational
-                    else x.to_json()
-                )
-            rows.append(row)
-        return {"dim": self.dim, "cos": rows}
+        return {"dim": self.dim, "cos": exact_json(self.entries)}
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from operator import mul
 
-from .algebra import AlgebraicReal, FieldElement
+from .algebra import FieldElement, exact_json
 from .algebra.linalg import rational_sqrt, rref
 from .jsonio import InputFormatError, load_simplex
 from .simplex import Simplex, _orientation_sign, as_frame, congruent, frame_dot, similar, volume
@@ -417,9 +417,9 @@ class ReptileReport:
                 "union": self.union_ok,
             },
             "all_ok": self.all_ok,
-            "measured_ratio": str(self.measured_ratio),
+            "measured_ratio": exact_json(self.measured_ratio),
             "chirality": self.chirality,
-            "witnesses": {k: str(v) for k, v in self.witnesses.items()},
+            "witnesses": exact_json(self.witnesses),
             "mode": self.mode,
         }
 
@@ -532,12 +532,7 @@ class GrowthReport:
     adjacency: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        """The fields; a rational volume as str(), an irrational one as an
-        exact algebraic number object."""
-        out = asdict(self)
-        for k in ("volume_emitted", "volume_expected"):
-            out[k] = out[k].to_json() if isinstance(out[k], AlgebraicReal) else str(out[k])
-        return out
+        return exact_json(asdict(self))
 
 
 def grow_space_tiling(

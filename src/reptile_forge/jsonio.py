@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 
-from .algebra import AlgebraicReal, FactorError
+from .algebra import AlgebraicReal, FactorError, exact_json
 from .fiedler import CosMatrix
 from .simplex import Simplex, _coordinate, as_frame
 
@@ -65,12 +65,11 @@ def parse_real(spec):
 
 
 def format_real(x, digits: int = 12) -> dict:
-    """Uniform JSON view of an exact value."""
-    if isinstance(x, Fraction) or (isinstance(x, AlgebraicReal) and x.is_rational):
-        f = x if isinstance(x, Fraction) else x.as_fraction()
-        return {"rational": f"{f.numerator}/{f.denominator}", "approx": float(f)}
-    out = x.to_json()
-    out["approx"] = float(x.approx(digits))
+    """An exact value with its approximation: {"rational": "p/q"} or the
+    {"minpoly", "interval"} object, and "approx"."""
+    exact = exact_json(x)
+    out = {"rational": exact} if isinstance(exact, str) else exact
+    out["approx"] = float(x if isinstance(x, Fraction) else x.approx(digits))
     return out
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
 
-from .algebra import AlgebraicReal, FieldElement, NumberField
+from .algebra import AlgebraicReal, FieldElement, NumberField, exact_json
 from .algebra.linalg import cholesky, det_int, rational_sqrt
 
 _RATIO_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -209,13 +209,12 @@ class Simplex:
         return True
 
     def to_json(self) -> dict:
-        verts = [[f"{q.numerator}/{q.denominator}" for q in v] for v in self.vertices]
-        out = {"dim": self.dim, "mode": "exact", "vertices": verts}
+        out = {"dim": self.dim, "mode": "exact", "vertices": exact_json(self.vertices)}
         c = self.frame
         if isinstance(c, FieldElement):  # the field's fixed bracket, never a refined one
-            out["frame"] = AlgebraicReal(c.field.minpoly, (c.field.lo, c.field.hi), _trusted=True).to_json()
-        elif c:
-            out["frame"] = f"{c.numerator}/{c.denominator}"
+            c = AlgebraicReal(c.field.minpoly, (c.field.lo, c.field.hi), _trusted=True)
+        if c:
+            out["frame"] = exact_json(c)
         return out
 
     @staticmethod

@@ -1,10 +1,13 @@
 """Shared test helpers."""
 
+import json
 import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from reptile_forge.algebra import AlgebraicReal
+from reptile_forge.jsonio import parse_real
 from reptile_forge.simplex import Simplex
 
 # draw 1 of the acceptance suite's soundness set: descaling its matrix JSON
@@ -13,6 +16,76 @@ DRAW_1 = [(8, 1, Fraction(-9, 2)), (3, -2, -5), (2, -2, Fraction(5, 4)), (0, 4, 
 # draw 14 of the same set: its Fiedler kernel has entries near 10^3, so the
 # unscaled reconstruction is tiny
 DRAW_14 = [(0, -4, 7), (0, Fraction(7, 3), Fraction(-7, 3)), (Fraction(9, 4), 2, -2), (-2, -2, -3)]
+
+
+# what a Python repr of a witness would leave in printed JSON
+REPR_MARKS = ("Fraction(", "AlgebraicReal(", "{'")
+
+
+def assert_reads_back(printed, value) -> None:
+    """``printed`` (decoded JSON) spells ``value``: each exact value parses
+    with ``parse_real`` to an equal one, and every other leaf is the same
+    JSON value."""
+    if isinstance(value, dict):
+        assert isinstance(printed, dict) and printed.keys() == value.keys(), (printed, value)
+        for k, v in value.items():
+            assert_reads_back(printed[k], v)
+    elif isinstance(value, (tuple, list)):
+        assert isinstance(printed, list) and len(printed) == len(value), (printed, value)
+        for p, v in zip(printed, value):
+            assert_reads_back(p, v)
+    elif isinstance(value, (Fraction, AlgebraicReal)):
+        assert isinstance(printed, (str, dict)), printed
+        assert parse_real(printed) == value, (printed, value)
+    else:
+        assert type(printed) is type(value) and printed == value, (printed, value)
+
+
+def record_verdicts(monkeypatch) -> list:
+    """The verdicts behind the ``fiedler`` commands that ``cli.main`` runs,
+    appended as they are reached: check's, and the one a refused
+    reconstruction carries."""
+    from reptile_forge import cli
+    from reptile_forge.fiedler import ReconstructionError
+
+    seen = []
+    check, reconstruct = cli.realizability_check, cli.reconstruct_simplex
+
+    def checking(matrix):
+        seen.append(check(matrix))
+        return seen[-1]
+
+    def reconstructing(matrix):
+        try:
+            return reconstruct(matrix)
+        except ReconstructionError as e:
+            seen.append(e.verdict)
+            raise
+
+    monkeypatch.setattr(cli, "realizability_check", checking)
+    monkeypatch.setattr(cli, "reconstruct_simplex", reconstructing)
+    return seen
+
+
+def assert_fiedler_reads_back(out: str, verdicts: list) -> None:
+    """Each exact value that ``fiedler check`` or ``reconstruct`` printed
+    reads back as the last recorded verdict's, and no string is a repr."""
+    assert not any(mark in out for mark in REPR_MARKS), out
+    if not out:
+        return  # undecided: nothing printed
+    doc = json.loads(out)
+    if "valid" in doc:
+        verdict = verdicts.pop()
+        kernel = doc["kernel"] and [
+            e["rational"] if "rational" in e else {"minpoly": e["minpoly"], "interval": e["interval"]}
+            for e in doc["kernel"]
+        ]
+        assert_reads_back(
+            [kernel, doc["failure_witness"], doc["char_poly"]],
+            [verdict.kernel, verdict.failure_witness, verdict.char_poly],
+        )
+    elif "error" in doc:
+        assert_reads_back(doc["witness"], verdicts.pop().failure_witness)
 
 
 def random_rational_tetrahedron(rng: random.Random) -> Simplex:

@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptile_forge import audit
-from reptile_forge.algebra import MPoly, PHI, QPHI
+from reptile_forge.algebra import MPoly, PHI, QPHI, exact_json
 from reptile_forge.audit import (
     AuditStep,
-    _frac,
     _rho_enclosure,
     _two_length_scan,
     beta_constraints_step,
@@ -504,7 +503,7 @@ class TestVerifyOncePerRun:
         else:
             # a different positive gap: the checker re-derives it
             rec = cases[1]["roots"][0]
-            rec["min_catalog_gap"] = _frac(Fraction(rec["min_catalog_gap"]) / 2)
+            rec["min_catalog_gap"] = exact_json(Fraction(rec["min_catalog_gap"]) / 2)
         assert not verify_step(step)
         rc, err = _run_cli_verify(reports, tmp_path, monkeypatch, capsys)
         assert rc == 1

@@ -14,10 +14,21 @@ import pytest
 
 import reptile_forge
 from reptile_forge import cli
+from reptile_forge import hill as hill_mod
+from reptile_forge.algebra import AlgebraicReal, as_algebraic
 from reptile_forge.cli import main
 from reptile_forge.hill import Subdivision
+from reptile_forge.jsonio import parse_real
 from reptile_forge.simplex import Simplex
-from helpers import DRAW_1, DRAW_14, cos_matrix_json
+from helpers import (
+    DRAW_1,
+    DRAW_14,
+    REPR_MARKS,
+    assert_fiedler_reads_back,
+    assert_reads_back,
+    cos_matrix_json,
+    record_verdicts,
+)
 
 TRIPOD_BAD = {
     "dim": 3,
@@ -435,8 +446,8 @@ class TestHillOutputsPinned:
         assert main(["hill", "verify", write(tmp_path, "bad.json", doc)]) == 1
         out = capsys.readouterr().out
         witness = json.loads(out)["witnesses"]["interior_disjointness"]
-        assert witness == "{'pieces': (0, 2), 'point': (Fraction(4, 3), Fraction(1, 1))}"
-        assert sha256(out) == "b6a056b1be2149f8332e4865125cafee00de75edfc29e0f7d59a0c77d18dbc7b"
+        assert witness == {"pieces": [0, 2], "point": ["4/3", "1/1"]}
+        assert sha256(out) == "807ff97b2da220dd36b5cff71822b81aade7281368909a0b804c56a993b4e92f"
 
 
 # fiedler inputs whose outputs are pinned below
@@ -492,7 +503,7 @@ FIEDLER_INPUTS = {
 FIEDLER_PINS = {
     ("coefficient-radicals", "check"): (
         0,
-        "5d2b49e59ea038faeeffc3306b8d14e34a62517b42e8f6723ae9abfbe671c4ea",
+        "6bcc8337ba2a461a07907c02d737dbf945be46042f93215efea1d420c5c66405",
         "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
     ),
     ("coefficient-radicals", "reconstruct"): (
@@ -502,17 +513,17 @@ FIEDLER_PINS = {
     ),
     ("coefficient-radicals-generic", "check"): (
         1,
-        "3d56612579c514602b90cfda00ce4349806cf7578537ab0eeb54ded4a69ea034",
+        "d9d39d47b9c291ffa5d79327dea0b9c7afa41be7c535172b1c3b0c695915d128",
         "1b5a5fbe9ae51ff714f0d2021b6068c1a52dd2cae2e6e3f836a03e207922bc29",
     ),
     ("coefficient-radicals-generic", "reconstruct"): (
         1,
-        "6f3f2bf079976e05df41e867c87d56f66808e0aca7b5d65482ae6370034b6df3",
+        "77f21fd79a107e0255273cad683f2c45b9715b9c543007cc0bc6696abfc481e0",
         "36d11c31402939c1c1b6b844d56d6ca491b18a3e0976beefd90e8956bf3be92e",
     ),
     ("draw-1", "check"): (
         0,
-        "960d2ef2ec339cfcc15fea2f7b9c5a1f827370c9b6bed84ff38a66792aed8cad",
+        "4208bad212129f373251f40178bce73c422642c5ddf8feef27b18bd834df58a3",
         "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
     ),
     ("draw-1", "reconstruct"): (
@@ -522,7 +533,7 @@ FIEDLER_PINS = {
     ),
     ("draw-14", "check"): (
         0,
-        "2e4511b6868907185a9b0573e47ea6070fe6d3dab6254bad579c9e001a07bfbf",
+        "fb9ab9a97fa8add55621b2f390b0899159778aed3735ad5589efc3f9fa798868",
         "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
     ),
     ("draw-14", "reconstruct"): (
@@ -532,7 +543,7 @@ FIEDLER_PINS = {
     ),
     ("integer-radicals", "check"): (
         0,
-        "5d2b49e59ea038faeeffc3306b8d14e34a62517b42e8f6723ae9abfbe671c4ea",
+        "6bcc8337ba2a461a07907c02d737dbf945be46042f93215efea1d420c5c66405",
         "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
     ),
     ("integer-radicals", "reconstruct"): (
@@ -552,17 +563,17 @@ FIEDLER_PINS = {
     ),
     ("raised", "check"): (
         1,
-        "2cb8352b564eaeb5561e4457e07159430f940f8811e1717105376bb8cfed2f94",
+        "a65a12458b1c305ec6552e3bcea1874f4fa103e7e8af7d40d98581174d1a94d6",
         "1b5a5fbe9ae51ff714f0d2021b6068c1a52dd2cae2e6e3f836a03e207922bc29",
     ),
     ("raised", "reconstruct"): (
         1,
-        "c3795059c40d242c2a393eb4f00957dc6feba013ed51a627bf6ea769d3c9db9c",
+        "a1a356a4a245bf2f016c6536fb972f9848cebe5fefabbe6c4bace955992705a3",
         "3350e53b2ef10a5ee93cc84670cad3836a48c170fc56d0925a3cd599d0463c71",
     ),
     ("regular", "check"): (
         0,
-        "482b63db29faf759945d16bb8c6daa3cb6abe371fe43a0f756b90a100d57fe52",
+        "96b4e99269bde9cb5c321fa7cdd9d9fc68480833c757efeae35274595887932b",
         "758ab79f537be235eb11fa7ba1268f86bb81b4344a174b7709c6af4089db4b39",
     ),
     ("regular", "reconstruct"): (
@@ -581,6 +592,78 @@ class TestFiedlerOutputsPinned:
         captured = capsys.readouterr()
         got = (rc, sha256(captured.out), sha256(captured.err))
         assert got == FIEDLER_PINS[name, command]
+
+
+def _move_vertex(pieces):
+    pieces[0]["vertices"][0][0] = "1/9"
+
+
+def _onto_edge_neighbour(pieces):
+    pieces[0] = pieces[2]
+
+
+def _outside(pieces):
+    pieces[5]["vertices"] = [[str(Fraction(v[0]) + 3), *v[1:]] for v in pieces[5]["vertices"]]
+
+
+def _onto_facet_neighbour(pieces):
+    verts = [set(map(tuple, p["vertices"])) for p in pieces]
+    pieces[0] = pieces[next(j for j in range(1, len(pieces)) if len(verts[0] & verts[j]) == 3)]
+
+
+# corrupted `hill subdivide` outputs of these tests and of CI: (dim, cos, m)
+# and the damage done to the pieces
+HILL_CORRUPTIONS = {
+    "moved-vertex": ((3, "0", 2), _move_vertex),
+    "overlap": ((2, "3/5", 3), _onto_edge_neighbour),
+    "d3m3-outside": ((3, "0", 3), _outside),
+    "d3m3-neighbour": ((3, "0", 3), _onto_facet_neighbour),
+}
+
+
+class TestPrintedWitnessesReadBack:
+    """Each exact value a command prints parses with parse_real to the
+    verdict's own value, and no printed string is a Python repr."""
+
+    @pytest.mark.parametrize("command", ["check", "reconstruct"])
+    @pytest.mark.parametrize("name", sorted(FIEDLER_INPUTS))
+    def test_fiedler(self, name, command, tmp_path, capsys, monkeypatch):
+        verdicts = record_verdicts(monkeypatch)
+        main(["fiedler", command, write(tmp_path, "m.json", FIEDLER_INPUTS[name])])
+        assert_fiedler_reads_back(capsys.readouterr().out, verdicts)
+        assert verdicts == []
+
+    def test_raised_direction_certifies_the_verdict(self, tmp_path, capsys):
+        # x^T B x > 0 for B_ij = a_ij sqrt(q_i q_j), from the printed x and q
+        matrix = FIEDLER_INPUTS["raised"]
+        assert main(["fiedler", "check", write(tmp_path, "m.json", matrix)]) == 1
+        witness = json.loads(capsys.readouterr().out)["failure_witness"]
+        assert witness["kind"] == "indefinite"
+        x = [parse_real(v) for v in witness["direction"]]
+        q = [parse_real(v) for v in witness["scaling"]]
+        a = [[as_algebraic(parse_real(v)) for v in row] for row in matrix["cos"]]
+        n = len(a)
+        b = [[a[i][j] * AlgebraicReal.sqrt_rational(q[i] * q[j]) for j in range(n)] for i in range(n)]
+        assert all(bij.is_rational for row in b for bij in row)
+        assert sum(x[i] * b[i][j].as_fraction() * x[j] for i in range(n) for j in range(n)) > 0
+
+    @pytest.mark.parametrize("name", sorted(HILL_CORRUPTIONS))
+    def test_hill_verify(self, name, tmp_path, capsys, monkeypatch):
+        (dim, cos, m), damage = HILL_CORRUPTIONS[name]
+        assert main(["hill", "subdivide", "--dim", str(dim), f"--cos={cos}", "--m", str(m)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        damage(doc["pieces"])
+        reports = []
+        verify = hill_mod.verify_reptile
+        monkeypatch.setattr(hill_mod, "verify_reptile", lambda sub: reports.append(verify(sub)) or reports[0])
+        assert main(["hill", "verify", write(tmp_path, "bad.json", doc)]) == 1
+        out = capsys.readouterr().out
+        assert not any(mark in out for mark in REPR_MARKS), out
+        printed = json.loads(out)
+        (report,) = reports
+        assert report.witnesses
+        assert_reads_back(printed["witnesses"], report.witnesses)
+        assert_reads_back(printed["measured_ratio"], report.measured_ratio)
 
 
 # the kernel `fiedler check` printed for the golden-ratio matrix when it was

@@ -38,7 +38,15 @@ from reptile_forge.simplex import (
     orthoscheme,
     regular_tetrahedron,
 )
-from helpers import DRAW_1, DRAW_14, cos_matrix_json, random_rational_tetrahedron, similar_coordinates
+from helpers import (
+    DRAW_1,
+    DRAW_14,
+    assert_fiedler_reads_back,
+    cos_matrix_json,
+    random_rational_tetrahedron,
+    record_verdicts,
+    similar_coordinates,
+)
 
 PHI_M1 = AlgebraicReal.from_root([-1, 1, 1], 0, 1)  # phi - 1
 
@@ -595,7 +603,7 @@ class TestCharPolyOnRead:
         assert main(["fiedler", "check", str(path)]) == 0
         assert len(calls) == 1
         printed = json.loads(capsys.readouterr().out)["char_poly"]
-        assert printed == [str(c.as_fraction()) for c in char_poly(load_matrix(SQRT_MATRIX))]
+        assert [parse_real(c) for c in printed] == [c.as_fraction() for c in char_poly(load_matrix(SQRT_MATRIX))]
 
     def test_verdict_char_poly_is_read_once(self, monkeypatch):
         from reptile_forge.algebra import linalg
@@ -964,8 +972,10 @@ def generic_matrices(count: int = 100, seed: int = 5) -> list[dict]:
     return out
 
 
-def _batch_digest(matrices, tmp_path, capsys) -> str:
-    """sha256 of (exit code, stdout, stderr) of check then reconstruct on each matrix."""
+def _batch_digest(matrices, tmp_path, capsys, monkeypatch) -> str:
+    """sha256 of (exit code, stdout, stderr) of check then reconstruct on
+    each matrix, each printed exact value read back as the verdict's."""
+    verdicts = record_verdicts(monkeypatch)
     path = tmp_path / "m.json"
     record = []
     for m in matrices:
@@ -974,6 +984,7 @@ def _batch_digest(matrices, tmp_path, capsys) -> str:
             rc = main(["fiedler", command, str(path)])
             captured = capsys.readouterr()
             record.append([rc, captured.out, captured.err])
+            assert_fiedler_reads_back(captured.out, verdicts)
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
 
 
@@ -981,16 +992,16 @@ class TestFiedlerBatchesPinned:
     """Bytes of fiedler check and reconstruct, pinned before the descaled
     path moved to integers and square roots to closed-form brackets."""
 
-    def test_square_class_batch(self, tmp_path, capsys):
+    def test_square_class_batch(self, tmp_path, capsys, monkeypatch):
         mats = square_class_matrices()
         assert all(_descale(load_matrix(m)) is not None for m in mats)
-        assert _batch_digest(mats, tmp_path, capsys) == SQUARE_CLASS_DIGEST
+        assert _batch_digest(mats, tmp_path, capsys, monkeypatch) == SQUARE_CLASS_DIGEST
 
-    def test_generic_batch(self, tmp_path, capsys):
+    def test_generic_batch(self, tmp_path, capsys, monkeypatch):
         mats = generic_matrices()
         assert all(_descale(load_matrix(m)) is None for m in mats)
-        assert _batch_digest(mats, tmp_path, capsys) == GENERIC_DIGEST
+        assert _batch_digest(mats, tmp_path, capsys, monkeypatch) == GENERIC_DIGEST
 
 
-SQUARE_CLASS_DIGEST = "e5a00682661ff867a016b46beecae5f060f00642bb8a1617481d4ef2110287cc"
-GENERIC_DIGEST = "143c369522d6db9c168928da47cf3bc389f381195fce60f4334187f7bdb6bd21"
+SQUARE_CLASS_DIGEST = "d365f655674d06acd058e447a317971fe47e52f82de6795e156075263038a18e"
+GENERIC_DIGEST = "5adf3ff149c23fa3e13e1694664ea0782d96a55a4664c2c43ce64fe1a9843762"

@@ -1,5 +1,6 @@
 """Hill simplices, subdivisions, the exact reptile verifier, growth."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from reptile_forge.hill import (
 )
 from reptile_forge.jsonio import parse_real
 from reptile_forge.simplex import Simplex, congruent, dihedral_data, frame_dot, orthoscheme, similar, volume
+from helpers import REPR_MARKS, assert_reads_back
 
 
 def random_rational_hill_spec(rng: random.Random) -> HillSpec:
@@ -570,6 +572,9 @@ FRAMED_SPECS = [(3, "1/4", m) for m in (2, 3)] + [(4, "1/3", m) for m in (2, 3)]
     (3, "sqrt(2)/4", m) for m in (2, 3)]
 
 
+CORRUPTED_SPECS = [(2, "3/5", 3), (2, "-5/13", 3), (3, "0", 3), (3, "2/5", 2), (3, "1/4", 2), (4, "0", 2)]
+
+
 def _subdivision(dim, cos, m):
     return subdivide(HillSpec.from_pair_cos(dim, parse_real(cos)), m)
 
@@ -625,8 +630,7 @@ class TestFacetMatching:
         assert verify_reptile(sub).to_json() == certified
         assert certified["all_ok"]
 
-    @pytest.mark.parametrize("dim,cos,m", [(2, "3/5", 3), (2, "-5/13", 3), (3, "0", 3), (3, "2/5", 2),
-                                           (3, "1/4", 2), (4, "0", 2)])
+    @pytest.mark.parametrize("dim,cos,m", CORRUPTED_SPECS)
     def test_corrupted_reports_match_the_sweep(self, dim, cos, m, monkeypatch):
         sub = _subdivision(dim, cos, m)
         rng = random.Random(dim * 100 + m)
@@ -636,6 +640,19 @@ class TestFacetMatching:
         assert [verify_reptile(doc).to_json() for doc in docs] == certified
         assert not any(rep["all_ok"] for rep in certified)
         assert not certified[0]["checks"]["interior_disjointness"]  # a neighbour copy overlaps
+
+    @pytest.mark.parametrize("dim,cos,m", CORRUPTED_SPECS + [(3, "sqrt(2)/4", 2)])
+    def test_corrupted_reports_read_back(self, dim, cos, m):
+        # each printed witness and ratio parses to the report's exact value
+        sub = _subdivision(dim, cos, m)
+        rng = random.Random(dim * 100 + m)
+        for how in ("neighbour", "translate", "scale", "vertex") * 2:
+            rep = verify_reptile(_corrupted(sub, how, rng))
+            text = json.dumps(rep.to_json())
+            assert not any(mark in text for mark in REPR_MARKS), text
+            printed = json.loads(text)
+            assert_reads_back(printed["witnesses"], rep.witnesses)
+            assert_reads_back(printed["measured_ratio"], rep.measured_ratio)
 
     def test_duplicated_piece_rejected(self):
         sub = _subdivision(2, "0", 2)
@@ -666,7 +683,7 @@ class TestFacetMatching:
         assert not _facets_match(parent, pieces)
         rep = verify_reptile(Subdivision(parent, pieces, 2)).to_json()
         assert [k for k, ok in rep["checks"].items() if not ok] == ["interior_disjointness", "union"]
-        assert rep["witnesses"]["interior_disjointness"].startswith("{'pieces': (0, 2)")
+        assert rep["witnesses"]["interior_disjointness"]["pieces"] == [0, 2]
 
     def test_t_junction_falls_back_to_the_sweep(self):
         # a valid tiling of the triangle (0,0), (4,0), (0,4) whose edge
