@@ -194,12 +194,15 @@ class AlgebraicReal:
     def __float__(self) -> float:
         if self.is_rational:
             return float(self.as_fraction())
+        # an irrational value is no rounding boundary, so the enclosure ends
+        # round to one double once it is narrow enough: the value's
+        # correctly rounded double, whatever the enclosure started as
         self._refine(_FLOAT_WIDTH)
         lo, hi = self._iv
-        # int / int rounds correctly, as float() of the midpoint Fraction does
-        return (lo.numerator * hi.denominator + hi.numerator * lo.denominator) / (
-            2 * lo.denominator * hi.denominator
-        )
+        while float(lo) != float(hi):
+            self._refine((hi - lo) / 4)
+            lo, hi = self._iv
+        return float(lo)
 
     def approx(self, digits: int = 12) -> Fraction:
         """A rational approximation within 10**-digits of the true value."""

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -407,3 +408,26 @@ class TestSerialization:
         x = AlgebraicReal.from_rational(Fraction(-3, 4))
         blob = x.to_json()
         assert blob["interval"] == ["-3/4", "-3/4"]
+
+
+class TestFloat:
+    # float(Decimal) rounds correctly, and 60 digits put these values far
+    # from any midpoint between two doubles
+    @pytest.mark.parametrize(
+        "lo,hi", [(Fraction(5, 12), Fraction(5, 8)), (Fraction(1, 2), Fraction(5, 8)), (Fraction(5, 12), Fraction(25, 39))]
+    )
+    def test_correctly_rounded_from_any_enclosure(self, lo, hi):
+        # 1/phi, the root of x^2 + x - 1 in (0, 1): the midpoint of a 10^-17
+        # enclosure rounded to ...948 or ...949 depending on the enclosure
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = float((Decimal(5).sqrt() - 1) / 2)
+        assert float(AlgebraicReal.from_root((-1, 1, 1), lo, hi)) == want == 0.6180339887498949
+
+    @pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 3), Fraction(7, 10**9), Fraction(10**12 + 3), Fraction(9, 7)])
+    def test_square_roots_correctly_rounded(self, q):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = float((Decimal(q.numerator) / Decimal(q.denominator)).sqrt())
+        assert float(AlgebraicReal.sqrt_rational(q)) == want
+        assert float(-AlgebraicReal.sqrt_rational(q)) == -want

@@ -538,7 +538,7 @@ FIEDLER_PINS = {
     ),
     ("draw-14", "reconstruct"): (
         0,
-        "2e92af7059bdf39233173374420d4a4823d7d30f4bc624af1f9e7a9c03c3d0d5",
+        "2b14993ce20aed9c488133c6faddf00a5d16c399ec5bb227e4868f5ca47900ce",
         "7b550c5a0aa2d169d4dddf0a3007763aeafcc09d900f6e696e81237e19de9e5b",
     ),
     ("integer-radicals", "check"): (
@@ -548,7 +548,7 @@ FIEDLER_PINS = {
     ),
     ("integer-radicals", "reconstruct"): (
         0,
-        "e7bc7f1c9a5432c7bf544abc11d9a8f03d3ddfc21a807e08a33c16d1ba86ec25",
+        "e7577f5e4f550f6a98ba950f506ca41121c1616f8451c55f3da933604c8df8d9",
         "7b550c5a0aa2d169d4dddf0a3007763aeafcc09d900f6e696e81237e19de9e5b",
     ),
     ("minpoly-object", "check"): (
@@ -695,8 +695,8 @@ def test_golden_kernel_is_the_row_reduction_vector(tmp_path, capsys):
 RECONSTRUCT_OBJ_PINS = {
     "coefficient-radicals": "a0bb4f586ed4a5c467b9769767aadc3b2bff0b5f46b5ea8890c8e1ab5acb19e2",
     "draw-1": "011345dd58d8202b621e9a46837c51805fc60ac78251178fd2064321c6dcf75d",
-    "draw-14": "85d2068b7e891739e18ccba8aac594ea3402c766684330f7f297efcb413a98fd",
-    "integer-radicals": "54924715109642803ccdf1aea66eab6737e0c13ca67ac1d9ea9af90f610ae0b8",
+    "draw-14": "2ed894b7fe209e5570bcb24d90e169a41622993812a1272719a44e150abef6ab",
+    "integer-radicals": "a0bb4f586ed4a5c467b9769767aadc3b2bff0b5f46b5ea8890c8e1ab5acb19e2",
     "minpoly-object": "11a56899fb4e2e4a47d781450f5e5c544812b78572ee2073fb8bf5cef81b6bc1",
     "regular": "623a76adfb6c086df47f88409dc65d55067997396ea0d99d7f68e7697551b74e",
 }

@@ -1004,4 +1004,4 @@ class TestFiedlerBatchesPinned:
 
 
 SQUARE_CLASS_DIGEST = "d365f655674d06acd058e447a317971fe47e52f82de6795e156075263038a18e"
-GENERIC_DIGEST = "5adf3ff149c23fa3e13e1694664ea0782d96a55a4664c2c43ce64fe1a9843762"
+GENERIC_DIGEST = "65b4ba7077d33cb62159502960e96408dc908d7dad41c1ada9d8d23d43f2cf21"
