@@ -68,6 +68,9 @@ __all__ = [
 ]
 
 
+_ratio = "{0.numerator}/{0.denominator}".format  # a Fraction as "p/q"
+
+
 def exact_json(x):
     """The JSON form of an exact value, the same at every writer.
 
@@ -79,18 +82,20 @@ def exact_json(x):
     A tuple or list becomes a list and a dict a dict of encoded values.
     Anything else is a TypeError: nothing is printed by its repr.
     """
+    if isinstance(x, (tuple, list)):
+        # Fraction items without a call: vertex lists are most of what
+        # a Hill subdivision prints
+        return [_ratio(v) if type(v) is Fraction else exact_json(v) for v in x]
+    if isinstance(x, Fraction):
+        return _ratio(x)
     if x is None or isinstance(x, (int, str, float)):
         return x
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
     if isinstance(x, AlgebraicReal):
-        return exact_json(x.as_fraction()) if x.is_rational else x.to_json()
+        return _ratio(x.as_fraction()) if x.is_rational else x.to_json()
     if isinstance(x, FieldElement):
         return x.to_json()
     if isinstance(x, MPoly):
         return [[list(e), exact_json(c)] for e, c in sorted(x.terms.items())]
-    if isinstance(x, (tuple, list)):
-        return [exact_json(v) for v in x]
     if isinstance(x, dict):
         return {k: exact_json(v) for k, v in x.items()}
     raise TypeError(f"no exact JSON form for {type(x).__name__}")

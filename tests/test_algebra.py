@@ -10,13 +10,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reptile_forge.algebra import (
+    QPHI,
     AlgebraicReal,
     DegreeOverflowError,
     Interval,
+    MPoly,
     arith,
     compare,
     eliminate,
     euler_totient,
+    exact_json,
     intpoly as ip,
     is_irreducible,
     irreducible_factors,
@@ -408,6 +411,22 @@ class TestSerialization:
         x = AlgebraicReal.from_rational(Fraction(-3, 4))
         blob = x.to_json()
         assert blob["interval"] == ["-3/4", "-3/4"]
+
+    def test_exact_json_spellings(self):
+        x = AlgebraicReal.sqrt_rational(2)
+        assert (exact_json(Fraction(1)), exact_json(Fraction(0))) == ("1/1", "0/1")
+        assert exact_json(AlgebraicReal.from_rational(Fraction(-3, 4))) == "-3/4"
+        assert exact_json(x) == x.to_json()
+        assert exact_json(QPHI.element([Fraction(-7, 3), Fraction(5, 11)])) == "-7/3+5/11*phi"
+        poly = MPoly(("s", "t"), {(1, 0): Fraction(3), (0, 2): Fraction(-1, 2)})
+        assert exact_json(poly) == [[[0, 2], "-1/2"], [[1, 0], "3/1"]]
+        doc = {"rank": 3, "ok": True, "det": None, "kind": "indefinite", "approx": 0.5, "x": (Fraction(1, 2), [x])}
+        assert exact_json(doc) == {**doc, "x": ["1/2", [x.to_json()]]}
+
+    @pytest.mark.parametrize("value", [object(), 1j, {1, 2}, Decimal(1)])
+    def test_exact_json_refuses_what_has_no_exact_form(self, value):
+        with pytest.raises(TypeError):
+            exact_json(value)
 
 
 class TestFloat:
