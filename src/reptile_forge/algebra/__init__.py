@@ -24,6 +24,7 @@ from .algebraic import (
     AlgebraicReal,
     DegreeOverflowError,
     Interval,
+    _ratio,
     arith,
     as_algebraic,
     compare,
@@ -66,9 +67,6 @@ __all__ = [
     "sturm_isolate",
     "totient_inverse",
 ]
-
-
-_ratio = "{0.numerator}/{0.denominator}".format  # a Fraction as "p/q"
 
 
 def exact_json(x):

@@ -24,6 +24,7 @@ from .linalg import interpolate
 
 DEGREE_CAP = 8
 _FLOAT_WIDTH = Fraction(1, 10**17)
+_ratio = "{0.numerator}/{0.denominator}".format  # a Fraction as "p/q", as JSON spells it
 
 
 class DegreeOverflowError(ArithmeticError):
@@ -358,7 +359,7 @@ class AlgebraicReal:
         lo, hi = self._iv
         return {
             "minpoly": list(self.minpoly),
-            "interval": [f"{lo.numerator}/{lo.denominator}", f"{hi.numerator}/{hi.denominator}"],
+            "interval": [_ratio(lo), _ratio(hi)],
         }
 
     @staticmethod

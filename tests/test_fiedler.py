@@ -989,8 +989,9 @@ def _batch_digest(matrices, tmp_path, capsys, monkeypatch) -> str:
 
 
 class TestFiedlerBatchesPinned:
-    """Bytes of fiedler check and reconstruct, pinned before the descaled
-    path moved to integers and square roots to closed-form brackets."""
+    """Bytes of fiedler check and reconstruct on two seeded batches, first
+    pinned before the descaled path moved to integers and square roots to
+    closed-form brackets, and re-pinned when witnesses became JSON."""
 
     def test_square_class_batch(self, tmp_path, capsys, monkeypatch):
         mats = square_class_matrices()
