@@ -362,12 +362,6 @@ class AlgebraicReal:
             "interval": [_ratio(lo), _ratio(hi)],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "AlgebraicReal":
-        mp = ip.poly(obj["minpoly"])
-        lo, hi = (Fraction(s) for s in obj["interval"])
-        return AlgebraicReal.from_root(mp, lo, hi)
-
     def __repr__(self) -> str:
         if self.is_rational:
             return f"AlgebraicReal({self.as_fraction()})"

@@ -140,11 +140,12 @@ def _decimal(f, places: int = 6) -> str:
 
 
 def _icbrt(n: int) -> int:
-    r = round(n ** (1 / 3))
+    """The integer cube root, rounded toward 0, by Newton's method down from a power of 2."""
+    if n < 0:
+        return -_icbrt(-n)
+    r = 1 << -(-n.bit_length() // 3)
     while r**3 > n:
-        r -= 1
-    while (r + 1) ** 3 <= n:
-        r += 1
+        r = (2 * r + n // (r * r)) // 3
     return r
 
 
@@ -161,8 +162,6 @@ def is_perfect_cube(k: int) -> bool:
 def rho_degree_step(k: int) -> AuditStep:
     """The scaling factor k^(-1/3) has algebraic degree 3 for non-cube k:
     k x^3 - 1 has no rational root, so it is irreducible."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
     poly = (-1, 0, 0, k)
     if is_perfect_cube(k):
         r = _icbrt(k)
@@ -1011,5 +1010,7 @@ def run_step(step_id: str, k: int | None = None) -> AuditStep:
     if step_id in K_DEPENDENT_STEPS:
         if k is None:
             raise ValueError(f"step {step_id!r} needs k")
+        if k < 2:
+            raise ValueError("k must be at least 2")
         return builder(k)
     return builder()

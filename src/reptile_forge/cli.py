@@ -5,13 +5,15 @@ angles classify|catalog, audit run|step, export.  JSON results go to stdout
 or --out; human-readable summaries go to stderr.  "-" means stdin/stdout.
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
 3 an exact computation beyond a supported bound (the algebraic degree cap
-or the factorizer's reach), so no verdict was reached.
+or the factorizer's reach), so no verdict was reached.  Each document is
+type-checked by its reader in ``jsonio`` first: bad input is one line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -20,15 +22,8 @@ from . import audit as audit_mod
 from . import hill as hill_mod
 from .algebra import DegreeOverflowError, FactorError, exact_json
 from .fiedler import ReconstructionError, realizability_check, reconstruct_simplex
-from .jsonio import (
-    InputFormatError,
-    export_obj,
-    format_real,
-    load_matrix,
-    load_simplex,
-    parse_real,
-    read_json_document,
-)
+from .jsonio import InputFormatError, export_obj, format_real, load_matrix, load_simplex, load_subdivision
+from .jsonio import parse_real, read_json_document, read_number
 from .trig import catalog, cosine_of, match_rational_angle
 
 EXIT_OK = 0
@@ -41,17 +36,10 @@ def _precision_digits() -> int:
     raw = os.environ.get("REPTILE_FORGE_PRECISION")
     if not raw:
         return 12
-    try:
-        value = float(raw)
-        if not 0 < value < 1:
-            raise ValueError
-        import math
-
-        return max(1, round(-math.log10(value)))
-    except ValueError:
-        raise InputFormatError(
-            f"REPTILE_FORGE_PRECISION must be a width like 1e-12, got {raw!r}"
-        ) from None
+    width = read_number(raw)
+    if width is None or not 0 < float(width) < 1:
+        raise InputFormatError(f"REPTILE_FORGE_PRECISION must be a width like 1e-12, got {raw!r}")
+    return max(1, round(-math.log10(width)))
 
 
 def _read_input(path: str) -> str:
@@ -107,7 +95,7 @@ def cmd_fiedler_reconstruct(args) -> int:
     try:
         s = reconstruct_simplex(matrix)
     except ReconstructionError as e:
-        _log(f"not realizable: {e.verdict.failure_witness}")
+        _log(f"not realizable: {e.verdict.failure_witness['kind']} witness")
         _emit({"error": "not realizable", "witness": exact_json(e.verdict.failure_witness)}, args.out)
         return EXIT_VERIFICATION
     _emit({"dim": s.dim, "mode": "float", "vertices": s.as_float()}, args.out)
@@ -242,14 +230,11 @@ def cmd_audit_step(args) -> int:
 def cmd_export(args) -> int:
     doc = read_json_document(_read_input(args.input))
     if isinstance(doc, dict) and "pieces" in doc:
-        sub = hill_mod.Subdivision.from_json(doc)
-        items = [sub.parent] + list(sub.pieces) if args.include_parent else list(sub.pieces)
-        names = (["parent"] if args.include_parent else []) + [
-            f"piece_{i:03d}" for i in range(len(sub.pieces))
-        ]
+        parent, pieces, _ = load_subdivision(doc)
+        names = [f"piece_{i:03d}" for i in range(len(pieces))]
+        items, names = ([parent, *pieces], ["parent", *names]) if args.include_parent else (list(pieces), names)
     else:
-        items = [load_simplex(doc)]
-        names = ["simplex"]
+        items, names = [load_simplex(doc)], ["simplex"]
     stats = export_obj(items, args.obj, names=names)
     _log(f"wrote {args.obj}: {stats['vertices']} vertices, {stats['faces']} faces")
     _emit(stats, args.out)

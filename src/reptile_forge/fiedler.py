@@ -49,7 +49,7 @@ class ReconstructionError(ValueError):
     """Reconstruction was attempted on a non-realizable matrix."""
 
     def __init__(self, verdict: "RealizabilityVerdict"):
-        super().__init__(f"matrix is not realizable: {verdict.failure_witness}")
+        super().__init__(f"matrix is not realizable: {verdict.failure_witness['kind']} witness")
         self.verdict = verdict
 
 

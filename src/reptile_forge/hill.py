@@ -23,7 +23,6 @@ first overlapping pair is named with a common interior point.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
@@ -33,7 +32,7 @@ from operator import mul
 
 from .algebra import FieldElement, exact_json
 from .algebra.linalg import rational_sqrt, rref
-from .jsonio import InputFormatError, load_simplex
+from .jsonio import load_subdivision
 from .simplex import Simplex, _orientation_sign, as_frame, congruent, frame_dot, similar, volume
 
 
@@ -136,33 +135,8 @@ class Subdivision:
 
     @staticmethod
     def from_json(obj: dict) -> "Subdivision":
-        """The subdivision of ``obj``; the parent's frame is parsed once and
-        every piece must carry the same raw "frame" value.  No simplex may
-        be marked "mode": "float": its rounded coordinates would be read
-        exactly."""
-        if not isinstance(obj, dict):
-            raise InputFormatError("subdivision JSON must be an object")
-        for key in ("m", "parent", "pieces"):
-            if key not in obj:
-                raise ValueError(f"subdivision JSON has no {key!r} key")
-        m = obj["m"]
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise ValueError(f"m must be a JSON integer, got {m!r}")
-        if m < 2:
-            raise ValueError("m must be at least 2")
-        if not isinstance(obj["pieces"], list):
-            raise InputFormatError("pieces must be a list of simplices")
-        parent = load_simplex(obj["parent"])
-        raw = obj["parent"].get("frame")
-        for i, p in enumerate(obj["pieces"]):
-            if isinstance(p, dict) and p.get("frame") != raw:
-                raise InputFormatError(
-                    f"piece {i} has frame {json.dumps(p.get('frame'))}, the parent {json.dumps(raw)}"
-                )
-        pieces = tuple(load_simplex(p, parent.frame) for p in obj["pieces"])
-        if any(s.get("mode") == "float" for s in (obj["parent"], *obj["pieces"])):
-            raise ValueError("the reptile verifier is exact: a subdivision takes no float-mode simplex")
-        return Subdivision(parent, pieces, m)
+        """The subdivision of a JSON document (``jsonio.load_subdivision``)."""
+        return Subdivision(*load_subdivision(obj))
 
 
 def _staircase_cells(dim: int, m: int):

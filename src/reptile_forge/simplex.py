@@ -17,7 +17,6 @@ exactly.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +25,6 @@ from itertools import combinations, permutations
 
 from .algebra import AlgebraicReal, FieldElement, NumberField, exact_json
 from .algebra.linalg import cholesky, det_int, rational_sqrt
-
-_RATIO_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def _dot(u, v):
@@ -47,15 +44,6 @@ def frame_dot(u, v, c=0):
 
 def _fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _coordinate(x) -> Fraction:
-    """An exact JSON coordinate or cosine: the plain "p" and "p/q" forms by
-    an integer split, every other form as Fraction(str(x)) reads it."""
-    if isinstance(x, str) and _RATIO_RE.fullmatch(x):
-        num, _, den = x.partition("/")
-        return Fraction(int(num), int(den or 1))
-    return Fraction(str(x))
 
 
 def _pair_lengths(verts, c=0) -> dict:
@@ -216,23 +204,6 @@ class Simplex:
         if c:
             out["frame"] = exact_json(c)
         return out
-
-    @staticmethod
-    def from_json(obj: dict, frame=Fraction(0)) -> "Simplex":
-        """The simplex of ``obj``, in the already parsed ``frame``.  A
-        "float" document is read exactly, each float by its repr; a "dim",
-        when present, must be the vertex count less one."""
-        vs = tuple(tuple(map(_coordinate, v)) for v in obj["vertices"])
-        mode = obj.get("mode", "exact")
-        if mode not in ("exact", "float"):
-            raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
-        s = Simplex(len(vs) - 1, vs, frame)
-        dim = obj.get("dim", s.dim)
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise ValueError(f"dim must be a JSON integer, got {dim!r}")
-        if dim != s.dim:
-            raise ValueError(f"expected {dim + 1} vertices for dim {dim}, got {len(vs)}")
-        return s
 
 
 def as_frame(c) -> Fraction | FieldElement:

@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import contextlib
+import io
 import json
 import math
 import random
@@ -7,6 +9,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from reptile_forge.algebra import AlgebraicReal
+from reptile_forge.cli import main
 from reptile_forge.jsonio import parse_real
 from reptile_forge.simplex import Simplex
 
@@ -16,6 +19,17 @@ DRAW_1 = [(8, 1, Fraction(-9, 2)), (3, -2, -5), (2, -2, Fraction(5, 4)), (0, 4, 
 # draw 14 of the same set: its Fiedler kernel has entries near 10^3, so the
 # unscaled reconstruction is tiny
 DRAW_14 = [(0, -4, 7), (0, Fraction(7, 3), Fraction(-7, 3)), (Fraction(9, 4), 2, -2), (-2, -2, -3)]
+
+
+def run_main(argv) -> tuple:
+    """main's exit code, as its process would end, and what it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
 
 
 # what a Python repr of a witness would leave in printed JSON

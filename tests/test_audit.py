@@ -6,6 +6,7 @@ import json
 import math
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -298,6 +299,19 @@ class TestCubeDetection:
     @pytest.mark.parametrize("k,expect", [(2, False), (7, False), (8, True), (27, True), (26, False), (1000, True)])
     def test_is_perfect_cube(self, k, expect):
         assert is_perfect_cube(k) is expect
+
+    def test_agrees_with_the_cubes_up_to_ten_to_the_fifth(self):
+        cubes = {r**3 for r in range(-47, 48)}
+        assert all(is_perfect_cube(k) is (k in cubes) for k in range(-(10**5), 10**5 + 1))
+
+    @pytest.mark.parametrize(
+        "k, expect", [(10**300, True), (10**300 - 1, False), (10**300 + 1, False), (10**400 + 1, False)]
+    )
+    def test_huge_k_exactly_and_at_once(self, k, expect):
+        # a float cube root is off by about 10^17 here, and overflows past 10^308
+        start = time.perf_counter()
+        assert is_perfect_cube(k) is expect
+        assert time.perf_counter() - start < 0.5
 
 
 class TestIdentitiesAtRandomPoints:

@@ -991,7 +991,9 @@ def _batch_digest(matrices, tmp_path, capsys, monkeypatch) -> str:
 class TestFiedlerBatchesPinned:
     """Bytes of fiedler check and reconstruct on two seeded batches, first
     pinned before the descaled path moved to integers and square roots to
-    closed-form brackets, and re-pinned when witnesses became JSON."""
+    closed-form brackets, re-pinned when witnesses became JSON, and again
+    when a refused reconstruction's stderr line named only the witness kind
+    (stdout and exit codes unchanged)."""
 
     def test_square_class_batch(self, tmp_path, capsys, monkeypatch):
         mats = square_class_matrices()
@@ -1004,5 +1006,5 @@ class TestFiedlerBatchesPinned:
         assert _batch_digest(mats, tmp_path, capsys, monkeypatch) == GENERIC_DIGEST
 
 
-SQUARE_CLASS_DIGEST = "d365f655674d06acd058e447a317971fe47e52f82de6795e156075263038a18e"
-GENERIC_DIGEST = "65b4ba7077d33cb62159502960e96408dc908d7dad41c1ada9d8d23d43f2cf21"
+SQUARE_CLASS_DIGEST = "68c4fd588d756b2c03a8a8bd952eef3a399943bbaa2854620817e05b73363f65"
+GENERIC_DIGEST = "f9d805c18be0c02368ec5331353546dd3b774279f7068f8080345aa5c3d6a572"
