@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -22,8 +21,15 @@ from . import audit as audit_mod
 from . import hill as hill_mod
 from .algebra import DegreeOverflowError, FactorError, exact_json
 from .fiedler import ReconstructionError, realizability_check, reconstruct_simplex
-from .jsonio import InputFormatError, export_obj, format_real, load_matrix, load_simplex, load_subdivision
-from .jsonio import parse_real, read_json_document, read_number
+from .jsonio import (
+    InputFormatError,
+    export_obj,
+    format_real,
+    load_matrix,
+    load_simplex,
+    parse_real,
+    read_json_document,
+)
 from .trig import catalog, cosine_of, match_rational_angle
 
 EXIT_OK = 0
@@ -36,10 +42,17 @@ def _precision_digits() -> int:
     raw = os.environ.get("REPTILE_FORGE_PRECISION")
     if not raw:
         return 12
-    width = read_number(raw)
-    if width is None or not 0 < float(width) < 1:
-        raise InputFormatError(f"REPTILE_FORGE_PRECISION must be a width like 1e-12, got {raw!r}")
-    return max(1, round(-math.log10(width)))
+    try:
+        value = float(raw)
+        if not 0 < value < 1:
+            raise ValueError
+        import math
+
+        return max(1, round(-math.log10(value)))
+    except ValueError:
+        raise InputFormatError(
+            f"REPTILE_FORGE_PRECISION must be a width like 1e-12, got {raw!r}"
+        ) from None
 
 
 def _read_input(path: str) -> str:
@@ -230,11 +243,14 @@ def cmd_audit_step(args) -> int:
 def cmd_export(args) -> int:
     doc = read_json_document(_read_input(args.input))
     if isinstance(doc, dict) and "pieces" in doc:
-        parent, pieces, _ = load_subdivision(doc)
-        names = [f"piece_{i:03d}" for i in range(len(pieces))]
-        items, names = ([parent, *pieces], ["parent", *names]) if args.include_parent else (list(pieces), names)
+        sub = hill_mod.Subdivision.from_json(doc)
+        items = [sub.parent] + list(sub.pieces) if args.include_parent else list(sub.pieces)
+        names = (["parent"] if args.include_parent else []) + [
+            f"piece_{i:03d}" for i in range(len(sub.pieces))
+        ]
     else:
-        items, names = [load_simplex(doc)], ["simplex"]
+        items = [load_simplex(doc)]
+        names = ["simplex"]
     stats = export_obj(items, args.obj, names=names)
     _log(f"wrote {args.obj}: {stats['vertices']} vertices, {stats['faces']} faces")
     _emit(stats, args.out)

@@ -13,17 +13,19 @@ import json
 import math
 import re
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 
 from .algebra import AlgebraicReal, FactorError, exact_json
 from .fiedler import CosMatrix
 from .simplex import Simplex, as_frame
 
 # sign, coefficient, radicand, denominator
-_SQRT_RE = re.compile(r"([+-]?)(?:([0-9]+(?:/[0-9]+)?)\*)?sqrt\(([0-9]+(?:/[0-9]+)?)\)(?:/([0-9]+))?")
-# "p/q", or "p" or a decimal with an exponent of at most four digits
-_NUMBER_RE = re.compile(r"([+-]?[0-9]+)/([0-9]+)|[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]{1,4})?")
+_SQRT_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)\*)?sqrt\((\d+(?:/\d+)?)\)(?:/(\d+))?")
+# Fraction's string grammar with an exponent of at most four digits: "p/q", or "p" or a decimal
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMBER_RE = re.compile(
+    rf"\s*(?:([+-]?{_DIGITS})/({_DIGITS})|[+-]?(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})"
+    rf"(?:[eE][+-]?\d(?:_?\d){{0,3}})?)\s*"
+)
 
 
 class InputFormatError(ValueError):
@@ -36,20 +38,17 @@ def _expected(path: str, what: str, x, prefix: str = "") -> InputFormatError:
 
 
 def read_number(x) -> Fraction | None:
-    """An integer, a finite float by its repr, or a "p/q" (q > 0), "p" or decimal string, else None."""
+    """An integer, a finite float by its repr, or a string as Fraction reads it (a "p/q" with
+    q > 0, a "p" or a decimal) with an exponent of at most four digits, else None."""
     if type(x) is int:
         return Fraction(x)
     if type(x) is float and math.isfinite(x):
         x = repr(x)
-    return _number_str(x) if type(x) is str else None
-
-
-@lru_cache(maxsize=4096)  # a subdivision repeats a few coordinates thousands of times
-def _number_str(s: str) -> Fraction | None:
-    m = _NUMBER_RE.fullmatch(s)
-    if m is None or m[2] is None:
-        return None if m is None else Fraction(s)
-    return Fraction(int(m[1]), int(m[2])) if int(m[2]) else None
+    if type(x) is not str or (m := _NUMBER_RE.fullmatch(x)) is None:
+        return None
+    if m[2] is None:
+        return Fraction(x)
+    return Fraction(int(m[1]), den) if (den := int(m[2])) else None
 
 
 def parse_real(spec, path: str = ""):
@@ -186,7 +185,8 @@ def load_subdivision(obj: dict) -> tuple[Simplex, tuple[Simplex, ...], int]:
         raise ValueError("m must be at least 2")
     if not isinstance(pieces, list):
         raise InputFormatError("pieces must be a list of simplices")
-    parent, raw = load_simplex(obj["parent"], path="parent"), obj["parent"].get("frame")
+    parent = load_simplex(obj["parent"], path="parent")
+    raw = obj["parent"].get("frame")
     for i, p in enumerate(pieces):
         if isinstance(p, dict) and p.get("frame") != raw:
             raise InputFormatError(
@@ -217,24 +217,38 @@ def export_obj(simplices, path: str, names=None) -> dict:
     items = list(simplices)
     if any(s.dim != 3 for s in items):
         raise ValueError("OBJ export is defined for d = 3")
-    # below 2^1021, a Cartesian coordinate (a sum of at most four) stays a finite float
-    if any(max(abs(c) for v in s.lattice[1] for c in v) >= s.lattice[0] << 1021 for s in items):
-        raise ValueError("OBJ export writes floats: a coordinate is beyond the float range")
-    floats: dict[tuple, tuple[float, ...]] = {}  # exact vertex -> its float, in first-seen order
+    # float() of a Fraction overflows from 2^1024 - 2^970 on; a framed coordinate is a sum
+    # of three coordinates times Cholesky entries of at most 1, so it keeps below 2^1023
     for s in items:
-        for p, fp in zip(s.vertices, s.as_float()):
-            floats.setdefault(p, fp)
-    index = {p: i for i, p in enumerate(floats, 1)}
-    groups = [
-        (names[n] if names else f"piece_{n:03d}", list(combinations([index[p] for p in s.vertices], 3)))
-        for n, s in enumerate(items)
-    ]
+        limit = 1 << 1021 if s.frame else (1 << 1024) - (1 << 970)
+        if any(abs(x) >= limit for v in s.vertices for x in v):
+            raise ValueError("OBJ export writes floats: a coordinate is beyond the float range")
+    verts: list[tuple[float, ...]] = []
+    index: dict[tuple, int] = {}
+
+    def vid(p, fp) -> int:
+        if p not in index:
+            verts.append(fp)
+            index[p] = len(verts)
+        return index[p]
+
+    groups = []
+    for n, s in enumerate(items):
+        ids = [vid(p, fp) for p, fp in zip(s.vertices, s.as_float())]
+        name = names[n] if names else f"piece_{n:03d}"
+        faces = [
+            (ids[0], ids[1], ids[2]),
+            (ids[0], ids[1], ids[3]),
+            (ids[0], ids[2], ids[3]),
+            (ids[1], ids[2], ids[3]),
+        ]
+        groups.append((name, faces))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# reptile-forge OBJ export\n")
-        for v in floats.values():
+        for v in verts:
             fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
         for name, faces in groups:
             fh.write(f"g {name}\n")
             for f in faces:
                 fh.write(f"f {f[0]} {f[1]} {f[2]}\n")
-    return {"vertices": len(floats), "faces": 4 * len(items), "groups": len(groups)}
+    return {"vertices": len(verts), "faces": 4 * len(items), "groups": len(groups)}

@@ -129,13 +129,25 @@ class TestBadValues:
         err = refused(["export", str(path), "--obj", str(tmp_path / "s.obj")])
         assert err == f"input error: bad simplex JSON: vertices[3][2]: expected an exact number, got {json.dumps(x)}\n"
 
-    def test_export_beyond_the_float_range(self, tmp_path):
-        doc = {"dim": 3, "mode": "float", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, "1e400"]]}
+    FLOAT_LIMIT = (1 << 1024) - (1 << 970)  # the least Fraction whose float() overflows
+
+    @pytest.mark.parametrize("x, frame", [("1e400", None), (FLOAT_LIMIT, None), (1 << 1021, "1/3")])
+    def test_export_beyond_the_float_range(self, x, frame, tmp_path):
+        doc = {"dim": 3, "mode": "float", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, x]]}
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc if frame is None else {**doc, "mode": "exact", "frame": frame}))
         err = refused(["export", str(path), "--obj", str(tmp_path / "s.obj")])
         assert err == "error: OBJ export writes floats: a coordinate is beyond the float range\n"
         assert not (tmp_path / "s.obj").exists()
+
+    @pytest.mark.parametrize("x, frame", [("1e308", None), (FLOAT_LIMIT - 1, None), ((1 << 1021) - 1, "1/3")])
+    def test_export_within_the_float_range(self, x, frame, tmp_path):
+        doc = {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, x]]}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc if frame is None else {**doc, "frame": frame}))
+        rc, _, err = run_main(["export", str(path), "--obj", str(tmp_path / "s.obj")])
+        assert rc == 0, err
+        assert "inf" not in (tmp_path / "s.obj").read_text()
 
     def test_nesting_too_deep(self, tmp_path):
         path = tmp_path / "m.json"
