@@ -991,8 +991,12 @@ class TestPrecisionEnv:
         out = json.loads(capsys.readouterr().out)
         assert out[0]["angle_deg"] == 45.0
 
+    def test_bad_value_rejected(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPTILE_FORGE_PRECISION", "huge")
+        assert main(["angles", "classify", "1/2"]) == 2
+
     @pytest.mark.parametrize("raw", ["huge", "1e400", "0", "nan"])
-    def test_bad_value_rejected(self, raw, monkeypatch, capsys):
+    def test_bad_value_is_one_line(self, raw, monkeypatch, capsys):
         monkeypatch.setenv("REPTILE_FORGE_PRECISION", raw)
         assert main(["angles", "classify", "1/2"]) == 2
         err = capsys.readouterr().err
