@@ -3,7 +3,7 @@
 Public surface:
 
 - ``sturm_isolate(p, interval)``: one rational interval per distinct real root
-- ``is_irreducible(p)``: rationality/resolvent test for degrees 1..4
+- ``is_irreducible(p)`` / ``irreducible_factors(p)``: Zassenhaus factoring over Z[x], any degree
 - ``AlgebraicReal`` with exact arithmetic, comparison, and refinement
 - ``arith`` / ``compare`` / ``refine``: operation-style wrappers
 - ``euler_totient(n)``

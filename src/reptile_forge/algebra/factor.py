@@ -1,222 +1,226 @@
-"""Factorization of integer polynomials of degree at most eight.
+"""Factorization of squarefree integer polynomials of any degree, by Zassenhaus.
 
-The strategy is root-isolation guided: rational roots are found exactly,
-and higher-degree factors are reconstructed from subsets of isolated real
-roots of the monicized polynomial (integer factors of a monic integer
-polynomial have integer coefficients, so a candidate is pinned down once
-every elementary-symmetric enclosure is narrower than one).  Two screens
-keep the subset search small: a real-rooted polynomial's smallest factor has
-degree at most half its own, and a subset whose root-sum enclosure holds no
-integer is skipped before its product is formed (the trace test of Abbott,
-Shoup and Zimmermann, ISSAC 2000).  Quartics with complex roots fall back to
-resolvent-cubic analysis.  This covers every polynomial arising from
-arithmetic on totally real algebraic numbers; anything outside that domain
-raises FactorError rather than guessing.
+A squarefree primitive f of degree n is factored modulo a small prime p
+(distinct-degree, then Cantor-Zassenhaus equal-degree splitting), its monic
+modular factors are Hensel-lifted on a binary factor tree to a modulus above
+2 |lc(f)| 2^n ||f||_2, which bounds lc(f)/lc(g) * g for every factor g, and
+subsets of the lifted factors are recombined by exact trial division over Z
+(Zassenhaus, J. Number Theory 1969; von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 15).  The one refusal: recombination past SUBSET_CAP
+trials raises FactorError rather than run for exponential time.
 """
 
 from __future__ import annotations
 
-import math
+import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from math import isqrt, prod
 
 from . import intpoly as ip
 from . import sturm
 from .intpoly import Poly
-from .linalg import rational_sqrt
 
 
 class FactorError(ValueError):
-    """Raised when a polynomial cannot be factored by the supported methods."""
+    """Raised when recombining the modular factors would take too many trials."""
 
 
-MAX_DEGREE = 8
+PRIME_TRIES = 5  # squarefree images tried; the one with fewest factors is kept
+SUBSET_CAP = 2**15  # recombination trials before FactorError
 
-_IV = tuple[Fraction, Fraction]
-
-
-def _iv_add(a: _IV, b: _IV) -> _IV:
-    return (a[0] + b[0], a[1] + b[1])
+# Polynomials modulo m are lists of residues in [0, m), lowest degree first,
+# with no trailing zero.
 
 
-def _iv_mul(a: _IV, b: _IV) -> _IV:
-    vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(vals), max(vals))
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _product_coefficients(roots: list[_IV]) -> list[_IV]:
-    """Interval coefficients of prod (x - r) over the given root enclosures."""
-    coeffs: list[_IV] = [(Fraction(1), Fraction(1))]
-    for lo, hi in roots:
-        neg = (-hi, -lo)
-        nxt: list[_IV] = [(Fraction(0), Fraction(0))] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j + 1] = _iv_add(nxt[j + 1], c)
-            nxt[j] = _iv_add(nxt[j], _iv_mul(c, neg))
-        coeffs = nxt
-    return coeffs
+def _add(a: list[int], b: list[int], m: int, sign: int = 1) -> list[int]:
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([(x + sign * y) % m for x, y in zip(a, b)])
 
 
-def _subset_factor(g: Poly) -> Poly | None:
-    """Smallest-degree monic integer factor of g reconstructible from real
-    roots, or None.  g must be monic, squarefree, degree >= 4, and free of
-    rational roots; any factor found this way is irreducible."""
-    n = ip.degree(g)
-    intervals = sturm.isolate_roots(g)
-    if len(intervals) < 2:
-        return None
-    refined = list(intervals)
-    # elementary symmetric functions amplify root-enclosure widths by at
-    # most n * (2B)^(n-1); refine below that before giving up
-    bound = ip.root_bound(g)
-    floor = Fraction(1, 16 * n) / (2 * bound + 2) ** n
+def _mul(a: list[int], b: list[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([c % m for c in out])
 
-    def refine_all(w: Fraction) -> None:
-        for i, (lo, hi) in enumerate(refined):
-            if hi - lo >= w:
-                refined[i] = sturm.refine_root(g, lo, hi, w)
 
-    # a real-rooted g has real-rooted cofactors, so its smallest factor has
-    # degree <= n/2, and at n/2 one of each complementary pair holds root 0
-    all_real = len(intervals) == n
-    for k in range(2, n // 2 + 1 if all_real else n - 1):
-        for subset in combinations(range(len(refined)), k):
-            if all_real and 2 * k == n and subset[0]:
-                break
-            # trace screen: the root sum is minus a coefficient, an integer
-            lo = sum(refined[i][0] for i in subset)
-            hi = sum(refined[i][1] for i in subset)
-            if hi - lo < 1 and math.ceil(lo) > hi:
+def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b modulo m; lc(b) must be a unit mod m."""
+    r, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] * inv % m
+        if c:
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return _trim(q), _trim([c % m for c in r[:db]])
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd modulo a prime p (a nonzero)."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _mul(a, [pow(a[-1], -1, p)], p)
+
+
+def _powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
+    """a^e modulo (g, p)."""
+    out, a = [1], _divmod(a, g, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, a, p), g, p)[1]
+        a = _divmod(_mul(a, a, p), g, p)[1]
+        e >>= 1
+    return out
+
+
+def _primes():
+    """Odd primes 3, 5, 7, ... by trial division: no input runs out of them."""
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """(g, d) pairs: g is the product of the monic squarefree f's irreducible
+    factors of degree d modulo p."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd(f, _add(h, [0, 1], p, -1), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """The monic irreducible factors, each of degree d, of g modulo an odd p."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        if len(a) < 2:
+            continue
+        b = _gcd(g, a, p)
+        if len(b) == 1:
+            b = _gcd(g, _add(_powmod(a, (p**d - 1) // 2, g, p), [1], p, -1), p)
+        if 1 < len(b) < len(g):
+            return _equal_degree(b, d, p, rng) + _equal_degree(_divmod(g, b, p)[0], d, p, rng)
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """Lift f = g h, s g + t h = 1 from modulus m to m^2 (MCA, Alg. 15.10)."""
+    m *= m
+    e = _add(f, _mul(g, h, m), m, -1)
+    q, r = _divmod(_mul(s, e, m), h, m)
+    g = _add(g, _add(_mul(t, e, m), _mul(q, g, m), m), m)
+    h = _add(h, r, m)
+    b = _add(_add(_mul(s, g, m), _mul(t, h, m), m), [1], m, -1)
+    c, d = _divmod(_mul(s, b, m), h, m)
+    return g, h, _add(s, d, m, -1), _add(_add(t, _mul(t, b, m), m, -1), _mul(c, g, m), m, -1)
+
+
+def _lift(f: list[int], facs: list[list[int]], p: int, big: int) -> list[list[int]]:
+    """Monic factors of the monic f modulo big = p^(2^j) that reduce to facs,
+    pairwise coprime monic factors modulo p whose product is f."""
+    if len(facs) == 1:
+        return [f]
+    half = len(facs) // 2
+    g, h = (reduce(lambda a, b: _mul(a, b, p), part) for part in (facs[:half], facs[half:]))
+    # Bezout coefficients s g + t h = 1 modulo p, by the extended Euclid
+    r0, r1, s, s1, t, t1 = g, h, [1], [], [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1, s, s1, t, t1 = r1, r, s1, _add(s, _mul(q, s1, p), p, -1), t1, _add(t, _mul(q, t1, p), p, -1)
+    s, t = _mul(s, [pow(r0[0], -1, p)], p), _mul(t, [pow(r0[0], -1, p)], p)
+    m = p
+    while m < big:
+        g, h, s, t = _hensel_step(f, g, h, s, t, m)
+        m *= m
+    return _lift(g, facs[:half], p, big) + _lift(h, facs[half:], p, big)
+
+
+def _recombine(f: Poly, lifted: list[list[int]], big: int) -> list[Poly]:
+    """Zassenhaus recombination by exact trial division: for each factor g of
+    f, lc(f) times the product of the lifted factors that g reduces to is
+    lc(f)/lc(g) * g in the symmetric range mod big."""
+    lc, rest, found, size, tried = f[-1], f, [], 1, 0
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            tried += 1
+            if tried > SUBSET_CAP:
+                raise FactorError(
+                    f"factoring a degree-{ip.degree(f)} polynomial needs over {SUBSET_CAP} recombination trials"
+                )
+            # screen: a factor's constant term divides lc(f) * rest(0)
+            c0 = lc * prod(lifted[i][0] for i in subset) % big
+            c0 -= big if 2 * c0 > big else 0
+            if rest[0] and (c0 == 0 or lc * rest[0] % c0):
                 continue
-            w = Fraction(1, 64)
-            while True:
-                refine_all(w)
-                coeffs = _product_coefficients([refined[i] for i in subset])
-                if any(hi - lo >= 1 for lo, hi in coeffs):
-                    w /= 16
-                    if w < floor / 256:
-                        raise FactorError("root refinement failed to settle coefficients")
-                    continue
-                candidate = []
-                for lo, hi in coeffs:
-                    c = math.ceil(lo)
-                    if c > hi:
-                        candidate = None
-                        break
-                    candidate.append(c)
-                if candidate is not None:
-                    cand_poly = ip.poly(candidate)
-                    if ip.degree(cand_poly) == k and ip.divides(cand_poly, g):
-                        return cand_poly
+            cand = reduce(lambda a, i: _mul(a, lifted[i], big), subset, [lc])
+            cand = ip.primitive(ip.poly(c - big if 2 * c > big else c for c in cand))
+            if ip.divides(cand, rest):
+                found.append(cand)
+                rest = ip.div_exact(rest, cand)
+                lifted = [a for i, a in enumerate(lifted) if i not in subset]
                 break
-    return None
-
-
-def _clear_denominators(coeffs: list[Fraction]) -> Poly:
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return ip.poly(int(c * den) for c in coeffs)
-
-
-def _quartic_quadratic_split(g: Poly) -> tuple[Poly, Poly] | None:
-    """Split a primitive quartic with no rational roots into two integer
-    quadratics, if possible, via the resolvent cubic."""
-    if ip.degree(g) != 4:
-        raise ValueError("quartic expected")
-    gm, lc = ip.monicize(g)
-    b, c, d, e = (Fraction(gm[3]), Fraction(gm[2]), Fraction(gm[1]), Fraction(gm[0]))
-    # depressed form: y = z - b/4 gives z^4 + p z^2 + q z + r
-    p = c - 3 * b * b / 8
-    q = d - b * c / 2 + b**3 / 8
-    r = e - b * d / 4 + b * b * c / 16 - 3 * b**4 / 256
-
-    found: tuple[Fraction, Fraction, Fraction] | None = None
-    if q == 0:
-        root = rational_sqrt(p * p - 4 * r)
-        if root is not None:
-            found = (Fraction(0), (p + root) / 2, (p - root) / 2)
         else:
-            rr = rational_sqrt(r)
-            if rr is not None:
-                for v in (rr, -rr):
-                    u = rational_sqrt(2 * v - p)
-                    if u is not None:
-                        found = (u, v, v)
-                        break
-    else:
-        # resolvent cubic in U = u^2:  U^3 + 2p U^2 + (p^2 - 4r) U - q^2 = 0
-        res = _clear_denominators([-q * q, p * p - 4 * r, 2 * p, Fraction(1)])
-        for u2 in sturm.rational_roots(res):
-            if u2 <= 0:
-                continue
-            u = rational_sqrt(u2)
-            if u is None:
-                continue
-            found = (u, (p + u2 - q / u) / 2, (p + u2 + q / u) / 2)
-            break
-    if found is None:
-        return None
-    u, v, w = found
-    shift = b / 4
-
-    def lift(uu: Fraction, vv: Fraction) -> Poly:
-        # z^2 + uu z + vv with z = y + shift, then y = lc * x
-        cs = [vv + uu * shift + shift * shift, uu + 2 * shift, Fraction(1)]
-        q_int = _clear_denominators(cs)
-        return ip.primitive(ip.compose_linear(q_int, lc, 0))
-
-    f1, f2 = lift(u, v), lift(-u, w)
-    if ip.primitive(ip.mul(f1, f2)) != ip.primitive(g):
-        raise AssertionError("quartic split reconstruction mismatch")
-    return f1, f2
+            size += 1
+    return sorted(found + [rest])
 
 
 def factor_squarefree(f: Poly) -> list[Poly]:
     """Irreducible primitive factors of a squarefree primitive polynomial."""
     f = ip.primitive(f)
     n = ip.degree(f)
-    if n > MAX_DEGREE:
-        raise FactorError(f"degree {n} exceeds the supported bound {MAX_DEGREE}")
-    if n <= 0:
-        return []
-    if n == 1:
+    if n <= 1:
+        return [f] if n == 1 else []
+    lc, images, checked = f[-1], [], False
+    for p in _primes():
+        if lc % p == 0:
+            continue
+        fp = _mul(list(f), [pow(lc, -1, p)], p)
+        if len(_gcd(fp, _trim([i * c % p for i, c in enumerate(fp)][1:]), p)) > 1:
+            # f is squarefree modulo all but finitely many primes, unless it
+            # is not squarefree at all
+            if not checked and ip.degree(ip.gcd_poly(f, ip.derivative(f))) > 0:
+                raise ValueError("squarefree polynomial expected")
+            checked = True
+            continue
+        ddf = _distinct_degree(fp, p)
+        images.append((sum((len(g) - 1) // d for g, d in ddf), p, ddf))
+        if images[-1][0] == 1 or len(images) == PRIME_TRIES:
+            break
+    count, p, ddf = min(images)
+    if count == 1:
         return [f]
-    factors: list[Poly] = []
-    rest = f
-    for r in sturm.rational_roots(f):
-        lin = ip.primitive(ip.poly([-r.numerator, r.denominator]))
-        factors.append(lin)
-        rest = ip.div_exact(rest, lin)
-    rest = ip.primitive(rest)
-    while ip.degree(rest) > 0:
-        d = ip.degree(rest)
-        if d <= 3:
-            # no rational roots remain, so degrees 2 and 3 are irreducible
-            factors.append(rest)
-            break
-        gm, lc = ip.monicize(rest)
-        hit = _subset_factor(gm)
-        if hit is not None:
-            fac = ip.primitive(ip.compose_linear(hit, lc, 0))
-            factors.append(fac)
-            rest = ip.primitive(ip.div_exact(rest, fac))
-            continue
-        if d == 4:
-            split = _quartic_quadratic_split(rest)
-            if split is None:
-                factors.append(rest)
-                break
-            factors.append(split[0])
-            rest = ip.primitive(ip.div_exact(rest, split[0]))
-            continue
-        # no all-real-rooted proper factor: if every root is real the
-        # polynomial is irreducible, otherwise we cannot certify anything
-        if len(sturm.isolate_roots(rest)) == d:
-            factors.append(rest)
-            break
-        raise FactorError(
-            f"cannot factor degree-{d} polynomial with complex conjugate roots"
-        )
-    return sorted(factors)
+    rng = random.Random(0)
+    facs = [a for g, d in ddf for a in _equal_degree(g, d, p, rng)]
+    big, bound = p, 4 * lc * lc * 4**n * sum(c * c for c in f)
+    while big * big <= bound:
+        big *= big
+    return _recombine(f, _lift(_mul(list(f), [pow(lc, -1, big)], big), facs, p, big), big)
 
 
 def irreducible_factors(p: Poly) -> list[Poly]:
@@ -247,23 +251,8 @@ def minimal_polynomial_on(
 
 
 def is_irreducible(p: Poly) -> bool:
-    """Irreducibility over the rationals for degrees 1 through 4.
-
-    Degrees 2 and 3 reduce to the rational root test; degree 4 adds the
-    resolvent-cubic test for a split into two integer quadratics.
-    """
+    """Irreducibility over the rationals, for every degree."""
     f = ip.primitive(p)
-    d = ip.degree(f)
-    if d < 1:
+    if ip.degree(f) < 1:
         raise ValueError("irreducibility undefined for constants")
-    if d > 4:
-        raise ValueError("unsupported degree (only degrees 1..4)")
-    if d == 1:
-        return True
-    if sturm.rational_roots(f):
-        return False
-    if d <= 3:
-        return True
-    if ip.squarefree_part(f) != f:
-        return False
-    return _quartic_quadratic_split(f) is None
+    return ip.squarefree_part(f) == f and len(factor_squarefree(f)) == 1

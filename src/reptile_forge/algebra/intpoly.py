@@ -245,20 +245,6 @@ def reverse(p: Poly) -> Poly:
     return poly(reversed(p))
 
 
-def monicize(p: Poly) -> tuple[Poly, int]:
-    """Return (q, lc) where q is monic with integer coefficients and the
-    roots of q are exactly lc * (roots of p)."""
-    n = degree(p)
-    if n < 0:
-        raise ValueError("zero polynomial")
-    lc = p[-1]
-    if lc == 1:
-        return p, 1
-    q = [p[i] * lc ** (n - 1 - i) for i in range(n)]
-    q.append(1)
-    return poly(q), lc
-
-
 def sylvester_matrix(p, q) -> list[list[int]]:
     """Sylvester matrix of two coefficient lists (low first).  Each formal
     degree is the list's length minus one, so a zero leading coefficient

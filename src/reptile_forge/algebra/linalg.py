@@ -10,9 +10,8 @@ for integer matrices; ``rref`` is its Gauss-Jordan form.  On integers it
 stays in integers; any other exact ring divides with ``/``, with integers
 promoted to Fraction first, because int / int is a float.  The Hill
 margin program reads its pivots; ``solve`` scales rational rows to
-integers before it, for number-field inverses and the rowspace
-certificate.  Zero tests use ``not x``, which is O(1) on AlgebraicReal
-where ``x != 0`` would refine an enclosure.  The one float routine,
+integers before it, for number-field inverses.  Zero tests use ``not x``,
+which is O(1) on AlgebraicReal where ``x != 0`` would refine an enclosure.  The one float routine,
 ``cholesky``, serves the coordinate output of reconstructed and framed
 simplices, dimension <= 4.
 

@@ -5,8 +5,9 @@ angles classify|catalog, audit run|step, export.  JSON results go to stdout
 or --out; human-readable summaries go to stderr.  "-" means stdin/stdout.
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
 3 an exact computation beyond a supported bound (the algebraic degree cap
-or the factorizer's reach), so no verdict was reached.  Each document is
-type-checked by its reader in ``jsonio`` first: bad input is one line.
+or the factorizer's recombination cap), so no verdict was reached.  Each
+document is type-checked by its reader in ``jsonio`` first: bad input is
+one line.
 """
 
 from __future__ import annotations

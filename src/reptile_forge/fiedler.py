@@ -33,7 +33,7 @@ from itertools import combinations
 from operator import mul
 
 from .algebra import INV_PHI, PHI, QPHI, AlgebraicReal, MPoly, as_algebraic, exact_json, linalg
-from .algebra.linalg import cholesky, solve
+from .algebra.linalg import cholesky
 from .simplex import DihedralData, Simplex, _pair_lengths, normal_gram
 
 SYM_VARS = ("s", "t")
@@ -394,62 +394,6 @@ def _algebraic_check(a: CosMatrix) -> RealizabilityVerdict:
             return RealizabilityVerdict(True, tuple(as_algebraic(x) for x in w), None)
         witness = {"kind": "kernel_not_positive", "kernel": w}
     return RealizabilityVerdict(False, None, witness)
-
-
-def nonneg_rowspace_certificate(a: CosMatrix):
-    """A coefficient vector c with c^T A entrywise >= 0 (or <= 0) and
-    nonzero, proving non-realizability; None if no such certificate exists.
-
-    Found by exact vertex enumeration of {y in rowspace : y >= 0, sum y = 1}.
-    Measured matrices reduce to their rational congruent scaling: the
-    entrywise signs of c^T A and c'^T B agree under c = diag(sqrt(q)) c'.
-    """
-    n = a.dim + 1
-    rows = [[x.as_fraction() if x.is_rational else x for x in r] for r in a.entries]
-    scaling = None
-    if not all(isinstance(x, Fraction) for r in rows for x in r):
-        descaled = _descale(a)
-        if descaled is not None:
-            m, den, scaling = descaled
-            rows = [[Fraction(x, den) for x in row] for row in m]
-    for flip in (1, -1):
-        for size in range(0, n):
-            for tight in combinations(range(n), size):
-                c = _solve_certificate(rows, tight, flip)
-                if c is not None:
-                    if scaling is None:
-                        return c
-                    return tuple(
-                        AlgebraicReal.sqrt_rational(q) * ci for q, ci in zip(scaling, c)
-                    )
-    return None
-
-
-def _solve_certificate(rows, tight, flip):
-    """Solve for c: (c^T A)_i = 0 on `tight`, sum_i flip * (c^T A)_i = 1,
-    then check flip * c^T A >= 0 everywhere."""
-    n = len(rows)
-    eqs = []
-    rhs = []
-    for i in tight:
-        eqs.append([rows[j][i] for j in range(n)])
-        rhs.append(Fraction(0))
-    eqs.append([flip * sum(rows[j][i] for i in range(n)) for j in range(n)])
-    rhs.append(Fraction(1))
-    sol = solve(eqs, rhs)
-    if sol is None:
-        return None
-    y = [sum(sol[j] * rows[j][i] for j in range(n)) for i in range(n)]
-    sgns = [_sign(v) for v in y]
-    if all(flip * s >= 0 for s in sgns) and any(s != 0 for s in sgns):
-        return tuple(sol)
-    return None
-
-
-def char_poly(a: CosMatrix) -> list:
-    """Exact characteristic polynomial det(lambda I - A), low-first, monic."""
-    rows = [[x.as_fraction() if x.is_rational else x for x in r] for r in a.entries]
-    return [as_algebraic(c) for c in linalg.char_poly(rows)]
 
 
 def _forward_substitute(low: list[list[float]], j: int, t: float) -> list[float]:

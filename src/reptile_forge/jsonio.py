@@ -63,19 +63,18 @@ def parse_real(spec, path: str = ""):
     if isinstance(spec, float):
         hint = 'pass an exact string like "1/2" or "sqrt(2)/2"'
         raise InputFormatError(f"refusing float literal {json.dumps(spec)}: {hint}")
-    if not isinstance(spec, str):
-        raise _expected(path or "value", "an exact value", spec)
-    if m := _SQRT_RE.fullmatch(s := spec.strip()):
-        rad, coef, den = read_number(m[3]), read_number(m[2] or "1"), int(m[4] or 1)
-        if rad is not None and coef is not None and den:
-            # no resultant: a sign is an exact negation, and c sqrt(r) keeps the enclosure
-            # c [lo, hi] of sqrt(r), which sqrt(c^2 r) would not; reconstruction reads it
-            root, coef = AlgebraicReal.sqrt_rational(rad), coef / den
-            root = root * coef if coef != 1 else root
-            return -root if m[1] == "-" else root
-    elif (value := read_number(s)) is not None:
-        return value
-    raise InputFormatError(f"cannot parse exact value {s!r}")
+    if isinstance(spec, str):
+        if m := _SQRT_RE.fullmatch(s := spec.strip()):
+            rad, coef, den = read_number(m[3]), read_number(m[2] or "1"), int(m[4] or 1)
+            if rad is not None and coef is not None and den:
+                # no resultant: a sign is an exact negation, and c sqrt(r) keeps the enclosure
+                # c [lo, hi] of sqrt(r), which sqrt(c^2 r) would not; reconstruction reads it
+                root, coef = AlgebraicReal.sqrt_rational(rad), coef / den
+                root = root * coef if coef != 1 else root
+                return -root if m[1] == "-" else root
+        elif (value := read_number(s)) is not None:
+            return value
+    raise _expected(path or "value", "an exact value", spec)
 
 
 def _algebraic(obj: dict, path: str) -> AlgebraicReal:
@@ -118,7 +117,7 @@ def load_matrix(obj: dict) -> CosMatrix:
         raise _expected("matrix JSON", 'an object with "dim" and "cos"', obj)
     dim, rows = obj["dim"], obj["cos"]
     if type(dim) is not int:
-        raise InputFormatError(f"dim must be a JSON integer, got {dim!r}")
+        raise _expected("dim", "an integer", dim)
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputFormatError("cos must be a list of rows, each a list of entries")
     if len(rows) != dim + 1:
@@ -135,15 +134,15 @@ def load_simplex(obj: dict, frame=None, path: str = "") -> Simplex:
     if not isinstance(obj, dict):
         raise InputFormatError(f"{bad}expected an object, got {json.dumps(obj)[:40]}")
     if "vertices" not in obj:
-        raise InputFormatError(f"{bad}'vertices'")
+        raise InputFormatError(f'{bad}{path + ": " if path else ""}no "vertices" key')
     raw, mode = obj["vertices"], obj.get("mode", "exact")
     if mode not in ("exact", "float"):
-        raise InputFormatError(f"{bad}mode must be 'exact' or 'float', got {mode!r}")
+        raise _expected(f"{path}.mode", '"exact" or "float"', mode, bad)
     if not isinstance(raw, list):
         raise _expected(f"{path}.vertices", "a list of vertices", raw, bad)
     dim = obj.get("dim", len(raw) - 1)
     if type(dim) is not int:
-        raise InputFormatError(f"{bad}dim must be a JSON integer, got {dim!r}")
+        raise _expected(f"{path}.dim", "an integer", dim, bad)
     if dim != len(raw) - 1:
         raise InputFormatError(f"{bad}expected {dim + 1} vertices for dim {dim}, got {len(raw)}")
     vertices = []
@@ -177,12 +176,12 @@ def load_subdivision(obj: dict) -> tuple[Simplex, tuple[Simplex, ...], int]:
     if not isinstance(obj, dict):
         raise InputFormatError("subdivision JSON must be an object")
     if missing := [key for key in ("m", "parent", "pieces") if key not in obj]:
-        raise ValueError(f"subdivision JSON has no {missing[0]!r} key")
+        raise InputFormatError(f"subdivision JSON has no {json.dumps(missing[0])} key")
     m, pieces = obj["m"], obj["pieces"]
     if type(m) is not int:
-        raise ValueError(f"m must be a JSON integer, got {m!r}")
+        raise _expected("m", "an integer", m)
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise InputFormatError("m must be at least 2")
     if not isinstance(pieces, list):
         raise InputFormatError("pieces must be a list of simplices")
     parent = load_simplex(obj["parent"], path="parent")
@@ -194,7 +193,7 @@ def load_subdivision(obj: dict) -> tuple[Simplex, tuple[Simplex, ...], int]:
             )
     cells = tuple(load_simplex(p, parent.frame, f"pieces[{i}]") for i, p in enumerate(pieces))
     if any(s.get("mode") == "float" for s in (obj["parent"], *pieces)):
-        raise ValueError("the reptile verifier is exact: a subdivision takes no float-mode simplex")
+        raise InputFormatError("the reptile verifier is exact: a subdivision takes no float-mode simplex")
     return parent, cells, m
 
 

@@ -8,7 +8,9 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from reptile_forge.algebra import AlgebraicReal
+import pytest
+
+from reptile_forge.algebra import AlgebraicReal, intpoly
 from reptile_forge.cli import main
 from reptile_forge.jsonio import parse_real
 from reptile_forge.simplex import Simplex
@@ -162,3 +164,19 @@ def cos_matrix_json(verts) -> dict:
         return ("-" if num < 0 else "") + body
 
     return {"dim": 3, "cos": [[entry(i, j) for j in range(4)] for i in range(4)]}
+
+
+def swinnerton_dyer(radicands):
+    """The integer polynomial whose roots are every sum of +-sqrt(a): it is
+    irreducible, and splits into factors of degree at most 2 modulo every
+    prime."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    p = sympy.Poly(x, x)
+    for a in radicands:
+        # p(x - sqrt a) p(x + sqrt a), with the odd powers of sqrt a cancelled
+        q = sympy.Poly(p.as_expr().subs(x, x + y), x, y)
+        even = sum(c * x**i * a ** (j // 2) for (i, j), c in q.terms() if j % 2 == 0)
+        odd = sum(c * x**i * a ** (j // 2) for (i, j), c in q.terms() if j % 2 == 1)
+        p = sympy.Poly(sympy.expand(even**2 - a * odd**2), x)
+    return intpoly.poly(int(c) for c in reversed(p.all_coeffs()))

@@ -1,7 +1,10 @@
 """Exact algebra core: root isolation, irreducibility, arithmetic, comparison."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -28,9 +31,11 @@ from reptile_forge.algebra import (
     sturm_isolate,
     totient_inverse,
 )
-from reptile_forge.algebra.factor import factor_squarefree
+from reptile_forge.algebra.factor import FactorError, factor_squarefree
 from reptile_forge.jsonio import parse_real
 from reptile_forge.trig import cos_two_pi_minpoly
+
+from helpers import swinnerton_dyer
 
 
 def bisection_root(poly, lo, hi, width=Fraction(1, 10**8)):
@@ -159,8 +164,10 @@ class TestIrreducibility:
         assert sorted(irreducible_factors([4, 0, 0, 0, 1])) == [(2, -2, 1), (2, 2, 1)]
 
     def test_unsupported_degree(self):
-        with pytest.raises(ValueError, match="unsupported degree"):
-            is_irreducible([1, 0, 0, 0, 0, 1])
+        # quintics are answered as sympy answers them: x^5 + 1 has the factor x + 1
+        assert is_irreducible([1, 0, 0, 0, 0, 1]) is False
+        assert is_irreducible([-2, 0, 0, 0, 0, 1]) is True
+        assert [len(_sympy_factors(p)) for p in ([1, 0, 0, 0, 0, 1], [-2, 0, 0, 0, 0, 1])] == [2, 1]
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
@@ -169,7 +176,8 @@ class TestIrreducibility:
 
 
 # totally real irreducibles: cosine minimal polynomials of degree <= 4 under
-# an invertible affine substitution, and quadratics x^2 - d for non-squares d
+# an invertible affine substitution (leading coefficient a^n), and
+# quadratics x^2 - d for non-squares d
 _TOTALLY_REAL = st.one_of(
     st.builds(
         lambda n, a, b: ip.primitive(ip.compose_linear(cos_two_pi_minpoly(n), a, b)),
@@ -180,6 +188,27 @@ _TOTALLY_REAL = st.one_of(
     st.builds(lambda d: (-d, 0, 1), st.sampled_from([2, 3, 5, 6, 7, 10])),
 )
 
+# irreducibles with complex roots: cyclotomic polynomials under the same
+# substitutions, and c x^2 + d
+_COMPLEX_ROOTED = st.one_of(
+    st.builds(
+        lambda n, a, b: ip.primitive(ip.compose_linear(_cyclotomic(n), a, b)),
+        st.sampled_from([3, 4, 5, 7, 8, 9, 12]),
+        st.integers(1, 3),
+        st.integers(-2, 2),
+    ),
+    st.builds(lambda c, d: ip.primitive((d, 0, c)), st.integers(1, 5), st.integers(1, 7)),
+)
+
+
+def _cyclotomic(n):
+    """x^n - 1 divided by every cyclotomic polynomial of a proper divisor."""
+    p = ip.poly([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            p = ip.div_exact(p, _cyclotomic(d))
+    return p
+
 
 def _sympy_factors(p):
     sympy = pytest.importorskip("sympy")
@@ -189,12 +218,26 @@ def _sympy_factors(p):
 
 
 class TestFactorMatchesSympy:
-    """factor_squarefree against sympy.factor_list on products of degree <= 8."""
+    """factor_squarefree against sympy.factor_list and against products
+    whose factors are known: every degree, complex roots included."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_TOTALLY_REAL, min_size=1, max_size=4, unique=True))
     def test_totally_real_products(self, factors):
-        assume(sum(ip.degree(f) for f in factors) <= 8)
+        assume(sum(ip.degree(f) for f in factors) <= 24)
+        p = ip.ONE
+        for f in factors:
+            p = ip.mul(p, f)
+        assert factor_squarefree(p) == _sympy_factors(p) == sorted(factors)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_TOTALLY_REAL, max_size=2, unique=True),
+        st.lists(_COMPLEX_ROOTED, min_size=1, max_size=3, unique=True),
+    )
+    def test_products_with_complex_roots(self, real, complex_rooted):
+        factors = real + complex_rooted
+        assume(sum(ip.degree(f) for f in factors) <= 24)
         p = ip.ONE
         for f in factors:
             p = ip.mul(p, f)
@@ -205,10 +248,9 @@ class TestFactorMatchesSympy:
         [
             # cos 13pi/17: an irreducible octic with eight real roots
             [(1, 8, -40, -80, 240, 192, -448, -128, 256)],
-            # two real-rooted quartics: only half the k = 4 subsets are tried
+            # two real-rooted quartics
             [(1, 0, -10, 0, 1), (1, 8, -16, -8, 16)],
-            # the smallest real root, -200^(1/4), belongs to the factor with
-            # complex roots, so the quartic's roots exclude root 0
+            # a real-rooted quartic and one with two complex roots
             [(1, 0, -10, 0, 1), (-200, 0, 0, 0, 1)],
             [(1, 0, 1), (-3, 0, 1), (1, -3, 0, 1)],
         ],
@@ -218,6 +260,50 @@ class TestFactorMatchesSympy:
         for f in factors:
             p = ip.mul(p, f)
         assert factor_squarefree(p) == _sympy_factors(p) == sorted(factors)
+
+    def test_cyclotomic_splits(self):
+        for n in range(1, 61):
+            x_n_minus_1 = ip.poly([-1] + [0] * (n - 1) + [1])
+            assert factor_squarefree(x_n_minus_1) == sorted(_cyclotomic(d) for d in range(1, n + 1) if n % d == 0)
+
+    def test_primes_past_the_degree(self):
+        # (x - 1)...(x - 40) has a repeated root modulo every prime below 40
+        p = ip.ONE
+        for i in range(1, 41):
+            p = ip.mul(p, (-i, 1))
+        assert factor_squarefree(p) == [(-i, 1) for i in range(40, 0, -1)]
+
+    def test_cosine_minimal_polynomials_are_irreducible(self):
+        for n in range(1, 121):
+            p = cos_two_pi_minpoly(n)
+            assert factor_squarefree(p) == [p]
+
+    def testswinnerton_dyer(self):
+        # the recombination's hard case: 2^(k-1) or more modular factors
+        p = swinnerton_dyer([2, 3, 5, 7])
+        assert ip.degree(p) == 16 and factor_squarefree(p) == [p]
+        p = swinnerton_dyer([2, 3, 5, 7, 11])
+        for q in (p, ip.compose_linear(p, 16, 0)):  # the second has its roots in (-1, 1)
+            with pytest.raises(FactorError, match="degree-32 polynomial needs over"):
+                factor_squarefree(q)
+
+    def test_same_factors_in_fresh_interpreters(self):
+        # x^60 - 1, x^5 + 1 and 3x^12 - 2: the random split and the primes
+        # fix only the running time, never the factors
+        polys = [(-1,) + (0,) * 59 + (1,), (1, 0, 0, 0, 0, 1), (-2,) + (0,) * 11 + (3,)]
+        code = f"from reptile_forge.algebra.factor import factor_squarefree as f; print([f(p) for p in {polys}])"
+        outs = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        }
+        assert outs == {f"{[factor_squarefree(p) for p in polys]}\n"}
+
 
 class TestRefine:
     def test_sqrt2_width(self):

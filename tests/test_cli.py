@@ -14,7 +14,7 @@ import pytest
 import reptile_forge
 from reptile_forge import cli
 from reptile_forge import hill as hill_mod
-from reptile_forge.algebra import AlgebraicReal, as_algebraic
+from reptile_forge.algebra import AlgebraicReal, as_algebraic, intpoly
 from reptile_forge.cli import main
 from reptile_forge.hill import Subdivision
 from reptile_forge.jsonio import load_simplex, parse_real
@@ -28,6 +28,7 @@ from helpers import (
     cos_matrix_json,
     record_verdicts,
     run_main,
+    swinnerton_dyer,
 )
 
 TRIPOD_BAD = {
@@ -134,15 +135,15 @@ class TestFiedlerCommands:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and "degree" in lines[0]
 
-    def test_check_entry_beyond_factorizer_exit_three(self, tmp_path, capsys):
-        # 2^(1/6)/2, a root of 32x^6 - 1: a valid cosine whose minimal
-        # polynomial has complex roots the factorizer cannot pair up
+    def test_check_entry_beyond_resultant_cap_exit_three(self, tmp_path, capsys):
+        # 2^(1/6)/2, a root of 32x^6 - 1: a valid cosine of degree 6, whose
+        # products need a resultant past the degree cap
         c = {"minpoly": [-1, 0, 0, 0, 0, 0, 32], "interval": ["1/2", "1"]}
         m = {"dim": 2, "cos": [["-1", c, "0"], [c, "-1", "0"], ["0", "0", "-1"]]}
         assert main(["fiedler", "check", write(tmp_path, "m.json", m)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "undecided: cannot factor degree-6 polynomial with complex conjugate roots\n"
+        assert captured.err == "undecided: operand degrees 6 and 6 exceed the supported resultant bound 8\n"
 
     def test_deep_bisection_in_a_two_radical_matrix_exit_three(self, tmp_path, capsys):
         # entries in Q(sqrt 2) and Q(sqrt 3): factoring a product's resultant
@@ -170,19 +171,28 @@ class TestFiedlerCommands:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            # a float dim is not truncated to an integer, nor a string read as one
-            ({**REGULAR, "dim": 3.9}, "dim must be a JSON integer, got 3.9"),
-            ({**REGULAR, "dim": "3"}, "dim must be a JSON integer, got '3'"),
-            ({**REGULAR, "dim": True}, "dim must be a JSON integer, got True"),
+            # a float dim is not truncated to an integer, nor a string read as one;
+            # each row's id names the defect of its input
+            pytest.param(
+                {**REGULAR, "dim": 3.9}, "dim: expected an integer, got 3.9", id="doc0-dim must be a JSON integer, got 3.9"
+            ),
+            pytest.param(
+                {**REGULAR, "dim": "3"}, 'dim: expected an integer, got "3"', id="doc1-dim must be a JSON integer, got '3'"
+            ),
+            pytest.param(
+                {**REGULAR, "dim": True}, "dim: expected an integer, got true", id="doc2-dim must be a JSON integer, got True"
+            ),
             ({"dim": 3, "cos": 5}, "cos must be a list of rows, each a list of entries"),
             ({"dim": 3, "cos": ["-1", "0", "0", "0"]}, "cos must be a list of rows, each a list of entries"),
-            (
+            pytest.param(
                 {"dim": 1, "cos": [["-1", "1/0"], ["1/0", "-1"]]},
-                "cannot parse exact value '1/0'",
+                'cos[0][1]: expected an exact value, got "1/0"',
+                id="doc5-cannot parse exact value '1/0'",
             ),
-            (
+            pytest.param(
                 {"dim": 1, "cos": [["-1", "sqrt(2)/0"], ["sqrt(2)/0", "-1"]]},
-                "cannot parse exact value 'sqrt(2)/0'",
+                'cos[0][1]: expected an exact value, got "sqrt(2)/0"',
+                id="doc6-cannot parse exact value 'sqrt(2)/0'",
             ),
             # a JSON boolean is not read as the integer 0 or 1
             (
@@ -234,7 +244,7 @@ class TestHillCommands:
         assert main(["hill", "verify", write(tmp_path, "sub.json", doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: m must be at least 2\n"
+        assert captured.err == "input error: m must be at least 2\n"
 
     @pytest.mark.parametrize("m", [4.9, "4", True])
     def test_verify_refuses_m_not_an_integer(self, m, tmp_path, capsys):
@@ -245,7 +255,7 @@ class TestHillCommands:
         assert main(["hill", "verify", write(tmp_path, "sub.json", doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: m must be a JSON integer, got {m!r}\n"
+        assert captured.err == f"input error: m: expected an integer, got {json.dumps(m)}\n"
 
     @pytest.mark.parametrize("key", ["m", "parent", "pieces"])
     def test_verify_names_a_missing_key(self, key, tmp_path, capsys):
@@ -255,14 +265,18 @@ class TestHillCommands:
         assert main(["hill", "verify", write(tmp_path, "sub.json", doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: subdivision JSON has no {key!r} key\n"
+        assert captured.err == f'input error: subdivision JSON has no "{key}" key\n'
 
     @pytest.mark.parametrize(
         "doc, message",
         [
             (5, "subdivision JSON must be an object"),
             ({"m": 2, "parent": 5, "pieces": []}, "bad simplex JSON: expected an object, got 5"),
-            ({"m": 2, "parent": {"dim": 2}, "pieces": []}, "bad simplex JSON: 'vertices'"),
+            pytest.param(
+                {"m": 2, "parent": {"dim": 2}, "pieces": []},
+                'bad simplex JSON: parent: no "vertices" key',
+                id="doc2-bad simplex JSON: 'vertices'",
+            ),
             (
                 {"m": 2, "parent": {"dim": 1, "vertices": [["0"], ["1"]]}, "pieces": 7},
                 "pieces must be a list of simplices",
@@ -279,7 +293,9 @@ class TestHillCommands:
         "where, dim, message",
         [
             ("parent", 7, "expected 8 vertices for dim 7, got 4"),
-            ("pieces", "x", "dim must be a JSON integer, got 'x'"),
+            pytest.param(
+                "pieces", "x", 'pieces[0].dim: expected an integer, got "x"', id="pieces-x-dim must be a JSON integer, got 'x'"
+            ),
         ],
     )
     def test_verify_refuses_a_wrong_dim(self, where, dim, message, tmp_path, capsys):
@@ -372,7 +388,7 @@ class TestFramedHillInput:
             s["mode"] = "float"
             s["vertices"] = [[float(Fraction(x)) for x in v] for v in s["vertices"]]
         err = self._refused(tmp_path, capsys, doc)
-        assert err == "error: the reptile verifier is exact: a subdivision takes no float-mode simplex\n"
+        assert err == "input error: the reptile verifier is exact: a subdivision takes no float-mode simplex\n"
 
     @pytest.mark.parametrize("frame", ["1/3", None])
     def test_piece_frame_other_than_the_parent_refused(self, frame, tmp_path, capsys):
@@ -387,7 +403,7 @@ class TestFramedHillInput:
     @pytest.mark.parametrize(
         "frame, message",
         [
-            ("abc", "cannot parse exact value 'abc'"),
+            pytest.param("abc", 'parent.frame: expected an exact value, got "abc"', id="abc-cannot parse exact value 'abc'"),
             (0.25, "refusing float literal 0.25"),
             ("3/2", "is not a cosine in (-1/(d-1), 1) for d = 3"),
             ("-1/2", "is not a cosine in (-1/(d-1), 1) for d = 3"),
@@ -760,21 +776,26 @@ class TestAnglesCommands:
         assert main(["angles", "classify", "--", json.dumps(spec)]) == 0
         assert [m["angle"] for m in json.loads(capsys.readouterr().out)] == ["2*pi/17"]
 
-    @pytest.mark.parametrize(
-        "minpoly, reason",
-        [
-            # 2^(1/6): a sextic with four complex roots
-            ([-2, 0, 0, 0, 0, 0, 1], "cannot factor degree-6 polynomial with complex conjugate roots"),
-            ([-2, 0, 0, 0, 0, 0, 0, 0, 0, 1], "degree 9 exceeds the supported bound 8"),
-        ],
-    )
-    def test_classify_beyond_factorizer_exit_three(self, minpoly, reason, capsys):
-        # a valid algebraic number is undecided (3), not an input error (2)
+    @pytest.mark.parametrize("minpoly", [[-2, 0, 0, 0, 0, 0, 1], [-2, 0, 0, 0, 0, 0, 0, 0, 0, 1]])
+    def test_classify_radical_above_one_exit_two(self, minpoly, capsys):
+        # 2^(1/6) and 2^(1/9): factored like any other degree, and no cosine
         spec = json.dumps({"minpoly": minpoly, "interval": ["1", "2"]})
+        assert main(["angles", "classify", "--", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cosine values lie in [-1, 1]\n"
+
+    def test_classify_beyond_factorizer_exit_three(self, capsys):
+        # the largest root of the degree-32 Swinnerton-Dyer polynomial of
+        # sqrt 2, 3, 5, 7, 11, scaled by 1/16 into (-1, 1): it splits into
+        # 16 factors modulo every prime, so recombination reaches its cap.
+        # A valid algebraic number is undecided (3), not an input error (2)
+        minpoly = intpoly.compose_linear(swinnerton_dyer([2, 3, 5, 7, 11]), 16, 0)
+        spec = json.dumps({"minpoly": minpoly, "interval": ["7/10", "3/4"]})
         assert main(["angles", "classify", "--", spec]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"undecided: {reason}\n"
+        assert captured.err == "undecided: factoring a degree-32 polynomial needs over 32768 recombination trials\n"
 
     def test_classify_roots_a_thousand_halvings_apart_exit_two(self, capsys):
         # x^4 - 2 10^200 x^2 + 4 10^100 x - 2 has two roots near 10^-100
@@ -858,11 +879,18 @@ class TestExport:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("mode", "bogus", "mode must be 'exact' or 'float', got 'bogus'"),
-            ("mode", None, "mode must be 'exact' or 'float', got None"),
+            pytest.param(
+                "mode",
+                "bogus",
+                'mode: expected "exact" or "float", got "bogus"',
+                id="mode-bogus-mode must be 'exact' or 'float', got 'bogus'",
+            ),
+            pytest.param(
+                "mode", None, 'mode: expected "exact" or "float", got null', id="mode-None-mode must be 'exact' or 'float', got None"
+            ),
             ("dim", 7, "expected 8 vertices for dim 7, got 4"),
-            ("dim", "3", "dim must be a JSON integer, got '3'"),
-            ("dim", True, "dim must be a JSON integer, got True"),
+            pytest.param("dim", "3", 'dim: expected an integer, got "3"', id="dim-3-dim must be a JSON integer, got '3'"),
+            pytest.param("dim", True, "dim: expected an integer, got true", id="dim-True-dim must be a JSON integer, got True"),
         ],
     )
     def test_bad_mode_or_dim_refused(self, key, value, message, tmp_path, capsys):

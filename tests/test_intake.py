@@ -160,19 +160,23 @@ class TestBadValues:
         assert refused(["audit", "step", step, f"--k={k}"]) == "error: k must be at least 2\n"
 
     def test_classify_value_beyond_the_factorizer_is_undecided(self):
-        spec = {"minpoly": [-2, 0, 0, 0, 0, 0, 1], "interval": ["1", "2"]}  # 2^(1/6)
+        # 2^(1/6) is factored like a value of any degree: no cosine, one line
+        spec = {"minpoly": [-2, 0, 0, 0, 0, 0, 1], "interval": ["1", "2"]}
         rc, out, err = run_main(["angles", "classify", "--", json.dumps(spec)])
-        assert (rc, out) == (3, "") and err.count("\n") == 1
+        assert (rc, out, err) == (2, "", "error: cosine values lie in [-1, 1]\n")
 
     def test_frame_beyond_the_factorizer_is_undecided(self, subdivisions, tmp_path):
+        # a frame of degree 6, 2^(-1/6), is factored and verified like any other
         doc = copy.deepcopy(subdivisions["d3m2-framed"])
         for s in [doc["parent"], *doc["pieces"]]:
             s["frame"] = {"minpoly": [-1, 0, 0, 0, 0, 0, 2], "interval": ["0", "1"]}  # 2^(-1/6)
         path = tmp_path / "sub.json"
         path.write_text(json.dumps(doc))
         rc, out, err = run_main(["hill", "verify", str(path)])
-        assert (rc, out) == (3, "") and err == "undecided: cannot factor degree-6 polynomial with complex conjugate roots\n"
-
+        report = json.loads(out)
+        assert (rc, err) == (0, "reptile verification: all checks passed\n")
+        assert report["all_ok"] and len(report["checks"]) == 6 and all(report["checks"].values())
+        assert report["measured_ratio"] == "1/2"
 
 def test_refused_reconstruction_logs_one_line_without_a_repr(tmp_path):
     # the golden-ratio matrix with cos(0, 1) = 1/2 is indefinite
