@@ -1,6 +1,7 @@
 """reptile-forge: exact arithmetic for reptile simplices.
 
-Subpackages and modules:
+Subpackages and modules, each imported by name (importing the package loads
+none of them):
 
 - ``algebra``: integer polynomials, Sturm isolation, exact algebraic reals,
   number fields Q[x]/(m) (the golden-ratio field Q(phi) among them), exact
@@ -14,5 +15,3 @@ Subpackages and modules:
 """
 
 __version__ = "0.1.0"
-
-from . import algebra, audit, fiedler, hill, simplex, trig  # noqa: F401

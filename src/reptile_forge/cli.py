@@ -18,7 +18,6 @@ import os
 import re
 import sys
 
-from . import audit as audit_mod
 from . import hill as hill_mod
 from .algebra import DegreeOverflowError, FactorError, exact_json
 from .fiedler import ReconstructionError, realizability_check, reconstruct_simplex
@@ -212,25 +211,29 @@ def cmd_angles_catalog(args) -> int:
 
 
 def cmd_audit_run(args) -> int:
-    reports = audit_mod.run_full_audit(args.kmax)
-    _emit(reports, args.json or args.out, audit_mod.dumps_reports)
+    from . import audit
+
+    reports = audit.run_full_audit(args.kmax)
+    _emit(reports, args.json or args.out, audit.dumps_reports)
     ok = True
     for r in reports:
         _log(f"k = {r.k}: {r.conclusion}")
-        if audit_mod.is_perfect_cube(r.k):
+        if audit.is_perfect_cube(r.k):
             continue
         ok = ok and r.conclusion == "excluded"
     if args.verify:
         verdicts = {}  # one check per distinct step object across the reports
         for r in reports:
-            if not audit_mod.verify_report(r, verdicts):
+            if not audit.verify_report(r, verdicts):
                 _log(f"certificate re-verification FAILED for k = {r.k}")
                 ok = False
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def cmd_audit_step(args) -> int:
-    step = audit_mod.run_step(args.id, k=args.k)
+    from . import audit
+
+    step = audit.run_step(args.id, k=args.k)
     _emit(step.to_json(), args.out)
     _log(f"step {step.id}: {step.verdict}")
     if step.verdict == "fail":
@@ -274,138 +277,173 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d|sqrt\()")
 
 
-def _add_fiedler(sub) -> None:
-    fied = sub.add_parser("fiedler", help="dihedral-angle realizability").add_subparsers(
-        dest="sub", required=True
-    )
-    fc = fied.add_parser("check", help="exact realizability of a cosine matrix")
-    fc.add_argument("matrix", help="matrix JSON path or '-' for stdin")
-    fc.add_argument("--out", help="write JSON result here instead of stdout")
-    fc.set_defaults(fn=cmd_fiedler_check)
-    fr = fied.add_parser("reconstruct", help="build a simplex from a cosine matrix")
-    fr.add_argument("matrix", help="matrix JSON path or '-' for stdin")
-    fr.add_argument("--out", help="write simplex JSON here")
-    fr.set_defaults(fn=cmd_fiedler_reconstruct)
+class _Refused(Exception):
+    pass
 
 
-def _add_hill(sub) -> None:
-    hill = sub.add_parser("hill", help="Hill simplices and reptile subdivisions").add_subparsers(
-        dest="sub", required=True
-    )
-    hg = hill.add_parser("generate", help="build a Hill simplex")
-    hs = hill.add_parser("subdivide", help="cut a Hill simplex into m^d pieces")
-    hv = hill.add_parser("verify", help="verify the reptile property of a subdivision")
-    hw = hill.add_parser("grow", help="iterate the subdivision into a larger tiling")
-    for cmd in (hg, hs, hw):
-        cmd.add_argument("--dim", type=int, default=3, help="dimension (2..4)")
-        cmd.add_argument(
-            "--cos", default="0", help="common pairwise cosine, e.g. 0, 1/2, sqrt(2)/4"
-        )
-        cmd.add_argument("--out", help="write JSON result here")
-    hs.add_argument("--m", type=int, required=True, help="cuts per side (pieces = m^d)")
-    hg.set_defaults(fn=cmd_hill_generate)
-    hs.set_defaults(fn=cmd_hill_subdivide)
-    hv.add_argument("subdivision", help="subdivision JSON path or '-' for stdin")
-    hv.add_argument("--out", help="write report JSON here")
-    hv.set_defaults(fn=cmd_hill_verify)
-    hw.add_argument("--m", type=int, default=2)
-    hw.add_argument("--generations", type=int, required=True)
-    hw.add_argument("--budget", type=int, default=20000, help="piece cap for streaming")
-    hw.add_argument("--obj", help="write an OBJ mesh of the cells here")
-    hw.set_defaults(fn=cmd_hill_grow)
+class _Leaf(_Parser):
+    """One leaf command's parser, built alone.  Where it would print help
+    or an error it raises instead, so that main asks the full tree, whose
+    text is the reference."""
+
+    def error(self, *_):
+        raise _Refused
+
+    print_help = error
 
 
-def _add_angles(sub) -> None:
-    ang = sub.add_parser("angles", help="rational angles and cosine catalogs").add_subparsers(
-        dest="sub", required=True
-    )
-    ac = ang.add_parser("classify", help="match an exact cosine to a rational angle")
-    ac.add_argument("value", help='cosine spec: "1/2", "sqrt(2)/2", or minpoly JSON')
-    ac.add_argument("--out")
-    ac.set_defaults(fn=cmd_angles_classify)
-    at = ang.add_parser("catalog", help="all rational angles of one cosine degree")
-    at.add_argument("degree", type=int)
-    at.add_argument("--out")
-    at.set_defaults(fn=cmd_angles_catalog)
+def _add_fiedler_check(p) -> None:
+    p.add_argument("matrix", help="matrix JSON path or '-' for stdin")
+    p.add_argument("--out", help="write JSON result here instead of stdout")
+    p.set_defaults(fn=cmd_fiedler_check)
 
 
-def _add_audit(sub) -> None:
-    aud = sub.add_parser("audit", help="the nonexistence case analysis").add_subparsers(
-        dest="sub", required=True
-    )
-    ar = aud.add_parser("run", help="audit every k up to a bound")
-    ar.add_argument("--kmax", type=int, required=True)
-    ar.add_argument("--json", help="write the report list here")
-    ar.add_argument("--out", help="alias for --json")
-    ar.add_argument(
+def _add_fiedler_reconstruct(p) -> None:
+    p.add_argument("matrix", help="matrix JSON path or '-' for stdin")
+    p.add_argument("--out", help="write simplex JSON here")
+    p.set_defaults(fn=cmd_fiedler_reconstruct)
+
+
+def _add_hill_spec(p) -> None:
+    p.add_argument("--dim", type=int, default=3, help="dimension (2..4)")
+    p.add_argument("--cos", default="0", help="common pairwise cosine, e.g. 0, 1/2, sqrt(2)/4")
+    p.add_argument("--out", help="write JSON result here")
+
+
+def _add_hill_generate(p) -> None:
+    _add_hill_spec(p)
+    p.set_defaults(fn=cmd_hill_generate)
+
+
+def _add_hill_subdivide(p) -> None:
+    _add_hill_spec(p)
+    p.add_argument("--m", type=int, required=True, help="cuts per side (pieces = m^d)")
+    p.set_defaults(fn=cmd_hill_subdivide)
+
+
+def _add_hill_verify(p) -> None:
+    p.add_argument("subdivision", help="subdivision JSON path or '-' for stdin")
+    p.add_argument("--out", help="write report JSON here")
+    p.set_defaults(fn=cmd_hill_verify)
+
+
+def _add_hill_grow(p) -> None:
+    _add_hill_spec(p)
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--generations", type=int, required=True)
+    p.add_argument("--budget", type=int, default=20000, help="piece cap for streaming")
+    p.add_argument("--obj", help="write an OBJ mesh of the cells here")
+    p.set_defaults(fn=cmd_hill_grow)
+
+
+def _add_angles_classify(p) -> None:
+    p.add_argument("value", help='cosine spec: "1/2", "sqrt(2)/2", or minpoly JSON')
+    p.add_argument("--out")
+    p.set_defaults(fn=cmd_angles_classify)
+
+
+def _add_angles_catalog(p) -> None:
+    p.add_argument("degree", type=int)
+    p.add_argument("--out")
+    p.set_defaults(fn=cmd_angles_catalog)
+
+
+def _add_audit_run(p) -> None:
+    p.add_argument("--kmax", type=int, required=True)
+    p.add_argument("--json", help="write the report list here")
+    p.add_argument("--out", help="alias for --json")
+    p.add_argument(
         "--verify",
         action="store_true",
         help="re-validate every certificate with the independent checker",
     )
-    ar.set_defaults(fn=cmd_audit_run)
-    ast = aud.add_parser("step", help="run a single audit step by id")
-    ast.add_argument("id", help=f"one of: {', '.join(sorted(audit_mod.STEP_BUILDERS))}")
-    ast.add_argument("--k", type=int, help="k for the k-dependent steps")
-    ast.add_argument("--out")
-    ast.set_defaults(fn=cmd_audit_step)
+    p.set_defaults(fn=cmd_audit_run)
 
 
-def _add_export(sub) -> None:
-    ex = sub.add_parser("export", help="write OBJ meshes from simplex/subdivision JSON")
-    ex.add_argument("input", help="simplex or subdivision JSON path or '-'")
-    ex.add_argument("--obj", required=True, help="output OBJ path")
-    ex.add_argument("--include-parent", action="store_true")
-    ex.add_argument("--out", help="write export stats JSON here")
-    ex.set_defaults(fn=cmd_export)
+def _add_audit_step(p) -> None:
+    from . import audit
+
+    p.add_argument("id", help=f"one of: {', '.join(sorted(audit.STEP_BUILDERS))}")
+    p.add_argument("--k", type=int, help="k for the k-dependent steps")
+    p.add_argument("--out")
+    p.set_defaults(fn=cmd_audit_step)
 
 
-# top-level command -> the function adding its parser subtree, in help order
+def _add_export(p) -> None:
+    p.add_argument("input", help="simplex or subdivision JSON path or '-'")
+    p.add_argument("--obj", required=True, help="output OBJ path")
+    p.add_argument("--include-parent", action="store_true")
+    p.add_argument("--out", help="write export stats JSON here")
+    p.set_defaults(fn=cmd_export)
+
+
+# command -> (help, {leaf: (help, the function adding the leaf's arguments)}),
+# or (help, that function) for a command without leaves; in help order.  A
+# function sets its handler as a module global, so a rebound handler is used.
 _COMMANDS = {
-    "fiedler": _add_fiedler,
-    "hill": _add_hill,
-    "angles": _add_angles,
-    "audit": _add_audit,
-    "export": _add_export,
+    "fiedler": ("dihedral-angle realizability", {
+        "check": ("exact realizability of a cosine matrix", _add_fiedler_check),
+        "reconstruct": ("build a simplex from a cosine matrix", _add_fiedler_reconstruct),
+    }),
+    "hill": ("Hill simplices and reptile subdivisions", {
+        "generate": ("build a Hill simplex", _add_hill_generate),
+        "subdivide": ("cut a Hill simplex into m^d pieces", _add_hill_subdivide),
+        "verify": ("verify the reptile property of a subdivision", _add_hill_verify),
+        "grow": ("iterate the subdivision into a larger tiling", _add_hill_grow),
+    }),
+    "angles": ("rational angles and cosine catalogs", {
+        "classify": ("match an exact cosine to a rational angle", _add_angles_classify),
+        "catalog": ("all rational angles of one cosine degree", _add_angles_catalog),
+    }),
+    "audit": ("the nonexistence case analysis", {
+        "run": ("audit every k up to a bound", _add_audit_run),
+        "step": ("run a single audit step by id", _add_audit_step),
+    }),
+    "export": ("write OBJ meshes from simplex/subdivision JSON", _add_export),
 }
 
 
-def _top_parser():
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, which prints help and usage errors."""
     p = _Parser(
         prog="reptile-forge",
         description="Exact tools for reptile simplices: realizability, angle catalogs, "
         "Hill subdivisions, and the nonexistence audit.",
     )
-    return p, p.add_subparsers(dest="command", required=True)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command."""
-    p, sub = _top_parser()
-    for add in _COMMANDS.values():
-        add(sub)
+    commands = p.add_subparsers(dest="command", required=True)
+    for name, (help_, leaves) in _COMMANDS.items():
+        cmd = commands.add_parser(name, help=help_)
+        if isinstance(leaves, dict):
+            sub = cmd.add_subparsers(dest="sub", required=True)
+            for leaf, (leaf_help, add) in leaves.items():
+                add(sub.add_parser(leaf, help=leaf_help))
+        else:
+            leaves(cmd)
     return p
 
 
-def _parser_for(argv: list[str]) -> argparse.ArgumentParser:
-    """The top-level parser with only the subtree of the command argv[0]
-    names, as building all of them is most of a small command's time.
-
-    The usage line still lists every command, so a usage error reads as the
-    full parser's would.  When argv[0] names no command (help, a typo, no
-    arguments) this is the full parser.
-    """
-    add = _COMMANDS.get(argv[0]) if argv else None
-    if add is None:
-        return build_parser()
-    p, sub = _top_parser()
-    sub.metavar = "{" + ",".join(_COMMANDS) + "}"
-    add(sub)
-    return p
+def _leaf(argv: list[str]) -> argparse.Namespace | None:
+    """argv's arguments as read by the parser of the leaf command it names,
+    built alone, as building the whole tree is most of a small command's
+    time.  None when argv names no leaf or that parser would print help or
+    an error or leave an argument unread: the full tree answers then."""
+    entry, depth = (_COMMANDS.get(argv[0]) if argv else None), 1
+    if entry is not None and isinstance(entry[1], dict):
+        entry, depth = (entry[1].get(argv[1]) if len(argv) > 1 else None), 2
+    if entry is None:
+        return None
+    parser = _Leaf(prog=" ".join(["reptile-forge", *argv[:depth]]))
+    entry[1](parser)
+    try:
+        args, extra = parser.parse_known_args(argv[depth:])
+    except _Refused:
+        return None
+    return None if extra else args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser_for(argv).parse_args(argv)
+    args = _leaf(argv) or build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (DegreeOverflowError, FactorError) as e:

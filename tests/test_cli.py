@@ -929,21 +929,30 @@ class TestZeroDenominator:
 
 
 class TestParserSubtrees:
-    """main builds only the parser subtree of the command it runs; what it
+    """main builds only the parser of the leaf command it runs; what it
     prints must be what the full parser prints."""
+
+    LEAVES = [
+        ["fiedler", "check"],
+        ["fiedler", "reconstruct"],
+        ["hill", "generate"],
+        ["hill", "subdivide"],
+        ["hill", "verify"],
+        ["hill", "grow"],
+        ["angles", "classify"],
+        ["angles", "catalog"],
+        ["audit", "run"],
+        ["audit", "step"],
+        ["export"],
+    ]
 
     ARGVS = [
         [],
         ["--help"],
         ["fiedler", "--help"],
-        ["fiedler", "check", "--help"],
         ["fiedler", "reconstruct", "-h"],
         ["hill", "--help"],
-        ["hill", "subdivide", "--help"],
-        ["angles", "classify", "--help"],
         ["audit", "--help"],
-        ["audit", "step", "--help"],
-        ["export", "--help"],
         ["bogus"],
         ["fiedler", "bogus"],
         ["fiedler"],
@@ -954,26 +963,77 @@ class TestParserSubtrees:
         ["hill", "grow", "--generations", "two"],
         ["angles", "classify", "-3/7"],
         ["angles", "catalog", "x"],
+        *[leaf + ["--help"] for leaf in LEAVES],
+        ["angles", "classify", "1/2", "--out=-"],
+        ["angles", "classify", "1/2", "--o", "-"],
+        ["angles", "classify", "--", "-1/2"],
+        ["hill", "generate", "--dim=2", "--cos=-5/13", "--o", "-"],
+        ["hill", "subdivide", "--di", "2", "--c", "1/4", "--m", "2"],
+        ["audit", "run", "--km", "2", "--j", "-"],
+        ["audit", "run", "--kmax", "2", "--bogus"],
+        ["export", "s.json", "--obj", "s.obj", "--bogus"],
+        ["export", "s.json", "--o", "s.obj"],
     ]
 
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
     def test_same_text_and_exit_code_as_the_full_parser(self, argv, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         got = run_main(argv)
-        monkeypatch.setattr(cli, "_parser_for", lambda argv: cli.build_parser())
+        monkeypatch.setattr(cli, "_leaf", lambda argv: None)
         assert got == run_main(argv)
 
-    def test_only_the_named_subtree_is_built(self):
-        def commands(parser):
-            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            return sorted(sub.choices)
+    @staticmethod
+    def built(argv, monkeypatch) -> list:
+        """The parsers main builds for argv."""
+        parsers = []
+        init = argparse.ArgumentParser.__init__
 
-        assert commands(cli._parser_for(["fiedler", "check", "m.json"])) == ["fiedler"]
-        assert commands(cli._parser_for(["hill"])) == ["hill"]
-        full = ["angles", "audit", "export", "fiedler", "hill"]
-        assert commands(cli._parser_for(["--help"])) == full
-        assert commands(cli._parser_for([])) == full
-        assert commands(cli.build_parser()) == full
+        def record(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            parsers.append(parser)
+
+        with monkeypatch.context() as m:
+            m.setattr(argparse.ArgumentParser, "__init__", record)
+            run_main(argv)
+        return parsers
+
+    def test_only_the_named_subtree_is_built(self, monkeypatch):
+        for argv in (
+            ["fiedler", "check", "m.json"],
+            ["hill", "generate", "--dim", "2"],
+            ["angles", "classify", "1/2"],
+            ["audit", "step", "rho-degree", "--k", "5"],
+            ["export", "s.json", "--obj", "s.obj"],
+        ):
+            (parser,) = self.built(argv, monkeypatch)
+            depth = 1 if argv[0] == "export" else 2
+            assert parser.prog == " ".join(["reptile-forge", *argv[:depth]])
+            assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+        for argv in ([], ["--help"], ["fiedler"], ["bogus"], ["fiedler", "chek"], ["export", "--help"]):
+            (top,) = [p for p in self.built(argv, monkeypatch) if p.prog == "reptile-forge"]
+            (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+            assert sorted(sub.choices) == ["angles", "audit", "export", "fiedler", "hill"], argv
+
+
+class TestHandlersRebound:
+    """A handler or _emit rebound in cli's module globals, as
+    perfbench/tracer.py rebinds them, is the one main calls."""
+
+    def test_rebound_handlers_are_called(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_fiedler_check", lambda args: calls.append(args.matrix) or 0)
+        monkeypatch.setattr(cli, "cmd_audit_run", lambda args: calls.append(args.kmax) or 0)
+        path = write(tmp_path, "m.json", REGULAR)
+        assert main(["fiedler", "check", path]) == 0
+        assert main(["audit", "run", "--kmax", "9"]) == 0
+        assert calls == [path, 9]
+
+    def test_rebound_emit_is_called(self, tmp_path, monkeypatch):
+        emitted = []
+        monkeypatch.setattr(cli, "_emit", lambda payload, out, dumps=None: emitted.append(payload))
+        assert main(["fiedler", "check", write(tmp_path, "m.json", REGULAR)]) == 0
+        assert main(["audit", "run", "--kmax", "2"]) == 0
+        assert emitted[0]["valid"] is True and [r.k for r in emitted[1]] == [2]
 
 
 class TestJsonRoundTrips:
@@ -1034,12 +1094,24 @@ class TestPrecisionEnv:
 # Runs the CLI in a fresh interpreter in which `import numpy` fails.
 NO_NUMPY = "import sys; sys.modules['numpy'] = None; from reptile_forge.cli import main; sys.exit(main())"
 
+# Runs the CLI in a fresh interpreter, then says on stderr whether it loaded
+# the audit module.
+AUDIT_LOADED = """import sys
+from reptile_forge.cli import main
+try:
+    rc = main()
+except SystemExit as e:
+    rc = e.code
+print("audit loaded:", "reptile_forge.audit" in sys.modules, file=sys.stderr)
+sys.exit(rc)
+"""
 
-def run_without_numpy(args, stdin=None):
+
+def run_fresh(args, stdin=None, code=NO_NUMPY):
     src = os.path.dirname(os.path.dirname(reptile_forge.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-c", NO_NUMPY, *args],
+        [sys.executable, "-c", code, *args],
         input=stdin,
         capture_output=True,
         text=True,
@@ -1048,18 +1120,49 @@ def run_without_numpy(args, stdin=None):
     )
 
 
+class TestAuditLoadedOnlyByAudit:
+    def fresh(self, args):
+        done = run_fresh(args, code=AUDIT_LOADED)
+        return done, done.stderr.splitlines()[-1] == "audit loaded: True"
+
+    def test_other_commands_do_not_load_the_audit(self, tmp_path):
+        sub = str(tmp_path / "sub.json")
+        assert main(["hill", "subdivide", "--dim", "2", "--m", "2", "--out", sub]) == 0
+        for args in (
+            ["fiedler", "check", write(tmp_path, "m.json", REGULAR)],
+            ["hill", "verify", sub],
+            ["angles", "classify", "1/2"],
+        ):
+            done, loaded = self.fresh(args)
+            assert done.returncode == 0 and not loaded, (args, done.stderr)
+
+    def test_help_lists_every_step(self):
+        from reptile_forge.audit import STEP_BUILDERS
+
+        done, _ = self.fresh(["--help"])
+        assert done.returncode == 0
+        assert all(c in done.stdout for c in ("fiedler", "hill", "angles", "audit", "export"))
+        done, loaded = self.fresh(["audit", "step", "--help"])
+        assert done.returncode == 0 and loaded
+        assert all(step in "".join(done.stdout.split()) for step in STEP_BUILDERS)
+
+    def test_audit_run(self):
+        done, loaded = self.fresh(["audit", "run", "--kmax", "9"])
+        assert done.returncode == 0 and loaded, done.stderr
+
+
 class TestRuntimeWithoutNumpy:
     def test_reconstruct(self, tmp_path):
-        done = run_without_numpy(["fiedler", "reconstruct", write(tmp_path, "m.json", REGULAR)])
+        done = run_fresh(["fiedler", "reconstruct", write(tmp_path, "m.json", REGULAR)])
         assert done.returncode == 0, done.stderr
         doc = json.loads(done.stdout)
         assert doc["mode"] == "float" and doc["dim"] == 3
         assert load_simplex(doc).dim == 3
 
     def test_float_hill_subdivide_and_verify(self):
-        sub = run_without_numpy(["hill", "subdivide", "--dim", "3", "--cos", "1/4", "--m", "2"])
+        sub = run_fresh(["hill", "subdivide", "--dim", "3", "--cos", "1/4", "--m", "2"])
         assert sub.returncode == 0, sub.stderr
-        done = run_without_numpy(["hill", "verify", "-"], stdin=sub.stdout)
+        done = run_fresh(["hill", "verify", "-"], stdin=sub.stdout)
         assert done.returncode == 0, done.stderr
         report = json.loads(done.stdout)
         assert report["mode"] == "exact" and report["all_ok"] is True
