@@ -114,38 +114,52 @@ class MPoly:
         i = self.vars.index(name)
         return max((e[i] for e in self.terms), default=0)
 
+    def _powers(self, values: list) -> list[list]:
+        """``values[i] ** p`` at ``[i][p]`` for every exponent p of variable i
+        up to its degree, each power one product from the one before."""
+        out = []
+        for name, v in zip(self.vars, values):
+            row = [None, v]
+            for _ in range(self.degree_in(name) - 1):
+                row.append(row[-1] * v)
+            out.append(row)
+        return out
+
     def substitute(self, values: dict) -> "MPoly":
         """Substitute values (field elements or MPoly in the same vars) for
         some variables; unsubstituted variables survive."""
-        out = MPoly.constant(self.vars, Fraction(0))
+        bases = []
+        for name in self.vars:
+            v = values[name] if name in values else MPoly.variable(self.vars, name)
+            bases.append(v if isinstance(v, MPoly) else MPoly.constant(self.vars, v))
+        powers = self._powers(bases)
+        out: dict = {}
         for e, c in self.terms.items():
             term = MPoly.constant(self.vars, c)
             for i, p in enumerate(e):
-                if p == 0:
-                    continue
-                name = self.vars[i]
-                if name in values:
-                    v = values[name]
-                    base = v if isinstance(v, MPoly) else MPoly.constant(self.vars, v)
-                else:
-                    base = MPoly.variable(self.vars, name)
-                term = term * base**p
-            out = out + term
-        return out
+                if p:
+                    term = term * powers[i][p]
+            for e2, c2 in term.terms.items():
+                out[e2] = out[e2] + c2 if e2 in out else c2
+        return MPoly(self.vars, out)
 
     def evaluate(self, values: dict):
-        """Full evaluation to a field element; every variable must be bound."""
+        """Full evaluation to a field element; every variable must be bound.
+        The zero polynomial evaluates to the zero of the values' ring."""
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"unbound variables: {missing}")
+        powers = self._powers([values[v] for v in self.vars])
         total = None
         for e, c in self.terms.items():
             term = c
             for i, p in enumerate(e):
-                for _ in range(p):
-                    term = term * values[self.vars[i]]
+                if p:
+                    term = term * powers[i][p]
             total = term if total is None else total + term
-        return total if total is not None else Fraction(0)
+        if total is None:
+            return values[self.vars[0]] * 0 if self.vars else Fraction(0)
+        return total
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -54,6 +54,14 @@ RATIONALITY_ASSUMPTION = (
 
 TWO_LENGTH_DEFAULT_BOUND = 10
 _RHO_BITS = 48
+# the largest m whose m^3-piece Hill construction the audit builds: m = 10
+# takes about half a second end to end (2 cores, Python 3.11), m = 20 two
+# seconds, and m = 100 over ten
+HILL_CONSTRUCTION_MAX_M = 10
+
+
+class ConstructionBoundError(ArithmeticError):
+    """A cube k whose Hill construction is past HILL_CONSTRUCTION_MAX_M."""
 
 
 @dataclass(frozen=True)
@@ -161,39 +169,40 @@ def is_perfect_cube(k: int) -> bool:
 
 def rho_degree_step(k: int) -> AuditStep:
     """The scaling factor k^(-1/3) has algebraic degree 3 for non-cube k:
-    k x^3 - 1 has no rational root, so it is irreducible."""
-    poly = (-1, 0, 0, k)
+    k x^3 - 1 has no rational root, so it is irreducible.  By the rational
+    root theorem a root is 1/q with q^3 = k, so the test is whether k is a
+    cube."""
+    poly = [-1, 0, 0, k]
     if is_perfect_cube(k):
         r = _icbrt(k)
         return AuditStep(
             "rho-degree",
             "scaling factor degree",
-            {"k": k, "polynomial": list(poly)},
+            {"k": k, "polynomial": poly},
             {"cube_root": r, "rational_scaling": Fraction(1, r)},
             "inapplicable",
         )
-    roots = sturm.rational_roots(poly)
-    ok = not roots
     return AuditStep(
         "rho-degree",
         "scaling factor degree",
-        {"k": k, "polynomial": list(poly)},
+        {"k": k, "polynomial": poly},
         {
-            "rational_roots": roots,
-            "irreducible": ok,
+            "rational_roots": [],
+            "irreducible": True,
             "argument": "a reducible integer cubic has a linear factor, hence a rational root",
         },
-        "pass" if ok else "fail",
+        "pass",
     )
 
 
 def _rho_enclosure(k: int) -> tuple[Fraction, Fraction]:
-    """Dyadic bracket of k^(-1/3), width below 2^-_RHO_BITS."""
-    poly = (-1, 0, 0, k)
-    (iv,) = sturm.isolate_roots(poly, Fraction(0), Fraction(1))
-    lo, hi = sturm.refine_root(poly, iv[0], iv[1], Fraction(1, 2 ** (_RHO_BITS + 2)))
+    """Dyadic bracket [r, r + 1] / 2^_RHO_BITS of k^(-1/3) for non-cube k,
+    with r = floor(2^_RHO_BITS k^(-1/3)) the integer cube root of
+    floor(2^(3*_RHO_BITS) / k).  For non-cube k that cube root is
+    irrational, so it lies strictly between r and r + 1."""
+    r = _icbrt(2 ** (3 * _RHO_BITS) // k)
     q = 2**_RHO_BITS
-    return Fraction(math.floor(lo * q), q), Fraction(math.ceil(hi * q), q)
+    return Fraction(r, q), Fraction(r + 1, q)
 
 
 def two_length_step(k: int, bound: int = TWO_LENGTH_DEFAULT_BOUND) -> AuditStep:
@@ -226,6 +235,25 @@ def two_length_step(k: int, bound: int = TWO_LENGTH_DEFAULT_BOUND) -> AuditStep:
     )
 
 
+@lru_cache(maxsize=None)
+def _two_length_classes(bound: int) -> tuple:
+    """The coefficient systems with entries 0..bound, independent of k:
+    (products, distinct, classes).
+
+    ``products`` lists r = n12 n21 in (n12, n21) order and ``distinct`` its
+    sorted values.  ``classes`` holds each residual class (p, b) =
+    (n11 n22, n11 + n22) once, as (p, b, n11, n22) with the first (n11, n22)
+    reaching it, in the order of the loop over n11, n22."""
+    span = range(bound + 1)
+    products = [n12 * n21 for n12 in span for n21 in span]
+    first = {}
+    for n11 in span:
+        for n22 in span:
+            first.setdefault((n11 * n22, n11 + n22), (n11, n22))
+    classes = tuple((p, b, n11, n22) for (p, b), (n11, n22) in first.items())
+    return products, sorted(set(products)), classes
+
+
 def _two_length_scan(k: int, bound: int, rho_lo: Fraction, rho_hi: Fraction) -> dict:
     """Interval-evaluate the quadratic residual over all coefficient systems.
 
@@ -238,69 +266,71 @@ def _two_length_scan(k: int, bound: int, rho_lo: Fraction, rho_hi: Fraction) -> 
     Within a class both residual bounds are nondecreasing in a = p - r, so
     they fall as r grows and the magnitude is unimodal in r: its least value
     sits at the first r whose upper bound is <= 0, or at the r before it.
-    Only r = 0 with p = b = 0 is degenerate (the residual is identically 1)."""
+    That upper bound is a*rho_hi^2 - b*rho_lo + 1 for a >= 0 (rho_lo^2 for
+    a < 0), so the first such r follows from one floor division.  Only
+    r = 0 with p = b = 0 is degenerate (the residual is identically 1)."""
     q = 2**_RHO_BITS
     plo, phi_ = rho_lo.numerator * (q // rho_lo.denominator), rho_hi.numerator * (
         q // rho_hi.denominator
     )
     q2 = q * q
     r2lo, r2hi = plo * plo, phi_ * phi_  # rho in (0,1): squares keep order
-    span = range(bound + 1)
-    products = [n12 * n21 for n12 in span for n21 in span]  # in (n12, n21) order
+    products, distinct, classes = _two_length_classes(bound)
     n_zero = products.count(0)
-    distinct = sorted(set(products))
 
-    def upper(a: int, b: int) -> int:
-        # residual * q2 bounds: a*rho^2*q2 - b*rho*q2 + q2
-        return (a * r2hi if a >= 0 else a * r2lo) - b * plo * q + q2
+    lo_q, hi_q = plo * q, phi_ * q
 
-    def magnitude(p: int, b: int, r: int):
+    def magnitude(a: int, b: int):
         """None if degenerate, 0 if the residual interval holds 0, else its
-        distance from 0."""
-        a = p - r
+        distance from 0; the scan's loop below inlines it."""
         if a == 0 and b == 0:
             return None
-        t_lo = (a * r2lo if a >= 0 else a * r2hi) - b * phi_ * q + q2
-        t_hi = upper(a, b)
+        c, d = b * lo_q - q2, b * hi_q - q2
+        t_lo, t_hi = (a * r2lo - d, a * r2hi - c) if a >= 0 else (a * r2hi - d, a * r2lo - c)
         return 0 if t_lo <= 0 <= t_hi else (t_lo if t_lo > 0 else -t_hi)
 
-    def residual_class(p: int, b: int) -> tuple:
-        """(systems checked, degenerate, least magnitude)."""
-        live = distinct[1:] if p == b == 0 else distinct
-        n_degenerate = n_zero if p == b == 0 else 0
-        i = bisect.bisect_left(live, True, key=lambda r: upper(p - r, b) <= 0)
-        least = min((magnitude(p, b, r) for r in live[max(i - 1, 0) : i + 1]), default=None)
-        return len(products) - n_degenerate, n_degenerate, least
+    def first_failure(p: int, b: int, n11: int, n22: int) -> dict:
+        """The scan's result when class (p, b), first met at (n11, n22),
+        holds a residual interval containing 0."""
+        position = n11 * (bound + 1) + n22
+        degenerate = n_zero if position else 0  # p = b = 0 only at (0, 0)
+        mags = {r: magnitude(p - r, b) for r in distinct}
+        first = next(i for i, r in enumerate(products) if mags[r] == 0)
+        before = [mags[r] for r in products[:first]]
+        n12, n21 = divmod(first, bound + 1)
+        return {
+            "checked": position * len(products) - degenerate + sum(m is not None for m in before),
+            "degenerate": degenerate + sum(m is None for m in before),
+            "min_abs_residual_num": 0,
+            "residual_den": q2,
+            "failing_system": (n11, n12, n21, n22),
+        }
 
-    classes = {}
-    checked = 0
-    degenerate = 0
     min_abs_num = None
-    for n11 in span:
-        for n22 in span:
-            key = (n11 * n22, n11 + n22)
-            if key not in classes:
-                classes[key] = residual_class(*key)
-            n_checked, n_degenerate, least = classes[key]
-            if least == 0:
-                mags = {r: magnitude(*key, r) for r in distinct}
-                first = next(i for i, r in enumerate(products) if mags[r] == 0)
-                before = [mags[r] for r in products[:first]]
-                n12, n21 = divmod(first, bound + 1)
-                return {
-                    "checked": checked + sum(m is not None for m in before),
-                    "degenerate": degenerate + sum(m is None for m in before),
-                    "min_abs_residual_num": 0,
-                    "residual_den": q2,
-                    "failing_system": (n11, n12, n21, n22),
-                }
-            checked += n_checked
-            degenerate += n_degenerate
-            if least is not None and (min_abs_num is None or least < min_abs_num):
-                min_abs_num = least
+    for p, b, n11, n22 in classes:
+        live = distinct[1:] if p == b == 0 else distinct
+        # the residual's bounds times q2 are (a * rho_lo^2 or a * rho_hi^2) - d
+        # and (a * rho_hi^2 or a * rho_lo^2) - c, the upper one <= 0 iff a is at
+        # most c // rho_hi^2 (c >= 0) or c // rho_lo^2 (c < 0)
+        c, d = b * lo_q - q2, b * hi_q - q2
+        if c >= 0:
+            i = bisect.bisect_left(live, p - c // r2hi)
+        else:
+            i = bisect.bisect_left(live, p - c // r2lo) if r2lo else len(live)
+        for r in live[max(i - 1, 0) : i + 1]:
+            a = p - r
+            if a >= 0:
+                t_lo, t_hi = a * r2lo - d, a * r2hi - c
+            else:
+                t_lo, t_hi = a * r2hi - d, a * r2lo - c
+            if t_lo <= 0 <= t_hi:
+                return first_failure(p, b, n11, n22)
+            mag = t_lo if t_lo > 0 else -t_hi
+            if min_abs_num is None or mag < min_abs_num:
+                min_abs_num = mag
     return {
-        "checked": checked,
-        "degenerate": degenerate,
+        "checked": (bound + 1) ** 2 * len(products) - n_zero,
+        "degenerate": n_zero,
         "min_abs_residual_num": min_abs_num,
         "residual_den": q2,
     }
@@ -394,13 +424,7 @@ def path_complement_step(rows=None) -> AuditStep:
     row_sum = [mat[1][j] + mat[2][j] for j in range(4)]
     expected = [zero, t - one, t - one, zero]
     rows_ok = all(a == b for a, b in zip(row_sum, expected))
-    spot = {
-        "t": Fraction(2, 3),
-        "row_sum": [
-            # the zero polynomial evaluates to the rational 0
-            QPHI(x.evaluate({"t": QPHI(Fraction(2, 3))})) for x in row_sum
-        ],
-    }
+    spot = {"t": Fraction(2, 3), "row_sum": [x.evaluate({"t": QPHI(Fraction(2, 3))}) for x in row_sum]}
     return AuditStep(
         "path-complement",
         "supplementary path angles exclusion",
@@ -801,6 +825,7 @@ def hill_construction_step(k: int) -> AuditStep:
     if not is_perfect_cube(k):
         raise ValueError("hill construction applies to cube k")
     m = _icbrt(k)
+    _check_construction_bound(m)
     spec = HillSpec.from_pair_cos(3, Fraction(0))
     sub = subdivide(spec, m)
     report = verify_reptile(sub)
@@ -811,6 +836,14 @@ def hill_construction_step(k: int) -> AuditStep:
         {"reptile_report": report.to_json(), "subdivision": sub.to_json()},
         "pass" if report.all_ok else "fail",
     )
+
+
+def _check_construction_bound(m: int) -> None:
+    if m > HILL_CONSTRUCTION_MAX_M:
+        raise ConstructionBoundError(
+            f"the Hill construction for k = {m}^3 has m = {m}, past the bound "
+            f"m <= {HILL_CONSTRUCTION_MAX_M} on the m^3 pieces the audit builds"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -849,6 +882,7 @@ def run_full_audit(k_max: int) -> list[AuditReport]:
     """Audit every k from 2 to k_max; non-cube k must come out excluded."""
     if k_max < 2:
         raise ValueError("empty audit range: k_max must be at least 2")
+    _check_construction_bound(_icbrt(k_max))  # the largest cube in range, before any step
     shared = [build() for build in SHARED_STEP_BUILDERS]
     reports = []
     for k in range(2, k_max + 1):
@@ -876,11 +910,17 @@ def verify_step(step: AuditStep) -> bool:
     sid, cert, inputs = step.id, step.certificate, step.inputs
     if sid == "rho-degree":
         k = inputs["k"]
+        if inputs["polynomial"] != [-1, 0, 0, k]:
+            return False
         if step.verdict == "inapplicable":
-            return cert["cube_root"] ** 3 == k
-        return (not sturm.rational_roots(tuple(inputs["polynomial"]))) == cert["irreducible"]
+            r = cert["cube_root"]
+            return r**3 == k and cert["rational_scaling"] == exact_json(Fraction(1, r))
+        # rational root theorem: a root of k x^3 - 1 is 1/q with q^3 = k
+        return cert["rational_roots"] == [] and cert["irreducible"] is not is_perfect_cube(k)
     if sid == "two-length":
         k = inputs["k"]
+        if not cert["irreducible_cubic"] or is_perfect_cube(k):
+            return False
         lo, hi = (Fraction(x) for x in cert["rho_interval"])
         poly = (-1, 0, 0, k)
         if not (ip.sign_at(poly, lo) < 0 < ip.sign_at(poly, hi)):
@@ -890,6 +930,8 @@ def verify_step(step: AuditStep) -> bool:
         return (
             scan["min_abs_residual_num"] > 0
             and Fraction(scan["min_abs_residual_num"], scan["residual_den"]) == recorded
+            and scan["checked"] == cert["systems_checked"]
+            and scan["degenerate"] == cert["degenerate_skipped"]
         )
     if sid == "tripod-identity":
         fresh = tripod_identity_step()

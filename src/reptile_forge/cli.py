@@ -4,8 +4,9 @@ Subcommands: fiedler check|reconstruct, hill generate|subdivide|verify|grow,
 angles classify|catalog, audit run|step, export.  JSON results go to stdout
 or --out; human-readable summaries go to stderr.  "-" means stdin/stdout.
 Exit codes: 0 success, 1 verification failure, 2 usage or input errors,
-3 an exact computation beyond a supported bound (the algebraic degree cap
-or the factorizer's recombination cap), so no verdict was reached.  Each
+3 an exact computation beyond a supported bound (the algebraic degree cap,
+the factorizer's recombination cap or the audit's Hill construction size),
+so no verdict was reached.  Each
 document is type-checked by its reader in ``jsonio`` first: bad input is
 one line.
 """
@@ -213,7 +214,10 @@ def cmd_angles_catalog(args) -> int:
 def cmd_audit_run(args) -> int:
     from . import audit
 
-    reports = audit.run_full_audit(args.kmax)
+    try:
+        reports = audit.run_full_audit(args.kmax)
+    except audit.ConstructionBoundError as e:
+        return _undecided(e)
     _emit(reports, args.json or args.out, audit.dumps_reports)
     ok = True
     for r in reports:
@@ -233,7 +237,10 @@ def cmd_audit_run(args) -> int:
 def cmd_audit_step(args) -> int:
     from . import audit
 
-    step = audit.run_step(args.id, k=args.k)
+    try:
+        step = audit.run_step(args.id, k=args.k)
+    except audit.ConstructionBoundError as e:
+        return _undecided(e)
     _emit(step.to_json(), args.out)
     _log(f"step {step.id}: {step.verdict}")
     if step.verdict == "fail":
@@ -441,14 +448,18 @@ def _leaf(argv: list[str]) -> argparse.Namespace | None:
     return None if extra else args
 
 
+def _undecided(e: Exception) -> int:
+    _log(f"undecided: {e}")
+    return EXIT_UNDECIDED
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _leaf(argv) or build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (DegreeOverflowError, FactorError) as e:
-        _log(f"undecided: {e}")
-        return EXIT_UNDECIDED
+        return _undecided(e)
     except InputFormatError as e:
         _log(f"input error: {e}")
         return EXIT_USAGE

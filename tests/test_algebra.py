@@ -516,6 +516,67 @@ class TestSerialization:
             exact_json(value)
 
 
+def _substitute_term_by_term(poly, values):
+    """MPoly.substitute as one product of powers per term."""
+    out = MPoly.constant(poly.vars, Fraction(0))
+    for e, c in poly.terms.items():
+        term = MPoly.constant(poly.vars, c)
+        for name, p in zip(poly.vars, e):
+            if p and name in values:
+                v = values[name]
+                term = term * (v if isinstance(v, MPoly) else MPoly.constant(poly.vars, v)) ** p
+            elif p:
+                term = term * MPoly.variable(poly.vars, name) ** p
+        out = out + term
+    return out
+
+
+def _evaluate_term_by_term(poly, values):
+    """MPoly.evaluate as one product of single factors per term."""
+    total = 0
+    for e, c in poly.terms.items():
+        term = c
+        for name, p in zip(poly.vars, e):
+            for _ in range(p):
+                term = term * values[name]
+        total = total + term
+    return total
+
+
+class TestMPolyMaps:
+    VARS = ("s", "t", "L")
+
+    @staticmethod
+    def _value(rng, golden):
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return QPHI.element([q, Fraction(rng.randint(-5, 5), rng.randint(1, 4))]) if golden else q
+
+    def _poly(self, rng, golden, n_terms, degree):
+        terms = {}
+        for _ in range(n_terms):
+            e = tuple(rng.randint(0, degree) for _ in self.VARS)
+            terms[e] = self._value(rng, golden)
+        return MPoly(self.VARS, terms)
+
+    @pytest.mark.parametrize("golden", [False, True], ids=["Q", "Q(phi)"])
+    def test_agree_with_term_by_term_expansion(self, golden):
+        rng = random.Random(30 + golden)
+        for _ in range(25):
+            poly = self._poly(rng, golden, rng.randint(0, 12), 5)
+            point = {name: self._value(rng, golden) for name in self.VARS}
+            assert poly.evaluate(point) == _evaluate_term_by_term(poly, point)
+            values = {"L": self._poly(rng, golden, rng.randint(0, 4), 2), "t": self._value(rng, golden)}
+            for chosen in ({"L": values["L"]}, {"t": values["t"]}, values, {}):
+                assert poly.substitute(chosen) == _substitute_term_by_term(poly, chosen)
+
+    def test_zero_evaluates_to_the_values_zero(self):
+        zero = MPoly(("t",))
+        golden = zero.evaluate({"t": QPHI.element([Fraction(2, 3), 0])})
+        assert golden == QPHI.zero and type(golden) is type(QPHI.zero) and exact_json(golden) == "0+0*phi"
+        assert type(zero.evaluate({"t": Fraction(2, 3)})) is Fraction
+        assert MPoly(()).evaluate({}) == Fraction(0)
+
+
 class TestFloat:
     # float(Decimal) rounds correctly, and 60 digits put these values far
     # from any midpoint between two doubles

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reptile_forge import audit
-from reptile_forge.algebra import MPoly, PHI, QPHI, exact_json
+from reptile_forge.algebra import MPoly, PHI, QPHI, exact_json, sturm
 from reptile_forge.audit import (
     AuditStep,
     _rho_enclosure,
@@ -85,6 +85,108 @@ class TestTwoLength:
 
     def test_verifier(self):
         assert verify_step(two_length_step(3, 6))
+
+
+def _sturm_rho_enclosure(k):
+    """The dyadic bracket of k^(-1/3) by Sturm isolation and bisection."""
+    poly = (-1, 0, 0, k)
+    (iv,) = sturm.isolate_roots(poly, Fraction(0), Fraction(1))
+    lo, hi = sturm.refine_root(poly, iv[0], iv[1], Fraction(1, 2 ** (audit._RHO_BITS + 2)))
+    q = 2**audit._RHO_BITS
+    return Fraction(math.floor(lo * q), q), Fraction(math.ceil(hi * q), q)
+
+
+class TestRhoEnclosure:
+    def test_equals_the_sturm_bracket_for_every_non_cube_k_to_ten_thousand(self):
+        for k in range(2, 10**4 + 1):
+            if not is_perfect_cube(k):
+                assert _rho_enclosure(k) == _sturm_rho_enclosure(k), k
+
+    @pytest.mark.parametrize("k", [10**30 + 1, 10**100 + 1])
+    def test_equals_the_sturm_bracket_for_huge_k(self, k):
+        assert _rho_enclosure(k) == _sturm_rho_enclosure(k)
+
+
+def _mutated(step, mutate):
+    step = copy.deepcopy(step)
+    mutate(step.inputs, step.certificate)
+    return step
+
+
+def _shift_rho_interval(cert, steps):
+    cert["rho_interval"] = [exact_json(Fraction(x) + Fraction(steps, _Q)) for x in cert["rho_interval"]]
+
+
+def _bump_residual_numerator(cert):
+    f = Fraction(cert["min_abs_residual"])
+    cert["min_abs_residual"] = exact_json(Fraction(f.numerator + 1, f.denominator))
+
+
+class TestKDependentCertificateMutations:
+    @pytest.mark.parametrize(
+        "k, mutate",
+        [
+            (5, lambda inputs, cert: inputs["polynomial"].__setitem__(1, 1)),
+            (5, lambda inputs, cert: inputs["polynomial"].__setitem__(3, 6)),
+            (5, lambda inputs, cert: cert.__setitem__("irreducible", False)),
+            (5, lambda inputs, cert: cert.__setitem__("rational_roots", ["1/2"])),
+            (27, lambda inputs, cert: cert.__setitem__("cube_root", 4)),
+            (27, lambda inputs, cert: cert.__setitem__("rational_scaling", "1/4")),
+            (27, lambda inputs, cert: inputs.__setitem__("polynomial", [-1, 0, 0, 26])),
+        ],
+        ids=["x-coefficient", "leading-coefficient", "irreducible-flipped", "listed-root", "cube-root", "scaling", "polynomial-of-other-k"],
+    )
+    def test_rho_degree(self, k, mutate):
+        step = rho_degree_step(k)
+        assert verify_step(step)
+        assert not verify_step(_mutated(step, mutate))
+
+    def test_rho_degree_pass_claimed_for_a_cube(self):
+        step = rho_degree_step(7)
+        forged = AuditStep(step.id, step.title, {"k": 8, "polynomial": [-1, 0, 0, 8]}, step.certificate, "pass")
+        assert not verify_step(forged)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda inputs, cert: _shift_rho_interval(cert, 1),
+            lambda inputs, cert: _shift_rho_interval(cert, -1),
+            lambda inputs, cert: _bump_residual_numerator(cert),
+            lambda inputs, cert: inputs.__setitem__("coefficient_bound", 9),
+            lambda inputs, cert: inputs.__setitem__("coefficient_bound", 11),
+            lambda inputs, cert: cert.__setitem__("systems_checked", cert["systems_checked"] - 1),
+            lambda inputs, cert: cert.__setitem__("irreducible_cubic", False),
+        ],
+        ids=["rho-up-one-step", "rho-down-one-step", "residual-numerator", "bound-9", "bound-11", "count", "reducible"],
+    )
+    @pytest.mark.parametrize("k", [2, 63])
+    def test_two_length(self, k, mutate):
+        step = two_length_step(k)
+        assert verify_step(step)
+        assert not verify_step(_mutated(step, mutate))
+
+    def test_two_length_for_a_cube_k(self):
+        step = two_length_step(7)
+        forged = AuditStep(step.id, step.title, {**step.inputs, "k": 8}, step.certificate, "pass")
+        assert not verify_step(forged)
+
+
+class TestConstructionBound:
+    def test_first_cube_past_the_bound_is_refused(self):
+        assert audit.HILL_CONSTRUCTION_MAX_M == 10
+        with pytest.raises(audit.ConstructionBoundError, match="m = 11"):
+            hill_construction_step(11**3)
+        with pytest.raises(audit.ConstructionBoundError, match="m = 11"):
+            run_full_audit(11**3)
+
+    @pytest.mark.parametrize("argv", [["audit", "step", "hill-construction", "--k", "1000000"], ["audit", "run", "--kmax", "1331"]])
+    def test_cli_refuses_before_building(self, argv, capsys):
+        start = time.perf_counter()
+        assert cli_main(argv) == 3
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "m <= 10" in captured.err
 
 
 class TestSymbolicSteps:
@@ -434,6 +536,14 @@ class TestTwoLengthScan:
     def test_random_dyadic_intervals_match_reference(self, bound, lo, width):
         lo, hi = Fraction(lo, _Q), Fraction(min(lo + width, _Q - 1), _Q)
         assert _two_length_scan(2, bound, lo, hi) == _reference_scan(bound, lo, hi)
+
+    @pytest.mark.parametrize("k", [2**144 + 1, 10**100 + 1])
+    def test_huge_k_with_a_zero_lower_end_matches_reference(self, k):
+        lo, hi = _rho_enclosure(k)
+        assert lo == 0
+        for bound in (10, 3, 1):
+            assert _two_length_scan(k, bound, lo, hi) == _reference_scan(bound, lo, hi)
+        assert verify_step(two_length_step(k))
 
     def test_seeded_draws_cover_both_outcomes(self):
         rng = random.Random(8)
