@@ -17,7 +17,6 @@ re-derived; everything downstream of it is checked exactly.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from .algebra import intpoly as ip
 from .algebra import linalg
 from .algebra import numberfield as nf
 from .algebra import sturm
-from .algebra.algebraic import _root_intervals
 from .algebra.enclosure import pi_bounds
 from .algebra.factor import irreducible_factors
 from .fiedler import (
@@ -44,7 +42,7 @@ from .fiedler import (
     tripod_matrix_symbolic,
 )
 from .hill import HillSpec, Subdivision, subdivide, verify_reptile
-from .trig import RationalAngle, acos_enclosure, catalog, cosine_of, match_rational_angle
+from .trig import RationalAngle, acos_enclosure, cosine_of, match_rational_angle
 
 RATIONALITY_ASSUMPTION = (
     "dihedral angles of a reptile tetrahedron admit a strictly positive rational "
@@ -52,8 +50,6 @@ RATIONALITY_ASSUMPTION = (
     "Bricard's condition); hence the free path angle is a rational multiple of pi"
 )
 
-TWO_LENGTH_DEFAULT_BOUND = 10
-_RHO_BITS = 48
 # the largest m whose m^3-piece Hill construction the audit builds: m = 10
 # takes about half a second end to end (2 cores, Python 3.11), m = 20 two
 # seconds, and m = 100 over ten
@@ -195,145 +191,51 @@ def rho_degree_step(k: int) -> AuditStep:
     )
 
 
-def _rho_enclosure(k: int) -> tuple[Fraction, Fraction]:
-    """Dyadic bracket [r, r + 1] / 2^_RHO_BITS of k^(-1/3) for non-cube k,
-    with r = floor(2^_RHO_BITS k^(-1/3)) the integer cube root of
-    floor(2^(3*_RHO_BITS) / k).  For non-cube k that cube root is
-    irrational, so it lies strictly between r and r + 1."""
-    r = _icbrt(2 ** (3 * _RHO_BITS) // k)
-    q = 2**_RHO_BITS
-    return Fraction(r, q), Fraction(r + 1, q)
-
-
-def two_length_step(k: int, bound: int = TWO_LENGTH_DEFAULT_BOUND) -> AuditStep:
-    """No nonnegative integer 2x2 system can force only two edge lengths:
-    the induced quadratic in k^(-1/3) contradicts its degree 3, and a
-    residual scan certifies a uniform numeric margin as well."""
-    # rational root theorem: a rational root of k x^3 - 1 is 1/q with q^3 = k
-    irreducible = not is_perfect_cube(k)
-    if not irreducible:
-        raise ValueError("two-length exclusion applies to non-cube k only")
-    rho_lo, rho_hi = _rho_enclosure(k)
-    scan = _two_length_scan(k, bound, rho_lo, rho_hi)
-    ok = irreducible and scan["min_abs_residual_num"] > 0
-    return AuditStep(
-        "two-length",
-        "at least three edge lengths per indivisible angle",
-        {"k": k, "coefficient_bound": bound},
-        {
-            "irreducible_cubic": irreducible,
-            "degree_argument": (
-                "if the edge system had rank deficiency, (n11 n22 - n12 n21) rho^2 "
-                "- (n11 + n22) rho + 1 = 0 would make rho quadratic over Q"
-            ),
-            "rho_interval": [rho_lo, rho_hi],
-            "systems_checked": scan["checked"],
-            "degenerate_skipped": scan["degenerate"],
-            "min_abs_residual": Fraction(scan["min_abs_residual_num"], scan["residual_den"]),
-        },
-        "pass" if ok else "fail",
-    )
+_TWO_LENGTH_VARS = ("n11", "n12", "n21", "n22", "rho")
 
 
 @lru_cache(maxsize=None)
-def _two_length_classes(bound: int) -> tuple:
-    """The coefficient systems with entries 0..bound, independent of k:
-    (products, distinct, classes).
-
-    ``products`` lists r = n12 n21 in (n12, n21) order and ``distinct`` its
-    sorted values.  ``classes`` holds each residual class (p, b) =
-    (n11 n22, n11 + n22) once, as (p, b, n11, n22) with the first (n11, n22)
-    reaching it, in the order of the loop over n11, n22."""
-    span = range(bound + 1)
-    products = [n12 * n21 for n12 in span for n21 in span]
-    first = {}
-    for n11 in span:
-        for n22 in span:
-            first.setdefault((n11 * n22, n11 + n22), (n11, n22))
-    classes = tuple((p, b, n11, n22) for (p, b), (n11, n22) in first.items())
-    return products, sorted(set(products)), classes
+def _two_length_residual() -> MPoly:
+    """det(I - rho N) for N = [[n11, n12], [n21, n22]], by ``linalg.det``:
+    (n11 n22 - n12 n21) rho^2 - (n11 + n22) rho + 1.  It does not depend on
+    k, so one process builds it once."""
+    n11, n12, n21, n22, rho = (MPoly.variable(_TWO_LENGTH_VARS, v) for v in _TWO_LENGTH_VARS)
+    one = MPoly.constant(_TWO_LENGTH_VARS, Fraction(1))
+    return linalg.det([[one - rho * n11, -(rho * n12)], [-(rho * n21), one - rho * n22]])
 
 
-def _two_length_scan(k: int, bound: int, rho_lo: Fraction, rho_hi: Fraction) -> dict:
-    """Interval-evaluate the quadratic residual over all coefficient systems.
+def _is_two_length_lemma(residual: MPoly) -> bool:
+    """The residual's rho-free part is exactly 1 and its degree in rho is at
+    most 2, so for every integer N it is a nonzero polynomial of degree <= 2
+    in rho."""
+    rho_free = {e: c for e, c in residual.terms.items() if e[-1] == 0}  # rho is the last variable
+    return rho_free == {(0, 0, 0, 0, 0): 1} and residual.degree_in("rho") <= 2
 
-    Works in integers over the common denominator 2^(2*_RHO_BITS).  The
-    system (n11, n12, n21, n22) enters only through p = n11 n22, b = n11 + n22
-    and r = n12 n21, so each residual class (p, b) is scanned once; the
-    counts and the first failing system are those of the loop over n11, n22,
-    n12, n21 in that order.
 
-    Within a class both residual bounds are nondecreasing in a = p - r, so
-    they fall as r grows and the magnitude is unimodal in r: its least value
-    sits at the first r whose upper bound is <= 0, or at the r before it.
-    That upper bound is a*rho_hi^2 - b*rho_lo + 1 for a >= 0 (rho_lo^2 for
-    a < 0), so the first such r follows from one floor division.  Only
-    r = 0 with p = b = 0 is degenerate (the residual is identically 1)."""
-    q = 2**_RHO_BITS
-    plo, phi_ = rho_lo.numerator * (q // rho_lo.denominator), rho_hi.numerator * (
-        q // rho_hi.denominator
+def two_length_step(k: int) -> AuditStep:
+    """No integer 2x2 system N can force only two edge lengths.  Two lengths
+    would make det(I - rho N) = (n11 n22 - n12 n21) rho^2 - (n11 + n22) rho + 1
+    vanish at rho = k^(-1/3).  Its constant term is 1, so for every integer N
+    it is a nonzero polynomial of degree at most 2 in rho, and it cannot
+    vanish at rho, whose degree is 3 for non-cube k (rho-degree).  The
+    lemma holds for all k at once; only the non-cube hypothesis is per k."""
+    if is_perfect_cube(k):
+        raise ValueError("two-length exclusion applies to non-cube k only")
+    residual = _two_length_residual()
+    return AuditStep(
+        "two-length",
+        "at least three edge lengths per indivisible angle",
+        {"k": k},
+        {
+            "residual": residual,
+            "argument": (
+                "residual = det(I - rho N) in (n11, n12, n21, n22, rho); two edge lengths "
+                "make it vanish at rho = k^(-1/3), but its rho-free part is 1, so for "
+                "integer N it is nonzero of degree <= 2 in rho, and rho has degree 3"
+            ),
+        },
+        "pass" if _is_two_length_lemma(residual) else "fail",
     )
-    q2 = q * q
-    r2lo, r2hi = plo * plo, phi_ * phi_  # rho in (0,1): squares keep order
-    products, distinct, classes = _two_length_classes(bound)
-    n_zero = products.count(0)
-
-    lo_q, hi_q = plo * q, phi_ * q
-
-    def magnitude(a: int, b: int):
-        """None if degenerate, 0 if the residual interval holds 0, else its
-        distance from 0; the scan's loop below inlines it."""
-        if a == 0 and b == 0:
-            return None
-        c, d = b * lo_q - q2, b * hi_q - q2
-        t_lo, t_hi = (a * r2lo - d, a * r2hi - c) if a >= 0 else (a * r2hi - d, a * r2lo - c)
-        return 0 if t_lo <= 0 <= t_hi else (t_lo if t_lo > 0 else -t_hi)
-
-    def first_failure(p: int, b: int, n11: int, n22: int) -> dict:
-        """The scan's result when class (p, b), first met at (n11, n22),
-        holds a residual interval containing 0."""
-        position = n11 * (bound + 1) + n22
-        degenerate = n_zero if position else 0  # p = b = 0 only at (0, 0)
-        mags = {r: magnitude(p - r, b) for r in distinct}
-        first = next(i for i, r in enumerate(products) if mags[r] == 0)
-        before = [mags[r] for r in products[:first]]
-        n12, n21 = divmod(first, bound + 1)
-        return {
-            "checked": position * len(products) - degenerate + sum(m is not None for m in before),
-            "degenerate": degenerate + sum(m is None for m in before),
-            "min_abs_residual_num": 0,
-            "residual_den": q2,
-            "failing_system": (n11, n12, n21, n22),
-        }
-
-    min_abs_num = None
-    for p, b, n11, n22 in classes:
-        live = distinct[1:] if p == b == 0 else distinct
-        # the residual's bounds times q2 are (a * rho_lo^2 or a * rho_hi^2) - d
-        # and (a * rho_hi^2 or a * rho_lo^2) - c, the upper one <= 0 iff a is at
-        # most c // rho_hi^2 (c >= 0) or c // rho_lo^2 (c < 0)
-        c, d = b * lo_q - q2, b * hi_q - q2
-        if c >= 0:
-            i = bisect.bisect_left(live, p - c // r2hi)
-        else:
-            i = bisect.bisect_left(live, p - c // r2lo) if r2lo else len(live)
-        for r in live[max(i - 1, 0) : i + 1]:
-            a = p - r
-            if a >= 0:
-                t_lo, t_hi = a * r2lo - d, a * r2hi - c
-            else:
-                t_lo, t_hi = a * r2hi - d, a * r2lo - c
-            if t_lo <= 0 <= t_hi:
-                return first_failure(p, b, n11, n22)
-            mag = t_lo if t_lo > 0 else -t_hi
-            if min_abs_num is None or mag < min_abs_num:
-                min_abs_num = mag
-    return {
-        "checked": (bound + 1) ** 2 * len(products) - n_zero,
-        "degenerate": n_zero,
-        "min_abs_residual_num": min_abs_num,
-        "residual_den": q2,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +631,6 @@ def final_cases_step() -> AuditStep:
             iv = root.refine_below(Fraction(1, 10**8))
             within = target - Fraction(1, 1000) <= iv.lo and iv.hi <= target + Fraction(1, 1000)
             matched = match_rational_angle(root)
-            gaps = _catalog_gaps(root)
             root_rec = {
                 "minpoly": list(root.minpoly),
                 "interval": [iv.lo, iv.hi],
@@ -739,11 +640,9 @@ def final_cases_step() -> AuditStep:
                 "rational_angle_match": None
                 if matched is None
                 else f"{matched.p}*pi/{matched.q}",
-                "min_catalog_gap": gaps["min_gap"],
-                "catalog_degrees_checked": gaps["degrees"],
             }
             case["roots"].append(root_rec)
-            ok = ok and within and matched is None and gaps["min_gap"] > 0
+            ok = ok and within and matched is None
         cases.append(case)
         all_ok = all_ok and ok
     return AuditStep(
@@ -784,37 +683,6 @@ def _det_vanishes_at(table: list[list[int]], s_val: AlgebraicReal, t_val: Algebr
     return (-g[0]).to_algebraic().compare(t_val) == 0
 
 
-def _catalog_gaps(root: AlgebraicReal) -> dict:
-    """Certified positive distance from a root to every catalog cosine.
-
-    Each value is read through its canonical enclosure, so the gap depends
-    on the minimal polynomials and root indices alone, never on how far
-    earlier callers refined a shared value.
-    """
-    degrees = sorted({1, 2, 4, root.degree} if root.degree <= 8 else {1, 2, 4})
-    key = (root.minpoly, root._root_index())
-    a_lo, a_hi = _canonical_enclosure(*key)
-    min_gap = None
-    for d in degrees:
-        for _, cos in catalog(d).entries:
-            if (cos.minpoly, cos._root_index()) == key:
-                return {"min_gap": Fraction(0), "degrees": degrees}
-            b_lo, b_hi = _canonical_enclosure(cos.minpoly, cos._root_index())
-            gap = max(b_lo - a_hi, a_lo - b_hi)
-            if gap <= 0:
-                raise AssertionError("distinct values left overlapping enclosures")
-            if min_gap is None or gap < min_gap:
-                min_gap = gap
-    return {"min_gap": min_gap, "degrees": degrees}
-
-
-@lru_cache(maxsize=None)
-def _canonical_enclosure(minpoly, index: int) -> tuple[Fraction, Fraction]:
-    """Root ``index`` of ``minpoly``: its isolating interval bisected below 10^-9."""
-    lo, hi = _root_intervals(minpoly)[index]
-    return sturm.refine_root(minpoly, lo, hi, Fraction(1, 10**9))
-
-
 # ---------------------------------------------------------------------------
 # cube-k annotation
 # ---------------------------------------------------------------------------
@@ -850,17 +718,7 @@ def _check_construction_bound(m: int) -> None:
 # assembly and the independent checker
 # ---------------------------------------------------------------------------
 
-SHARED_STEP_BUILDERS = (
-    tripod_identity_step,
-    multiples_case_step,
-    path_complement_step,
-    beta_constraints_step,
-    path_det_factorization_step,
-    bound_chain_step,
-    exclude_pi_over_5_step,
-    final_cases_step,
-)
-
+# every builder by step id, in the order a non-cube report holds the steps
 STEP_BUILDERS = {
     "rho-degree": rho_degree_step,
     "two-length": two_length_step,
@@ -877,6 +735,23 @@ STEP_BUILDERS = {
 
 K_DEPENDENT_STEPS = {"rho-degree", "two-length", "hill-construction"}
 
+SHARED_STEP_BUILDERS = tuple(b for sid, b in STEP_BUILDERS.items() if sid not in K_DEPENDENT_STEPS)
+
+
+def report_step_ids(k: int) -> list[str]:
+    """The step ids a report for k holds, in order."""
+    if is_perfect_cube(k):
+        return ["rho-degree", "hill-construction"]
+    return [sid for sid in STEP_BUILDERS if sid != "hill-construction"]
+
+
+def _report_ending(k: int, steps) -> tuple[str, tuple]:
+    """The conclusion and assumptions of a report for k with these steps."""
+    if is_perfect_cube(k):
+        return f"inapplicable: k = {k} = {_icbrt(k)}^3 admits the verified Hill construction", ()
+    excluded = all(s.verdict == "pass" for s in steps)
+    return ("excluded" if excluded else "NOT excluded: some step failed"), (RATIONALITY_ASSUMPTION,)
+
 
 def run_full_audit(k_max: int) -> list[AuditReport]:
     """Audit every k from 2 to k_max; non-cube k must come out excluded."""
@@ -888,15 +763,9 @@ def run_full_audit(k_max: int) -> list[AuditReport]:
     for k in range(2, k_max + 1):
         if is_perfect_cube(k):
             steps = (rho_degree_step(k), hill_construction_step(k))
-            conclusion = (
-                f"inapplicable: k = {k} = {_icbrt(k)}^3 admits the verified Hill construction"
-            )
-            reports.append(AuditReport(k, steps, conclusion, ()))
-            continue
-        steps = tuple([rho_degree_step(k), two_length_step(k)] + shared)
-        excluded = all(s.verdict == "pass" for s in steps)
-        conclusion = "excluded" if excluded else "NOT excluded: some step failed"
-        reports.append(AuditReport(k, steps, conclusion, (RATIONALITY_ASSUMPTION,)))
+        else:
+            steps = tuple([rho_degree_step(k), two_length_step(k)] + shared)
+        reports.append(AuditReport(k, steps, *_report_ending(k, steps)))
     return reports
 
 
@@ -918,20 +787,11 @@ def verify_step(step: AuditStep) -> bool:
         # rational root theorem: a root of k x^3 - 1 is 1/q with q^3 = k
         return cert["rational_roots"] == [] and cert["irreducible"] is not is_perfect_cube(k)
     if sid == "two-length":
-        k = inputs["k"]
-        if not cert["irreducible_cubic"] or is_perfect_cube(k):
-            return False
-        lo, hi = (Fraction(x) for x in cert["rho_interval"])
-        poly = (-1, 0, 0, k)
-        if not (ip.sign_at(poly, lo) < 0 < ip.sign_at(poly, hi)):
-            return False
-        scan = _two_length_scan(k, inputs["coefficient_bound"], lo, hi)
-        recorded = Fraction(cert["min_abs_residual"])
+        residual = _two_length_residual()
         return (
-            scan["min_abs_residual_num"] > 0
-            and Fraction(scan["min_abs_residual_num"], scan["residual_den"]) == recorded
-            and scan["checked"] == cert["systems_checked"]
-            and scan["degenerate"] == cert["degenerate_skipped"]
+            cert["residual"] == exact_json(residual)
+            and _is_two_length_lemma(residual)
+            and not is_perfect_cube(inputs["k"])
         )
     if sid == "tripod-identity":
         fresh = tripod_identity_step()
@@ -980,6 +840,9 @@ def verify_step(step: AuditStep) -> bool:
         slope = QPHI.from_json(cert["slope"])
         return (not boundary) and slope.sign() < 0 and cert["boundary_is_zero"]
     if sid == "final-cases":
+        # the split leaves exactly these small angles: each must be closed
+        if not [case["t"] for case in cert["cases"]] == inputs["t_values"] == list(_FINAL_CASE_TARGETS):
+            return False
         table = _path_det_in_t_coeffs()
         coeffs_in_t = [ip.poly(row) for row in table]
         for case in cert["cases"]:
@@ -1013,10 +876,7 @@ def verify_step(step: AuditStep) -> bool:
                     return False
                 target = Fraction(target)
                 within = target - Fraction(1, 1000) <= lo and hi <= target + Fraction(1, 1000)
-                gaps = _catalog_gaps(root)  # re-derived, not read from the file
-                fresh = [list(root.minpoly), exact_json(gaps["min_gap"]), gaps["degrees"]]
-                recorded = [rec["minpoly"], rec["min_catalog_gap"], rec["catalog_degrees_checked"]]
-                if not (within and rec["within_0.001"] and gaps["min_gap"] > 0) or fresh != recorded:
+                if not (within and rec["within_0.001"]) or list(root.minpoly) != rec["minpoly"]:
                     return False
         return True
     if sid == "hill-construction":
@@ -1027,13 +887,23 @@ def verify_step(step: AuditStep) -> bool:
 
 
 def verify_report(report: AuditReport, verdicts: dict | None = None) -> bool:
-    """Re-validate each step of a report, in order, stopping at the first
-    failure.
+    """Check that a report holds its own proof, then re-validate each step,
+    in order, stopping at the first failure.
+
+    The report must hold the steps its k demands (``report_step_ids``), in
+    order, each k-dependent one about this k, and state the conclusion and
+    assumptions that ``run_full_audit`` writes for those steps.
 
     Reports of one run share their k-independent step objects; pass the
     same ``verdicts`` dict for all of them and each distinct step object is
     checked once.  It maps ``id(step)`` to ``(step, verdict)``, and holding
     the step keeps its id from being reused while the dict lives."""
+    if [s.id for s in report.steps] != report_step_ids(report.k):
+        return False
+    if any(s.inputs["k"] != report.k for s in report.steps if s.id in K_DEPENDENT_STEPS):
+        return False
+    if (report.conclusion, tuple(report.assumptions)) != _report_ending(report.k, report.steps):
+        return False
     if verdicts is None:
         verdicts = {}
     for step in report.steps:

@@ -22,7 +22,7 @@ from reptile_forge.cli import main as cli_main
 from reptile_forge.fiedler import CosMatrix, realizability_check, reconstruct_simplex
 from reptile_forge.hill import HillSpec, subdivide, verify_reptile
 from reptile_forge.simplex import Simplex, congruent, dihedral_data, volume
-from reptile_forge.trig import RationalAngle, catalog, cosine_degree, cosine_of
+from reptile_forge.trig import RationalAngle, catalog, cosine_degree, cosine_of, match_rational_angle
 
 from helpers import similar_coordinates
 
@@ -175,7 +175,10 @@ def test_criterion_5_final_case_roots():
             inside = target - Fraction(1, 1000) <= lo and hi <= target + Fraction(1, 1000)
             ok = ok and inside
             ok = ok and rec["rational_angle_match"] is None
-            ok = ok and Fraction(rec["min_catalog_gap"]) > 0
+            # the root read back from its printed minpoly and interval is no
+            # cosine of a rational angle, of any order its degree allows
+            root = AlgebraicReal.from_root(tuple(rec["minpoly"]), lo, hi)
+            ok = ok and match_rational_angle(root) is None
         detail.append(f"t={case['t']}: {[r['approx'] for r in case['roots']]}")
     _record("criterion 5 (final case roots)", ok, time.monotonic() - t0, 30.0,
             "; ".join(detail))

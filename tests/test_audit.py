@@ -4,22 +4,20 @@ import copy
 import hashlib
 import json
 import math
-import random
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import sympy
 
 from reptile_forge import audit
-from reptile_forge.algebra import MPoly, PHI, QPHI, exact_json, sturm
+from reptile_forge.algebra import MPoly, PHI, QPHI
 from reptile_forge.audit import (
     AuditStep,
-    _rho_enclosure,
-    _two_length_scan,
     beta_constraints_step,
     bound_chain_step,
     canonical_json,
@@ -69,42 +67,27 @@ class TestRhoDegree:
 
 
 class TestTwoLength:
-    def test_k2_bound_10(self):
-        s = two_length_step(2, 10)
+    def test_k2_pass(self):
+        # the printed residual is checked against sympy's determinant in
+        # TestSymbolicIdentitiesAgainstSympy
+        s = two_length_step(2)
         assert s.verdict == "pass"
-        assert s.certificate["systems_checked"] + s.certificate["degenerate_skipped"] == 11**4
-        assert Fraction(s.certificate["min_abs_residual"]) > 0
+        assert s.inputs == {"k": 2}
 
-    def test_k5_bound_6(self):
-        s = two_length_step(5, 6)
-        assert s.verdict == "pass"
+    def test_certificate_is_the_same_for_every_k(self):
+        # the lemma holds for all integer systems: nothing in it depends on k
+        start = time.perf_counter()
+        huge = two_length_step(10**100 + 1)
+        assert time.perf_counter() - start < 0.5
+        assert huge.certificate == two_length_step(2).certificate
+        assert verify_step(huge)
 
     def test_cube_rejected(self):
         with pytest.raises(ValueError):
             two_length_step(8)
 
     def test_verifier(self):
-        assert verify_step(two_length_step(3, 6))
-
-
-def _sturm_rho_enclosure(k):
-    """The dyadic bracket of k^(-1/3) by Sturm isolation and bisection."""
-    poly = (-1, 0, 0, k)
-    (iv,) = sturm.isolate_roots(poly, Fraction(0), Fraction(1))
-    lo, hi = sturm.refine_root(poly, iv[0], iv[1], Fraction(1, 2 ** (audit._RHO_BITS + 2)))
-    q = 2**audit._RHO_BITS
-    return Fraction(math.floor(lo * q), q), Fraction(math.ceil(hi * q), q)
-
-
-class TestRhoEnclosure:
-    def test_equals_the_sturm_bracket_for_every_non_cube_k_to_ten_thousand(self):
-        for k in range(2, 10**4 + 1):
-            if not is_perfect_cube(k):
-                assert _rho_enclosure(k) == _sturm_rho_enclosure(k), k
-
-    @pytest.mark.parametrize("k", [10**30 + 1, 10**100 + 1])
-    def test_equals_the_sturm_bracket_for_huge_k(self, k):
-        assert _rho_enclosure(k) == _sturm_rho_enclosure(k)
+        assert verify_step(two_length_step(3))
 
 
 def _mutated(step, mutate):
@@ -113,13 +96,10 @@ def _mutated(step, mutate):
     return step
 
 
-def _shift_rho_interval(cert, steps):
-    cert["rho_interval"] = [exact_json(Fraction(x) + Fraction(steps, _Q)) for x in cert["rho_interval"]]
-
-
-def _bump_residual_numerator(cert):
-    f = Fraction(cert["min_abs_residual"])
-    cert["min_abs_residual"] = exact_json(Fraction(f.numerator + 1, f.denominator))
+def _set_residual_term(cert, exponents, coefficient):
+    """Set one printed term of the two-length residual, adding it if absent."""
+    terms = [t for t in cert["residual"] if t[0] != exponents]
+    cert["residual"] = sorted(terms + [[exponents, coefficient]])
 
 
 class TestKDependentCertificateMutations:
@@ -149,15 +129,23 @@ class TestKDependentCertificateMutations:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda inputs, cert: _shift_rho_interval(cert, 1),
-            lambda inputs, cert: _shift_rho_interval(cert, -1),
-            lambda inputs, cert: _bump_residual_numerator(cert),
-            lambda inputs, cert: inputs.__setitem__("coefficient_bound", 9),
-            lambda inputs, cert: inputs.__setitem__("coefficient_bound", 11),
-            lambda inputs, cert: cert.__setitem__("systems_checked", cert["systems_checked"] - 1),
-            lambda inputs, cert: cert.__setitem__("irreducible_cubic", False),
+            lambda inputs, cert: _set_residual_term(cert, [1, 0, 0, 0, 1], "-2/1"),
+            lambda inputs, cert: _set_residual_term(cert, [0, 0, 0, 0, 0], "2/1"),
+            lambda inputs, cert: _set_residual_term(cert, [0, 0, 0, 0, 0], "0/1"),
+            lambda inputs, cert: _set_residual_term(cert, [1, 0, 0, 0, 0], "1/1"),
+            lambda inputs, cert: _set_residual_term(cert, [1, 0, 0, 1, 3], "1/1"),
+            lambda inputs, cert: cert.__setitem__("residual", cert["residual"][1:]),
+            lambda inputs, cert: inputs.__setitem__("k", 27),
         ],
-        ids=["rho-up-one-step", "rho-down-one-step", "residual-numerator", "bound-9", "bound-11", "count", "reducible"],
+        ids=[
+            "residual-coefficient",
+            "constant-term-2",
+            "constant-term-0",
+            "rho-free-n11-term",
+            "rho-cubed-term",
+            "term-dropped",
+            "cube-k",
+        ],
     )
     @pytest.mark.parametrize("k", [2, 63])
     def test_two_length(self, k, mutate):
@@ -296,7 +284,7 @@ class TestFinalCases:
             for rec in case["roots"]:
                 assert rec["within_0.001"]
                 assert rec["rational_angle_match"] is None
-                assert Fraction(rec["min_catalog_gap"]) > 0
+                assert "min_catalog_gap" not in rec and "catalog_degrees_checked" not in rec
 
     def test_t0_roots_are_golden(self):
         s = final_cases_step()
@@ -312,6 +300,18 @@ class TestFinalCases:
 
     def test_verifier(self):
         assert verify_step(final_cases_step())
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda inputs, cert: (inputs["t_values"].pop(), cert["cases"].pop()),
+            lambda inputs, cert: cert["cases"].reverse(),
+            lambda inputs, cert: cert["cases"][0].__setitem__("t", "1/3"),
+        ],
+        ids=["case-dropped-from-inputs-too", "cases-reordered", "case-relabelled"],
+    )
+    def test_checker_requires_the_three_cases(self, mutate):
+        assert not verify_step(_mutated(final_cases_step(), mutate))
 
     def test_each_eliminant_factored_once(self, monkeypatch):
         from reptile_forge.algebra import factor
@@ -379,6 +379,130 @@ class TestFullAudit:
     def test_assumption_recorded(self):
         reports = run_full_audit(3)
         assert any("rational multiple of pi" in a for a in reports[0].assumptions)
+
+
+class TestReportWiring:
+    """A report must hold its own proof: the steps its k demands, in order,
+    each k-dependent one about that k, and the conclusion and assumptions
+    that ``run_full_audit`` writes for them."""
+
+    NON_CUBE_IDS = [
+        "rho-degree",
+        "two-length",
+        "tripod-identity",
+        "multiples-case",
+        "path-complement",
+        "beta-constraints",
+        "path-det-factorization",
+        "bound-chain",
+        "exclude-pi-over-5",
+        "final-cases",
+    ]
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return {r.k: r for r in run_full_audit(10)}
+
+    def test_every_report_holds_its_proof(self, reports):
+        assert all(verify_report(r) for r in reports.values())
+        assert audit.report_step_ids(2) == [s.id for s in reports[2].steps] == self.NON_CUBE_IDS
+        assert audit.report_step_ids(8) == [s.id for s in reports[8].steps] == ["rho-degree", "hill-construction"]
+
+    @pytest.mark.parametrize(
+        "k, mutate",
+        [
+            (2, lambda r, rs: replace(r, steps=tuple(s for s in r.steps if s.id != "exclude-pi-over-5"))),
+            (2, lambda r, rs: replace(r, conclusion="NOT excluded: some step failed")),
+            (9, lambda r, rs: replace(r, steps=rs[10].steps)),
+            (2, lambda r, rs: replace(r, steps=r.steps[:2] + r.steps[2:][::-1])),
+            (2, lambda r, rs: replace(r, steps=r.steps + r.steps[-1:])),
+            (9, lambda r, rs: replace(r, steps=rs[10].steps[:1] + r.steps[1:])),
+            (2, lambda r, rs: replace(r, assumptions=())),
+            (8, lambda r, rs: replace(r, conclusion="excluded")),
+            (8, lambda r, rs: replace(r, steps=rs[9].steps)),
+        ],
+        ids=[
+            "k2-without-exclude-pi-over-5",
+            "k2-conclusion-changed",
+            "k9-with-k10-steps",
+            "shared-steps-reordered",
+            "final-cases-twice",
+            "k9-with-k10-rho-degree",
+            "assumption-dropped",
+            "cube-called-excluded",
+            "cube-with-non-cube-steps",
+        ],
+    )
+    def test_mutated_report_rejected(self, reports, k, mutate):
+        assert verify_report(reports[k])
+        assert not verify_report(mutate(reports[k], reports))
+
+
+PHI_SYM = (1 + sympy.sqrt(5)) / 2
+
+
+def _sympy_coefficient(literal):
+    """A printed coefficient: "p/q", or "a+b*phi" in Q(phi)."""
+    if not literal.endswith("*phi"):
+        return sympy.Rational(literal)
+    a, b = literal.split("+")
+    return sympy.Rational(a) + sympy.Rational(b[: -len("*phi")]) * PHI_SYM
+
+
+def _sympy_poly(printed, syms):
+    """A printed polynomial, [[exponents, coefficient], ...], as a sympy expression."""
+    return sum(
+        (_sympy_coefficient(c) * sympy.Mul(*(x**e for x, e in zip(syms, exps))) for exps, c in printed),
+        sympy.Integer(0),
+    )
+
+
+def _terms(expr, syms):
+    """The expression's terms {exponents: coefficient} over Q(sqrt 5)."""
+    return sympy.Poly(sympy.expand(expr), *syms, extension=sympy.sqrt(5)).as_dict()
+
+
+class TestSymbolicIdentitiesAgainstSympy:
+    """sympy re-derives each symbolic certificate from the printed matrix."""
+
+    @staticmethod
+    def _matrix(step, syms):
+        return sympy.Matrix([[_sympy_poly(e, syms) for e in row] for row in step.inputs["matrix"]])
+
+    def test_tripod_determinant(self):
+        s, t = syms = sympy.symbols("s t")
+        step = tripod_identity_step()
+        det = self._matrix(step, syms).det(method="berkowitz")
+        assert _terms(det, syms) == _terms(_sympy_poly(step.certificate["determinant"], syms), syms)
+        assert _terms(det, syms) == _terms((1 + s) ** 2 * (1 - 2 * s - 3 * t**2), syms)
+
+    def test_path_determinant(self):
+        syms = sympy.symbols("s t L")
+        step = path_det_factorization_step()
+        det = self._matrix(step, syms).det(method="berkowitz")
+        f1, f2, f3 = (_sympy_poly(f, syms) for f in step.certificate["factors"])
+        assert _terms(det, syms) == _terms(_sympy_poly(step.certificate["determinant"], syms), syms)
+        assert _terms(det, syms) == _terms(-(PHI_SYM**2) * f1 * f2 * f3, syms)
+
+    @pytest.mark.parametrize(
+        "build, names, rows",
+        [(multiples_case_step, "t u", (0, 3)), (path_complement_step, "t", (1, 2))],
+        ids=["multiples", "complement"],
+    )
+    def test_row_sum(self, build, names, rows):
+        syms = sympy.symbols(names, seq=True)
+        step = build()
+        m = self._matrix(step, syms)
+        row_sum = m.row(rows[0]) + m.row(rows[1])
+        assert step.certificate["row_indices"] == list(rows)
+        for got, printed in zip(row_sum, step.certificate["row_sum"], strict=True):
+            assert _terms(got, syms) == _terms(_sympy_poly(printed, syms), syms)
+
+    def test_two_length_residual(self):
+        n11, n12, n21, n22, rho = syms = sympy.symbols("n11 n12 n21 n22 rho")
+        det = sympy.Matrix([[1 - rho * n11, -rho * n12], [-rho * n21, 1 - rho * n22]]).det()
+        printed = two_length_step(2).certificate["residual"]
+        assert _terms(det, syms) == _terms(_sympy_poly(printed, syms), syms)
 
 
 class TestRunStep:
@@ -460,105 +584,6 @@ class TestIdentitiesAtRandomPoints:
             assert not cp.evaluate({"s": s0, "t": t0, "L": lam_val})
 
 
-_Q = 2**audit._RHO_BITS
-
-
-def _reference_scan(bound, rho_lo, rho_hi):
-    """The residual scan as one plain loop over every coefficient system."""
-    q = 2**audit._RHO_BITS
-    plo = rho_lo.numerator * (q // rho_lo.denominator)
-    phi_ = rho_hi.numerator * (q // rho_hi.denominator)
-    q2 = q * q
-    r2lo, r2hi = plo * plo, phi_ * phi_
-    checked = degenerate = 0
-    min_abs_num = None
-    for n11 in range(bound + 1):
-        for n22 in range(bound + 1):
-            b = n11 + n22
-            for n12 in range(bound + 1):
-                for n21 in range(bound + 1):
-                    a = n11 * n22 - n12 * n21
-                    if a == 0 and b == 0:
-                        degenerate += 1
-                        continue
-                    t_lo = (a * r2lo if a >= 0 else a * r2hi) - b * phi_ * q + q2
-                    t_hi = (a * r2hi if a >= 0 else a * r2lo) - b * plo * q + q2
-                    if t_lo <= 0 <= t_hi:
-                        return {
-                            "checked": checked,
-                            "degenerate": degenerate,
-                            "min_abs_residual_num": 0,
-                            "residual_den": q2,
-                            "failing_system": (n11, n12, n21, n22),
-                        }
-                    mag = t_lo if t_lo > 0 else -t_hi
-                    if min_abs_num is None or mag < min_abs_num:
-                        min_abs_num = mag
-                    checked += 1
-    return {
-        "checked": checked,
-        "degenerate": degenerate,
-        "min_abs_residual_num": min_abs_num,
-        "residual_den": q2,
-    }
-
-
-class TestTwoLengthScan:
-    def test_matches_reference_for_every_non_cube_k(self):
-        for k in NON_CUBE_K:
-            lo, hi = _rho_enclosure(k)
-            for bound in (10, 0, 1, 2, 3, 4):
-                assert _two_length_scan(k, bound, lo, hi) == _reference_scan(bound, lo, hi), (k, bound)
-
-    @pytest.mark.parametrize(
-        "lo,hi",
-        [
-            (Fraction(1, 4), Fraction(3, 4)),
-            (Fraction(1, 2) - Fraction(1, 2**10), Fraction(1, 2) + Fraction(1, 2**10)),
-            (Fraction(1, 8), Fraction(1, 8) + Fraction(1, 2**20)),
-            (Fraction(7, 8), Fraction(7, 8) + Fraction(1, 2**20)),
-        ],
-    )
-    @pytest.mark.parametrize("bound", [10, 6, 3])
-    def test_forced_failure_matches_reference(self, lo, hi, bound):
-        scan = _two_length_scan(2, bound, lo, hi)
-        ref = _reference_scan(bound, lo, hi)
-        assert scan == ref
-        if (lo, hi) == (Fraction(1, 4), Fraction(3, 4)):
-            assert scan["min_abs_residual_num"] == 0 and "failing_system" in scan
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        bound=st.integers(0, 10),
-        lo=st.integers(1, _Q - 2),
-        width=st.one_of(st.integers(1, 2**24), st.integers(2**24, _Q // 2)),
-    )
-    def test_random_dyadic_intervals_match_reference(self, bound, lo, width):
-        lo, hi = Fraction(lo, _Q), Fraction(min(lo + width, _Q - 1), _Q)
-        assert _two_length_scan(2, bound, lo, hi) == _reference_scan(bound, lo, hi)
-
-    @pytest.mark.parametrize("k", [2**144 + 1, 10**100 + 1])
-    def test_huge_k_with_a_zero_lower_end_matches_reference(self, k):
-        lo, hi = _rho_enclosure(k)
-        assert lo == 0
-        for bound in (10, 3, 1):
-            assert _two_length_scan(k, bound, lo, hi) == _reference_scan(bound, lo, hi)
-        assert verify_step(two_length_step(k))
-
-    def test_seeded_draws_cover_both_outcomes(self):
-        rng = random.Random(8)
-        outcomes = Counter()
-        for i in range(120):
-            bound = rng.randint(0, 10)
-            width = rng.randint(1, 2**24) if i % 2 else rng.randint(2**24, _Q // 2)
-            lo = rng.randint(1, _Q - 1 - width)
-            lo, hi = Fraction(lo, _Q), Fraction(lo + width, _Q)
-            scan = _two_length_scan(2, bound, lo, hi)
-            assert scan == _reference_scan(bound, lo, hi), (bound, lo, hi)
-            outcomes["failing_system" in scan] += 1
-        assert outcomes[True] >= 10 and outcomes[False] >= 10
-
-
 @pytest.fixture(scope="module")
 def full_audit():
     return run_full_audit(64)
@@ -600,7 +625,8 @@ class TestVerifyOncePerRun:
             "shift-interval",
             "conjugate-interval",
             "spurious-count",
-            "catalog-gap",
+            "drop-case",
+            "no-cases",
         ],
     )
     def test_corrupted_final_cases_fails_every_non_cube_k(
@@ -624,15 +650,26 @@ class TestVerifyOncePerRun:
             rec["interval"] = ["-162/100", "-161/100"]
         elif mutation == "spurious-count":
             cases[0]["spurious_filtered"] += 1
+        elif mutation == "drop-case":
+            # the t = 1/sqrt2 case, that is beta_1 = pi/4, left open
+            assert cases.pop()["t"] == "1/sqrt2"
         else:
-            # a different positive gap: the checker re-derives it
-            rec = cases[1]["roots"][0]
-            rec["min_catalog_gap"] = exact_json(Fraction(rec["min_catalog_gap"]) / 2)
+            cases.clear()
         assert not verify_step(step)
         rc, err = _run_cli_verify(reports, tmp_path, monkeypatch, capsys)
         assert rc == 1
         failed = [int(line.rsplit("= ", 1)[1]) for line in err.splitlines() if "FAILED" in line]
         assert failed == NON_CUBE_K
+
+
+    def test_report_without_a_step_fails_only_its_k(self, full_audit, tmp_path, monkeypatch, capsys):
+        reports = list(full_audit)
+        reports[0] = replace(reports[0], steps=reports[0].steps[:-1])  # k = 2 without final-cases
+        rc, err = _run_cli_verify(reports, tmp_path, monkeypatch, capsys)
+        assert rc == 1
+        assert [line for line in err.splitlines() if "FAILED" in line] == [
+            "certificate re-verification FAILED for k = 2"
+        ]
 
 
 class TestReportText:
@@ -669,7 +706,8 @@ class TestReportText:
         assert captured.err == file_err
 
 
-AUDIT_SHA256 = "c21c1b41ca14ca1fcab9bc7fc9cf9d167be773745ade847f50677b2b1657da37"
+# `sha256sum -c` reads the same file in CI: "<sha256>  audit.json"
+AUDIT_SHA256 = (Path(__file__).parent / "data" / "audit-kmax64.sha256").read_text(encoding="utf-8").split()[0]
 
 
 def _clear_package_caches():
@@ -691,7 +729,8 @@ def test_audit_report_bytes_pinned(tmp_path, capsys):
 def test_audit_report_bytes_independent_of_refinement_history(tmp_path, capsys):
     """The catalog cosines the audit reads are shared, cached objects.
     Refining them far past what the audit needs, and classifying cosines,
-    must not move a byte: recorded gaps come from canonical enclosures."""
+    must not move a byte: recorded intervals are refined from the roots'
+    own isolating intervals."""
     for d in range(1, 9):
         for _, cos in catalog(d).entries:
             cos.refine_below(Fraction(1, 10**30))
