@@ -627,6 +627,12 @@ def _onto_facet_neighbour(pieces):
     pieces[0] = pieces[next(j for j in range(1, len(pieces)) if len(verts[0] & verts[j]) == 3)]
 
 
+def _sheared(pieces):
+    # vertex 0 of a late piece moved by v2 - v1, parallel to its opposite facet
+    v = [[Fraction(x) for x in u] for u in pieces[22]["vertices"]]
+    pieces[22]["vertices"][0] = [str(a + c - b) for a, b, c in zip(*v[:3])]
+
+
 # corrupted `hill subdivide` outputs of these tests and of CI: (dim, cos, m)
 # and the damage done to the pieces
 HILL_CORRUPTIONS = {
@@ -634,7 +640,22 @@ HILL_CORRUPTIONS = {
     "overlap": ((2, "3/5", 3), _onto_edge_neighbour),
     "d3m3-outside": ((3, "0", 3), _outside),
     "d3m3-neighbour": ((3, "0", 3), _onto_facet_neighbour),
+    "d3m3-sheared": ((3, "0", 3), _sheared),
 }
+
+
+@pytest.mark.parametrize("name", ["d3m3-outside", "d3m3-neighbour", "d3m3-sheared"])
+def test_corrupted_d3m3_reports_are_the_pinned_files(name, tmp_path, capsys):
+    """`hill verify` prints tests/data/hill-<name>-report.json byte for byte,
+    the file CI's d3 m3 step compares with."""
+    (dim, cos, m), damage = HILL_CORRUPTIONS[name]
+    assert main(["hill", "subdivide", "--dim", str(dim), f"--cos={cos}", "--m", str(m)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    damage(doc["pieces"])
+    assert main(["hill", "verify", write(tmp_path, "bad.json", doc)]) == 1
+    pinned = os.path.join(os.path.dirname(__file__), "data", f"hill-{name}-report.json")
+    with open(pinned, encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 class TestPrintedWitnessesReadBack:
