@@ -774,18 +774,23 @@ def verify_step(step: AuditStep) -> bool:
 
     Each branch re-checks the recorded exact objects directly; searches
     (root isolation, subset enumeration) are not repeated, only their
-    verifiable outcomes.
+    verifiable outcomes.  A step is accepted only with the verdict its
+    certificate implies: "inapplicable" for the rho-degree step of a cube k,
+    "pass" for every other step.
     """
     sid, cert, inputs = step.id, step.certificate, step.inputs
+    cube = sid == "rho-degree" and is_perfect_cube(inputs["k"])
+    if step.verdict != ("inapplicable" if cube else "pass"):
+        return False
     if sid == "rho-degree":
         k = inputs["k"]
         if inputs["polynomial"] != [-1, 0, 0, k]:
             return False
-        if step.verdict == "inapplicable":
+        if cube:
             r = cert["cube_root"]
             return r**3 == k and cert["rational_scaling"] == exact_json(Fraction(1, r))
         # rational root theorem: a root of k x^3 - 1 is 1/q with q^3 = k
-        return cert["rational_roots"] == [] and cert["irreducible"] is not is_perfect_cube(k)
+        return cert["rational_roots"] == [] and cert["irreducible"] is True
     if sid == "two-length":
         residual = _two_length_residual()
         return (

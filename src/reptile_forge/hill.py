@@ -10,6 +10,11 @@ a frame with the common cosine c, so vertices stay rational for every c
 (the Freudenthal-Kuhn cells).  The verifier, not the generator, carries the
 correctness burden: volume accounting, similarity, mutual congruence,
 interior disjointness and containment are all certified exactly.
+Similarity is decided for piece 0 alone and congruence to piece 0 once per
+translation class: the staircase cells are translates of at most d! Kuhn
+simplices (Freudenthal, Ann. Math. 1942), and with piece 0 similar to the
+parent with ratio 1/m, a piece has that ratio exactly when it is congruent
+to piece 0.
 
 Interior disjointness has a certificate linear in the number of pieces
 when the pieces meet facet to facet, as staircase cells do: every facet is
@@ -168,12 +173,22 @@ def _staircase_cells(dim: int, m: int):
 def _cell_map(spec: HillSpec, den: int):
     """Integer basis coordinates ys -> the simplex with vertices
     (sum_i y_i b_i) / den in the spec's frame, the basis taken as integers
-    over one lcm."""
+    over one lcm.  Each distinct coordinate is one Fraction per map."""
     basis = spec.basis
     q = math.lcm(*(x.denominator for b in basis for x in b))
     columns = list(zip(*([x.numerator * (q // x.denominator) for x in b] for b in basis)))
-    return lambda ys: Simplex.exact(
-        [[Fraction(sum(map(mul, y, col)), q * den) for col in columns] for y in ys], spec.frame
+    coords: dict[int, Fraction] = {}
+
+    def coord(n: int) -> Fraction:
+        x = coords.get(n)
+        if x is None:
+            x = coords[n] = Fraction(n, q * den)
+        return x
+
+    return lambda ys: Simplex(
+        len(ys) - 1,
+        tuple(tuple(coord(sum(map(mul, y, col))) for col in columns) for y in ys),
+        spec.frame,
     )
 
 
@@ -350,6 +365,27 @@ def _facets_match(parent: Simplex, pieces) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _first_incongruent(pieces) -> int | None:
+    """The least index of a piece not congruent to piece 0, or None.
+
+    Congruence is decided once per translation class, keyed by the frame,
+    the lattice denominator D and the integer edge vectors from vertex 0:
+    translates with one key have the same ``lattice_lengths``, so
+    ``congruent`` gives them one answer.
+    """
+    verdicts: dict[tuple, bool] = {}
+    for idx in range(1, len(pieces)):
+        p = pieces[idx]
+        den, (v0, *rest) = p.lattice
+        key = (p.frame, den, tuple(tuple(x - y for x, y in zip(v, v0)) for v in rest))
+        ok = verdicts.get(key)
+        if ok is None:
+            ok = verdicts[key] = congruent(pieces[0], p)
+        if not ok:
+            return idx
+    return None
+
+
 @dataclass(frozen=True)
 class ReptileReport:
     """Certificate log for one candidate reptile subdivision."""
@@ -406,6 +442,12 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
     volume + disjointness + containment for closed pieces.  Volumes are
     compared in frame units, lengths in the frame's metric.
 
+    Similarity is matched for piece 0 alone, and congruence to piece 0 once
+    per translation class (``_first_incongruent``).  When piece 0 has ratio
+    1/m, a piece has ratio 1/m exactly when it is congruent to piece 0, so
+    the first piece that is not is the similarity witness too, with its own
+    ratio; when piece 0 fails, it is the similarity witness.
+
     Interior disjointness is certified by facet matching (``_facets_match``)
     when the volumes and containment hold: pieces that meet facet to facet
     inside the parent and fill its volume cover each interior point once.
@@ -426,24 +468,25 @@ def verify_reptile(sub: Subdivision) -> ReptileReport:
     if not volume_ok:
         witnesses["volume"] = (vol_sum, vol_parent)
 
+    # piece 0 is matched with the parent once; with ratio 1/m, a piece has
+    # that ratio exactly when it is congruent to piece 0, so the first piece
+    # that is not is also the first similarity failure
     expected = Fraction(1, m)
-    similarity_ok = True
-    measured = None
-    for idx, p in enumerate(pieces):
-        r = similar(parent, p)
-        if measured is None:
-            measured = r
-        if r != expected:
-            similarity_ok = False
+    measured = similar(parent, pieces[0]) if pieces else None
+    similarity_ok = not pieces or measured == expected
+    if not similarity_ok:
+        witnesses["similarity"] = {"piece": 0, "ratio": measured}
+    idx = _first_incongruent(pieces)
+    congruence_ok = idx is None
+    if not congruence_ok:
+        if similarity_ok:
+            # False, as piece idx is not congruent to piece 0; r is compared
+            # with 1/m as a per-piece check compares it, which may narrow
+            # the enclosure of an irrational r, so it prints the same
+            r = similar(parent, pieces[idx])
+            similarity_ok = r == expected
             witnesses["similarity"] = {"piece": idx, "ratio": r}
-            break
-
-    congruence_ok = True
-    for idx in range(1, len(pieces)):
-        if not congruent(pieces[0], pieces[idx]):
-            congruence_ok = False
-            witnesses["congruence"] = {"pieces": (0, idx)}
-            break
+        witnesses["congruence"] = {"pieces": (0, idx)}
 
     containment_ok = True
     tested: dict = {}

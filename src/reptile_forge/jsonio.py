@@ -126,10 +126,12 @@ def load_matrix(obj: dict) -> CosMatrix:
     return CosMatrix.from_rows(entries)
 
 
-def load_simplex(obj: dict, frame=None, path: str = "") -> Simplex:
+def load_simplex(obj: dict, frame=None, path: str = "", numbers: dict | None = None) -> Simplex:
     """The simplex of a JSON object at ``path``, in ``frame`` when the caller has read it,
     else in its own "frame": a cosine c, written like a --cos value, whose Gram matrix
-    (1 - c) I + c J is positive definite (Cartesian when absent)."""
+    (1 - c) I + c J is positive definite (Cartesian when absent).  ``numbers`` maps each
+    coordinate string read so far to its value, so a string that repeats is read once;
+    only strings are keys, so a JSON true is never taken for the 1 it hashes like."""
     bad = "bad simplex JSON: "
     if not isinstance(obj, dict):
         raise InputFormatError(f"{bad}expected an object, got {json.dumps(obj)[:40]}")
@@ -145,16 +147,21 @@ def load_simplex(obj: dict, frame=None, path: str = "") -> Simplex:
         raise _expected(f"{path}.dim", "an integer", dim, bad)
     if dim != len(raw) - 1:
         raise InputFormatError(f"{bad}expected {dim + 1} vertices for dim {dim}, got {len(raw)}")
+    if numbers is None:
+        numbers = {}
     vertices = []
     for i, v in enumerate(raw):
         if not isinstance(v, list):
             raise _expected(f"{path}.vertices[{i}]", "a list of coordinates", v, bad)
         vertex = []
         for j, x in enumerate(v):
-            if (c := read_number(x)) is None:
-                if isinstance(x, str) and _NUMBER_RE.fullmatch(x):  # a "p/0"
-                    raise InputFormatError(f"{bad}a coordinate has denominator 0")
-                raise _expected(f"{path}.vertices[{i}][{j}]", "an exact number", x, bad)
+            if (c := numbers.get(x) if type(x) is str else None) is None:
+                if (c := read_number(x)) is None:
+                    if isinstance(x, str) and _NUMBER_RE.fullmatch(x):  # a "p/0"
+                        raise InputFormatError(f"{bad}a coordinate has denominator 0")
+                    raise _expected(f"{path}.vertices[{i}][{j}]", "an exact number", x, bad)
+                if type(x) is str:
+                    numbers[x] = c
             vertex.append(c)
         vertices.append(tuple(vertex))
     if frame is None and "frame" in obj:
@@ -184,14 +191,15 @@ def load_subdivision(obj: dict) -> tuple[Simplex, tuple[Simplex, ...], int]:
         raise InputFormatError("m must be at least 2")
     if not isinstance(pieces, list):
         raise InputFormatError("pieces must be a list of simplices")
-    parent = load_simplex(obj["parent"], path="parent")
+    numbers: dict[str, Fraction] = {}  # each distinct coordinate string is read once
+    parent = load_simplex(obj["parent"], path="parent", numbers=numbers)
     raw = obj["parent"].get("frame")
     for i, p in enumerate(pieces):
         if isinstance(p, dict) and p.get("frame") != raw:
             raise InputFormatError(
                 f"piece {i} has frame {json.dumps(p.get('frame'))}, the parent {json.dumps(raw)}"
             )
-    cells = tuple(load_simplex(p, parent.frame, f"pieces[{i}]") for i, p in enumerate(pieces))
+    cells = tuple(load_simplex(p, parent.frame, f"pieces[{i}]", numbers) for i, p in enumerate(pieces))
     if any(s.get("mode") == "float" for s in (obj["parent"], *pieces)):
         raise InputFormatError("the reptile verifier is exact: a subdivision takes no float-mode simplex")
     return parent, cells, m

@@ -127,6 +127,22 @@ class TestKDependentCertificateMutations:
         assert not verify_step(forged)
 
     @pytest.mark.parametrize(
+        "k, certificate, verdict",
+        [
+            (8, {"rational_roots": [], "irreducible": False}, "pass"),
+            (2, None, "fail"),
+            (2, None, "maybe"),
+            (2, None, "inapplicable"),
+        ],
+        ids=["cube-pass-reducible", "non-cube-fail", "non-cube-maybe", "non-cube-inapplicable"],
+    )
+    def test_rho_degree_verdict_follows_the_certificate(self, k, certificate, verdict):
+        # "inapplicable" iff k is a cube, else "pass" with an irreducible cubic
+        step = rho_degree_step(k)
+        forged = AuditStep(step.id, step.title, step.inputs, certificate or step.certificate, verdict)
+        assert not verify_step(forged)
+
+    @pytest.mark.parametrize(
         "mutate",
         [
             lambda inputs, cert: _set_residual_term(cert, [1, 0, 0, 0, 1], "-2/1"),
@@ -341,6 +357,10 @@ class TestHillConstruction:
         with pytest.raises(ValueError):
             hill_construction_step(7)
 
+    @pytest.mark.parametrize("verdict", ["fail", "inapplicable"])
+    def test_verdict_follows_the_certificate(self, verdict):
+        assert not verify_step(replace(hill_construction_step(8), verdict=verdict))
+
 
 class TestFullAudit:
     def test_kmax_7_all_excluded(self):
@@ -379,6 +399,11 @@ class TestFullAudit:
     def test_assumption_recorded(self):
         reports = run_full_audit(3)
         assert any("rational multiple of pi" in a for a in reports[0].assumptions)
+
+
+def _reducible_pass(step):
+    """A cube k's rho-degree step claiming "pass" with a reducible cubic."""
+    return replace(step, certificate={"rational_roots": [], "irreducible": False}, verdict="pass")
 
 
 class TestReportWiring:
@@ -420,6 +445,8 @@ class TestReportWiring:
             (2, lambda r, rs: replace(r, assumptions=())),
             (8, lambda r, rs: replace(r, conclusion="excluded")),
             (8, lambda r, rs: replace(r, steps=rs[9].steps)),
+            (8, lambda r, rs: replace(r, steps=(_reducible_pass(r.steps[0]), *r.steps[1:]))),
+            (8, lambda r, rs: replace(r, steps=(*r.steps[:-1], replace(r.steps[-1], verdict="fail")))),
         ],
         ids=[
             "k2-without-exclude-pi-over-5",
@@ -431,6 +458,8 @@ class TestReportWiring:
             "assumption-dropped",
             "cube-called-excluded",
             "cube-with-non-cube-steps",
+            "cube-rho-degree-pass-reducible",
+            "cube-hill-construction-fail",
         ],
     )
     def test_mutated_report_rejected(self, reports, k, mutate):

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -480,6 +481,24 @@ class TestIntegerScreens:
         assert rep.chirality == {"orientation_preserving": 136, "mirrored": 120}
         assert calls == []
 
+    @pytest.mark.parametrize("dim,m,congruent_calls", [(4, 4, 24), (3, 4, 6)])
+    def test_one_similarity_and_one_congruence_per_translation_class(self, dim, m, congruent_calls, monkeypatch):
+        # the staircase cells are translates of the d! Kuhn simplices
+        sub = subdivide(HillSpec.from_pair_cos(dim, Fraction(0)), m)
+        calls = {"similar": 0, "congruent": 0}
+
+        def counted(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(hill_mod, "similar", counted("similar", similar))
+        monkeypatch.setattr(hill_mod, "congruent", counted("congruent", congruent))
+        assert verify_reptile(sub).all_ok
+        assert calls == {"similar": 1, "congruent": congruent_calls}
+
 
 # -- Hill simplices in the frame of their common cosine -----------------------
 
@@ -597,6 +616,132 @@ def _corrupted(sub, how, rng):
         verts[rng.randrange(dim + 1)][0] += Fraction(1, 9)
         pieces[i] = Simplex.exact(verts, sub.parent.frame)
     return Subdivision(sub.parent, tuple(pieces), m)
+
+
+def _reference_shape_checks(sub):
+    """Similarity and congruence decided piece by piece, as the verifier did
+    before it matched once per translation class: (similarity_ok,
+    congruence_ok, measured_ratio, witnesses)."""
+    parent, pieces, m = sub.parent, sub.pieces, sub.m
+    witnesses: dict = {}
+    expected = Fraction(1, m)
+    similarity_ok = True
+    measured = None
+    for idx, p in enumerate(pieces):
+        r = similar(parent, p)
+        if measured is None:
+            measured = r
+        if r != expected:
+            similarity_ok = False
+            witnesses["similarity"] = {"piece": idx, "ratio": r}
+            break
+
+    congruence_ok = True
+    for idx in range(1, len(pieces)):
+        if not congruent(pieces[0], pieces[idx]):
+            congruence_ok = False
+            witnesses["congruence"] = {"pieces": (0, idx)}
+            break
+    return similarity_ok, congruence_ok, measured, witnesses
+
+
+def _reference_report(sub) -> dict:
+    """The report with its similarity and congruence checks taken from
+    ``_reference_shape_checks``."""
+    rep = verify_reptile(Subdivision(sub.parent, sub.pieces, sub.m))
+    similarity_ok, congruence_ok, measured, shape = _reference_shape_checks(sub)
+    others = {k: v for k, v in rep.witnesses.items() if k not in ("similarity", "congruence")}
+    return replace(rep, similarity_ok=similarity_ok, congruence_ok=congruence_ok,
+                   measured_ratio=measured, witnesses={**shape, **others}).to_json()
+
+
+def _mirrored(p: Simplex) -> Simplex:
+    # swapping two coordinates is a reflection in every frame of one pairwise cosine
+    return Simplex.exact([(v[1], v[0], *v[2:]) for v in p.vertices], p.frame)
+
+
+def _sheared(p: Simplex, t: Fraction) -> Simplex:
+    # vertex 0 moved by t (v2 - v1), parallel to its opposite facet: the volume stays
+    v = p.vertices
+    moved = tuple(a + t * (c - b) for a, b, c in zip(v[0], v[1], v[2]))
+    return Simplex.exact([moved, *v[1:]], p.frame)
+
+
+def _translated(p: Simplex, rng) -> Simplex:
+    return p.translated([Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7))) for _ in range(p.dim)])
+
+
+def _rotated(p: Simplex) -> Simplex:
+    # a quarter turn through 45 degrees scaled by 1/sqrt(2), in the Cartesian plane
+    return Simplex.exact([((x - y) / 2, (x + y) / 2) for x, y in p.vertices], p.frame)
+
+
+# Cartesian specs of d = 2, 3, 4 and framed ones (c = 1/3, sqrt(2)/4)
+SHAPE_SPECS = [(2, "0", 3), (2, "3/5", 3), (3, "0", 3), (3, "-2/5", 2), (4, "0", 2),
+               (4, "1/3", 2), (3, "sqrt(2)/4", 2), (3, "sqrt(2)/4", 3)]
+
+
+class TestShapeChecksPerTranslationClass:
+    """The verifier's similarity and congruence checks, decided once for
+    piece 0 and once per translation class, give the per-piece report."""
+
+    @staticmethod
+    def _damaged(sub, rng):
+        """Seeded corruptions of sub, each a list of pieces."""
+        pieces, n = list(sub.pieces), len(sub.pieces)
+        late = rng.randrange(n - n // 4, n)
+        early = rng.randrange(1, n // 2)
+        t = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2, 3)))
+        docs = {
+            "mirror": {early: _mirrored(pieces[early])},
+            "shear-late": {late: _sheared(pieces[late], t)},
+            "mirror-then-shear": {early: _mirrored(pieces[early]), late: _sheared(pieces[late], t)},
+            "translate": {early: _translated(pieces[early], rng)},
+            "translate-then-shear": {early: _translated(pieces[early], rng), late: _sheared(pieces[late], t)},
+            "piece-0-sheared": {0: _sheared(pieces[0], t)},
+            "piece-0-scaled": {0: pieces[0].scaled(Fraction(2, 3))},
+            "piece-0-mirrored": {0: _mirrored(pieces[0])},
+            "piece-0-translated": {0: _translated(pieces[0], rng)},
+            "piece-0-scaled-and-late-sheared": {0: pieces[0].scaled(Fraction(2, 3)), late: _sheared(pieces[late], t)},
+            "late-scaled": {late: pieces[late].scaled(Fraction(3, 2))},
+        }
+        out = {}
+        for name, changes in docs.items():
+            damaged = list(pieces)
+            for i, q in changes.items():
+                damaged[i] = q
+            out[name] = Subdivision(sub.parent, tuple(damaged), sub.m)
+        return out
+
+    @pytest.mark.parametrize("dim,cos,m", SHAPE_SPECS)
+    def test_reports_equal_the_per_piece_loops(self, dim, cos, m):
+        sub = _subdivision(dim, cos, m)
+        assert verify_reptile(sub).to_json() == _reference_report(sub)
+        rng = random.Random(dim * 1000 + m * 10 + len(cos))
+        for name, doc in self._damaged(sub, rng).items():
+            got = verify_reptile(doc).to_json()
+            assert got == _reference_report(doc), name
+            assert not got["all_ok"] or name in ("mirror", "translate"), name
+
+    def test_late_witnesses_of_a_shear(self):
+        sub = _subdivision(3, "0", 3)
+        pieces = list(sub.pieces)
+        pieces[22] = _sheared(pieces[22], Fraction(1))
+        rep = verify_reptile(Subdivision(sub.parent, tuple(pieces), 3))
+        assert rep.witnesses["similarity"] == {"piece": 22, "ratio": None}
+        assert rep.witnesses["congruence"] == {"pieces": (0, 22)}
+        assert rep.measured_ratio == Fraction(1, 3)
+
+    def test_irrational_ratio_witness(self):
+        # a late piece similar to the parent with ratio 1/(3 sqrt 2)
+        sub = _subdivision(2, "0", 3)
+        pieces = list(sub.pieces)
+        pieces[7] = _rotated(pieces[7])
+        doc = Subdivision(sub.parent, tuple(pieces), 3)
+        got = verify_reptile(doc).to_json()
+        assert got == _reference_report(doc)
+        assert got["witnesses"]["similarity"]["piece"] == 7
+        assert "minpoly" in got["witnesses"]["similarity"]["ratio"]
 
 
 class TestContainment:

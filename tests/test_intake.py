@@ -10,6 +10,9 @@ from functools import reduce
 from operator import getitem
 
 import pytest
+
+from reptile_forge.hill import Subdivision
+from reptile_forge.jsonio import InputFormatError, load_subdivision
 from helpers import REPR_MARKS, run_main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -177,6 +180,58 @@ class TestBadValues:
         assert (rc, err) == (0, "reptile verification: all checks passed\n")
         assert report["all_ok"] and len(report["checks"]) == 6 and all(report["checks"].values())
         assert report["measured_ratio"] == "1/2"
+
+class TestCoordinateStrings:
+    """A subdivision document's coordinate strings are each read once; the
+    values 1, 1.0, "1", "1/1" are one number, and a JSON true is none."""
+
+    ONES = [1, 1.0, "1", "1/1"]
+
+    @classmethod
+    def mixed(cls, doc) -> dict:
+        """doc with its coordinates "1/1" spelled in turn as each of ONES."""
+        doc = copy.deepcopy(doc)
+        n = 0
+        for s in [doc["parent"], *doc["pieces"]]:
+            for v in s["vertices"]:
+                for j, x in enumerate(v):
+                    if x == "1/1":
+                        v[j] = cls.ONES[n % len(cls.ONES)]
+                        n += 1
+        assert n > 2 * len(cls.ONES)
+        return doc
+
+    def test_spellings_of_one_read_alike(self, subdivisions, tmp_path):
+        doc = subdivisions["d2m2"]
+        assert Subdivision.from_json(self.mixed(doc)) == Subdivision.from_json(doc)
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps(self.mixed(doc)))
+        rc, out, _ = run_main(["hill", "verify", str(path)])
+        assert rc == 0 and json.loads(out)["all_ok"]
+
+    def test_true_after_every_spelling_of_one_is_refused(self, subdivisions, tmp_path):
+        # true == 1 and hash(true) == hash(1): a memo keyed by value would pass it
+        doc = self.mixed(subdivisions["d2m2"])
+        assert doc["pieces"][3]["vertices"][2] == ["1/1", 1]
+        doc["pieces"][3]["vertices"][2][1] = True
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps(doc))
+        err = refused(["hill", "verify", str(path)])
+        assert err == "input error: bad simplex JSON: pieces[3].vertices[2][1]: expected an exact number, got true\n"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("1/x", 'pieces[1].vertices[0][1]: expected an exact number, got "1/x"'),
+         ("1/0", "a coordinate has denominator 0")],
+    )
+    def test_a_bad_string_that_repeats_is_named_at_its_first_path(self, bad, message, subdivisions):
+        doc = copy.deepcopy(subdivisions["d2m2"])
+        for i, j, k in [(1, 0, 1), (2, 1, 0), (3, 2, 1)]:
+            doc["pieces"][i]["vertices"][j][k] = bad
+        with pytest.raises(InputFormatError) as caught:
+            load_subdivision(doc)
+        assert str(caught.value) == f"bad simplex JSON: {message}"
+
 
 def test_refused_reconstruction_logs_one_line_without_a_repr(tmp_path):
     # the golden-ratio matrix with cos(0, 1) = 1/2 is indefinite
